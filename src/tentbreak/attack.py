@@ -8,14 +8,20 @@ each of the 4n positions reconstructs f_{j-1} exactly with 4n+1 queries.
 The chosen-ciphertext dual recovers the inverse permutations the same way.
 
 Once the permutations are known, the noise vectors U_{j+1} (j >= 2) are
-found by exhaustive search over the 2^{4n} candidates of
+the solutions x of
 
     C_j xor (P_{j-1} [+] x) = f_{j-1}(P_j xor (C_{j-1} [+] x))
 
-from known plaintext/ciphertext pairs.  For the first block the unknown
-registers P_0, C_0 only ever appear inside (P_0 [+] U_2) and (C_0 [+] U_2),
-and the permutation is XOR-linear, so any consistent register pair (y, z)
-decrypts every first block; no search is needed there.
+over known plaintext/ciphertext pairs.  Bit k of each modular sum depends
+only on bits 0..k of x (the carry-propagation view of addition of Lipmaa and
+Moriai, FSE 2001), so a bit-serial search from the least significant bit
+checks every bit constraint as soon as it is decided and never enumerates
+the 2^{4n} candidates.
+
+For the first block the unknown registers P_0, C_0 only ever appear inside
+(P_0 [+] U_2) and (C_0 [+] U_2), and the permutation is XOR-linear, so any
+consistent register pair (y, z) decrypts every first block; no search is
+needed there.
 """
 
 from __future__ import annotations
@@ -172,24 +178,47 @@ def recover_all_finv(oracle: DecryptionOracle, r: int, n: int,
 def solve_uj(pairs, f: BitPermutation, n: int, order=None) -> list:
     """All x = U_{j+1} consistent with every (P_{j-1}, P_j, C_{j-1}, C_j).
 
-    Exhaustive over the 2^{4n} candidates, enumerated in `order` when given
-    (e.g. from prioritized_candidates).  An empty result means the inputs are
-    inconsistent with the supplied permutation.
+    The block equation holds iff, for every input bit i, bit f.dest[i] of
+    C_j xor (P_{j-1} [+] x) equals bit i of P_j xor (C_{j-1} [+] x), and that
+    constraint is decided by the low max(i, f.dest[i]) + 1 bits of x.  A
+    depth-first search fixes x one bit at a time from the least significant
+    end and drops a branch at the first constraint any pair violates.  The
+    solutions come back ascending, or ranked by `order` (e.g. from
+    prioritized_candidates), which is read only until every solution has
+    appeared.  No solution means the inputs are inconsistent with the
+    supplied permutation.
     """
     if not pairs:
         raise ParameterError("at least one plaintext/ciphertext pair is needed")
-    mask = (1 << (4 * n)) - 1
-    candidates = order if order is not None else range(mask + 1)
+    width = 4 * n
+    # the search reads only bits below `width`, so wider values must not pass
+    if any(not 0 <= v < 1 << width for pair in pairs for v in pair):
+        raise ParameterError(f"pair value outside the {width}-bit block range")
+    levels = [[] for _ in range(width)]
+    for i, d in enumerate(f.dest):
+        levels[max(i, d)].append((i, d))
     sols = []
-    for x in candidates:
-        ok = True
-        for p_prev, p_j, c_prev, c_j in pairs:
-            if c_j ^ ((p_prev + x) & mask) != \
-                    keystream.apply(f, p_j ^ ((c_prev + x) & mask)):
-                ok = False
-                break
-        if ok:
-            sols.append(x)
+    stack = [(0, 0)]                 # (next bit to fix, x's fixed low bits)
+    while stack:
+        k, low = stack.pop()
+        if k == width:
+            sols.append(low)
+            continue
+        for x in (low, low | (1 << k)):
+            if all((c_j ^ (p_prev + x)) >> d & 1 == (p_j ^ (c_prev + x)) >> i & 1
+                   for p_prev, p_j, c_prev, c_j in pairs for i, d in levels[k]):
+                stack.append((k + 1, x))
+    if order is None:
+        sols.sort()
+    else:
+        unseen = set(sols)
+        sols = []
+        for x in order:
+            if x in unseen:
+                unseen.remove(x)
+                sols.append(x)
+                if not unseen:
+                    break
     if not sols:
         raise ValueError("no candidate satisfies the pairs; wrong permutation "
                          "or mismatched pairs")
@@ -330,18 +359,21 @@ class AttackReport:
     recovery_queries: int
     extra_queries: int
     candidate_sets: dict
+    stopped: str            # "settled", or "budget" if max_extra_queries ran out
 
 
 def full_attack(oracle: EncryptionOracle, known_messages, r: int, n: int,
-                seed: int = 0, max_extra_queries: int = 32) -> AttackReport:
+                seed: int = 0, max_extra_queries: int = 512) -> AttackReport:
     """Recover permutations, then the noise vectors, for keyless decryption.
 
-    The solve step searches all 2^{4n} candidates per block against the
-    known (P, C) messages.  A single equation has ~2^n structurally related
-    solutions (the branch degeneracy of the modular-addition/XOR mixture),
-    so leftover ambiguity is resolved with extra chosen-plaintext queries
-    until each candidate set collapses to one equivalence family; members of
-    a family decrypt identically, so any of them completes the key.
+    The solve step finds every candidate per block consistent with the known
+    (P, C) messages (see solve_uj).  A single equation has ~2^n structurally
+    related solutions (the branch degeneracy of the modular-addition/XOR
+    mixture), so leftover ambiguity is resolved with extra chosen-plaintext
+    queries until each candidate set collapses to one equivalence family;
+    members of a family decrypt identically, so any of them completes the
+    key.  The report's `stopped` says whether that happened ("settled") or
+    the max_extra_queries budget ran out first ("budget").
     """
     state = recover_all_f(oracle, r, n)
     recovery_queries = oracle.query_count
@@ -350,8 +382,11 @@ def full_attack(oracle: EncryptionOracle, known_messages, r: int, n: int,
     sets = dict(state.candidate_sets)
     rng = random.Random(f"disambiguate:{seed}")
     extra = 0
-    while extra < max_extra_queries and \
-            any(not _settled(sets[j], state.perms[j - 1]) for j in sets):
+    stopped = "settled"
+    while any(not _settled(sets[j], state.perms[j - 1]) for j in sets):
+        if extra == max_extra_queries:
+            stopped = "budget"
+            break
         p = [rng.randrange(mask + 1) for _ in range(r)]
         c = oracle.encrypt_blocks(p)
         extra += 1
@@ -365,7 +400,7 @@ def full_attack(oracle: EncryptionOracle, known_messages, r: int, n: int,
         state.provenance[f"U{j + 1}"] = \
             "solved" if _settled(sols, state.perms[j - 1]) else "ambiguous"
     return AttackReport(state=state, recovery_queries=recovery_queries,
-                        extra_queries=extra, candidate_sets=sets)
+                        extra_queries=extra, candidate_sets=sets, stopped=stopped)
 
 
 def _pair_consistent(x, f, pair, mask) -> bool:

@@ -241,7 +241,10 @@ def cmd_solve_u(args) -> int:
             if not line or line.startswith("#"):
                 continue
             pairs.append(tuple(int(x, 16) for x in line.split()))
-    f = state.perms[args.j - 1]
+    f = state.perms.get(args.j - 1)
+    if not 2 <= args.j <= state.r or f is None:
+        raise ParameterError(f"--j {args.j} must name a block 2..{state.r} "
+                             f"whose f{args.j - 1} is in {args.state} (r={state.r})")
     order = None
     if args.alpha_est is not None:
         order = attack.prioritized_candidates(args.alpha_est, state.n)
@@ -319,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file of hex lines: Pprev Pj Cprev Cj")
     s.add_argument("--j", type=int, required=True, help="block index (>= 2)")
     s.add_argument("--alpha-est", type=float,
-                   help="enumerate candidates in prioritized order")
+                   help="list the solved candidates in prioritized "
+                        "order (does not change which are found)")
     s.set_defaults(func=cmd_solve_u)
     return ap
 

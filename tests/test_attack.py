@@ -83,6 +83,82 @@ def test_single_bit_check():
     assert attack._single_bit_index(0x80, "test") == 7
 
 
+def _solve_uj_exhaustive(pairs, f, n, order=None) -> list:
+    """Reference solver: checks every one of the 2^{4n} candidates, in
+    `order` when given."""
+    if not pairs:
+        raise ParameterError("at least one plaintext/ciphertext pair is needed")
+    mask = (1 << (4 * n)) - 1
+    candidates = order if order is not None else range(mask + 1)
+    sols = []
+    for x in candidates:
+        ok = True
+        for p_prev, p_j, c_prev, c_j in pairs:
+            if c_j ^ ((p_prev + x) & mask) != \
+                    keystream.apply(f, p_j ^ ((c_prev + x) & mask)):
+                ok = False
+                break
+        if ok:
+            sols.append(x)
+    if not sols:
+        raise ValueError("no candidate satisfies the pairs; wrong permutation "
+                         "or mismatched pairs")
+    return sols
+
+
+def _solutions(solver, *args, **kwargs):
+    """The solver's candidate list, or ValueError when it finds none."""
+    try:
+        return solver(*args, **kwargs)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("n, r", [(1, 6), (2, 4), (3, 3)])
+def test_solve_uj_matches_exhaustive(n, r):
+    rng = random.Random(100 + n)
+    unsolvable = 0
+    for _ in range(100):
+        s = random_session(rng, n=n, r=r)
+        msgs = []
+        for _ in range(rng.randint(1, 3)):
+            p = [rng.randrange(1 << (4 * n)) for _ in range(r)]
+            msgs.append((p, cipher.encrypt(s, Message(p, s.t)).blocks))
+        for j in range(2, r + 1):
+            pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1]) for p, c in msgs]
+            sols = attack.solve_uj(pairs, s.F[j - 1], n)
+            assert sols == _solve_uj_exhaustive(pairs, s.F[j - 1], n)
+            assert s.U[j + 1] in sols
+        # pairs now hold the last block, for which f_0 is usually wrong
+        got = _solutions(attack.solve_uj, pairs, s.F[0], n)
+        assert got == _solutions(_solve_uj_exhaustive, pairs, s.F[0], n)
+        unsolvable += got is ValueError
+    assert unsolvable > 0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_solve_uj_order_matches_exhaustive(alpha):
+    rng = random.Random(11)
+    for _ in range(10):
+        s = random_session(rng)
+        p = [rng.randrange(256) for _ in range(8)]
+        c = cipher.encrypt(s, Message(p, s.t)).blocks
+        for j in range(2, 9):
+            pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])]
+            fast, slow = (
+                solver(pairs, s.F[j - 1], 2,
+                       order=attack.prioritized_candidates(alpha, 2))
+                for solver in (attack.solve_uj, _solve_uj_exhaustive))
+            assert fast == slow
+
+
+def test_solve_uj_rejects_out_of_range_pairs():
+    f = keystream.BitPermutation(tuple(range(8)), 2)
+    for bad in (0x100, -1):
+        with pytest.raises(ParameterError):
+            attack.solve_uj([(0x12, 0x34, 0x56, bad)], f, 2)
+
+
 def test_solve_uj_contains_truth_and_shrinks():
     rng = random.Random(5)
     for _ in range(20):
@@ -170,6 +246,35 @@ def test_full_attack_end_to_end():
         fresh_c = cipher.encrypt(s, Message(fresh, s.t)).blocks
         assert attack.keyless_decrypt(report.state, fresh_c) == fresh
         assert report.recovery_queries == 72
+
+
+def test_full_attack_n8():
+    rng = random.Random(12)
+    n, r = 8, 16
+    s = random_session(rng, n=n, r=r)
+    oracle = attack.EncryptionOracle(s)
+    known = []
+    for _ in range(2):
+        p = [rng.randrange(1 << 32) for _ in range(r)]
+        known.append((p, cipher.encrypt(s, Message(p, s.t)).blocks))
+    report = attack.full_attack(oracle, known, r, n, seed=1)
+    assert report.recovery_queries == 33 * 16
+    assert report.stopped == "settled"
+    fresh = [rng.randrange(1 << 32) for _ in range(r)]
+    fresh_c = cipher.encrypt(s, Message(fresh, s.t)).blocks
+    assert attack.keyless_decrypt(report.state, fresh_c) == fresh
+
+
+def test_full_attack_reports_budget_stop():
+    rng = random.Random(8)
+    s = random_session(rng)
+    p = [rng.randrange(256) for _ in range(8)]
+    known = [(p, cipher.encrypt(s, Message(p, s.t)).blocks)]
+    report = attack.full_attack(attack.EncryptionOracle(s), known, 8, 2,
+                                max_extra_queries=0)
+    assert report.extra_queries == 0
+    assert report.stopped == "budget"
+    assert "ambiguous" in report.state.provenance.values()
 
 
 def test_keyless_decrypt_gap_case():

@@ -96,6 +96,14 @@ def test_attack_full_and_state_file(tmp_path, capsys):
     assert "reg1:" in text
 
 
+def test_attack_full_n8(tmp_path, capsys):
+    out = tmp_path / "rec.txt"
+    assert run(["attack", "--mode", "full", "--n", 8, "--r", 16, "--seed", 1,
+                "--out", out]) == 0
+    assert "528 recovery queries" in capsys.readouterr().out
+    assert out.read_text().startswith("YTSREC n=8 r=16")
+
+
 def test_attack_cpa_and_cca(tmp_path, capsys):
     for mode in ("cpa", "cca"):
         out = tmp_path / f"{mode}.txt"
@@ -158,3 +166,19 @@ def test_solve_u_subcommand(tmp_path, capsys):
                 "--j", j, "--alpha-est", 0.2]) == 0
     outline = capsys.readouterr().out
     assert f"0x{s.U[j + 1]:02x}" in outline
+
+
+def test_solve_u_block_index_out_of_range(tmp_path, capsys):
+    from tentbreak import attack, keystream
+    state = attack.RecoveredState(n=2, r=4)
+    for i in (0, 1, 3):                       # f2 is missing
+        state.perms[i] = keystream.BitPermutation(tuple(range(8)), 2)
+    state_file = tmp_path / "state.txt"
+    attack.save_state(state, state_file)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("12 34 56 78\n")
+    for j in (0, 1, 5, 3):
+        assert run(["solve-u", "--state", state_file, "--pairs", pairs,
+                    "--j", j]) == 2
+        err = capsys.readouterr().err
+        assert "--j" in err and "r=4" in err
