@@ -430,27 +430,28 @@ def save_state(state: RecoveredState, path) -> None:
 
 def load_state(path) -> RecoveredState:
     with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "YTSREC":
-            raise ParameterError(f"{path} is not a recovered-state file")
-        meta = dict(item.split("=") for item in header[1:])
-        state = RecoveredState(n=int(meta["n"]), r=int(meta["r"]))
-        for line in fh:
+        n, r = cipher.read_header(fh, path, "YTSREC", "recovered-state",
+                                  ("n", "r"))
+        state = RecoveredState(n=n, r=r)
+        for lineno, line in enumerate(fh, start=2):
             body, _, comment = line.partition("#")
             body = body.strip()
             if not body:
                 continue
             head, _, tail = body.partition(":")
             tag = comment.strip() or "assumed"
-            if head == "reg1":
-                y, z = (int(x, 16) for x in tail.split())
-                state.reg1 = (y, z)
-                state.provenance["reg1"] = tag
-            elif head.startswith("f"):
-                dest = tuple(int(x) for x in tail.split())
-                state.perms[int(head[1:])] = BitPermutation(dest, state.n)
-                state.provenance[head] = tag
-            elif head.startswith("U"):
-                state.noise[int(head[1:])] = int(tail, 16)
-                state.provenance[head] = tag
+            try:
+                if head == "reg1":
+                    y, z = (int(x, 16) for x in tail.split())
+                    state.reg1 = (y, z)
+                    state.provenance["reg1"] = tag
+                elif head.startswith("f"):
+                    dest = tuple(int(x) for x in tail.split())
+                    state.perms[int(head[1:])] = BitPermutation(dest, state.n)
+                    state.provenance[head] = tag
+                elif head.startswith("U"):
+                    state.noise[int(head[1:])] = int(tail, 16)
+                    state.provenance[head] = tag
+            except ValueError as exc:
+                raise ParameterError(f"{path}: line {lineno}: {exc}") from None
     return state

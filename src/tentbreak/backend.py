@@ -166,9 +166,11 @@ def parse_value(s: str):
     """Parse a serialized value; returns (value, backend)."""
     s = s.strip()
     if s.startswith("f64:"):
-        backend = Binary64Backend()
-        (v,) = struct.unpack(">d", bytes.fromhex(s[4:]))
-        return v, backend
+        payload = bytes.fromhex(s[4:])
+        if len(payload) != 8:
+            raise ParameterError(f"f64 value {s!r} is not 8 bytes")
+        (v,) = struct.unpack(">d", payload)
+        return v, Binary64Backend()
     if s.startswith("fp"):
         prefix, _, payload = s.partition(":")
         backend = FixedPointBackend(int(prefix[2:]))

@@ -172,6 +172,8 @@ def load_key(path):
         n = int(fields["n"])
     except KeyError as exc:
         raise ParameterError(f"key file {path} is missing field {exc}") from None
+    except ValueError as exc:
+        raise ParameterError(f"key file {path}: {exc}") from None
     if not backend == b2 == b3:
         raise ParameterError(f"key file {path} mixes arithmetic backends")
     return KeyMaterial(alpha, beta, gamma, k), n, backend
@@ -184,13 +186,41 @@ def save_ciphertext(msg: Message, n: int, path) -> None:
             fh.write(f"{b:0{n}x}\n")
 
 
+def read_header(fh, path, magic: str, kind: str, names) -> list[int]:
+    """The integer fields `names` of a 'MAGIC name=value ...' first line;
+    `names` includes n, which must be a block parameter in 1..16."""
+    header = fh.readline().split()
+    if not header or header[0] != magic:
+        raise ParameterError(f"{path} is not a {kind} file")
+    meta = dict(item.partition("=")[::2] for item in header[1:])
+    try:
+        values = [int(meta[name]) for name in names]
+    except KeyError as exc:
+        raise ParameterError(
+            f"{path}: line 1: header has no {exc.args[0]}= field") from None
+    except ValueError as exc:
+        raise ParameterError(f"{path}: line 1: {exc}") from None
+    if not 1 <= values[names.index("n")] <= 16:
+        raise ParameterError(f"{path}: line 1: n must be in 1..16")
+    return values
+
+
 def load_ciphertext(path):
     """Returns (Message, n)."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "YTS1":
-            raise ParameterError(f"{path} is not a ciphertext file")
-        meta = dict(item.split("=") for item in header[1:])
-        t, n, length = int(meta["t"]), int(meta["n"]), int(meta["len"])
-        blocks = [int(fh.readline(), 16) for _ in range(length)]
+        t, n, length = read_header(fh, path, "YTS1", "ciphertext",
+                                   ("t", "n", "len"))
+        blocks = []
+        for lineno in range(2, length + 2):
+            line = fh.readline()
+            try:
+                block = int(line, 16)
+            except ValueError:
+                block = -1
+            if not 0 <= block < 1 << (4 * n):
+                got = f"got {line.strip()!r}" if line else "the file ends"
+                raise ParameterError(
+                    f"{path}: line {lineno}: expected {4 * n}-bit block "
+                    f"{lineno - 1} of {length}, {got}")
+            blocks.append(block)
     return Message(blocks, t), n

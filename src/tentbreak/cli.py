@@ -28,6 +28,11 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
+def _n(args, default: int = 2) -> int:
+    """--n if it was given, else the command's own default."""
+    return args.n if args.n is not None else default
+
+
 def _load_table(args):
     if getattr(args, "table", None):
         return keystream.QuarterPermTable.load(args.table)
@@ -39,24 +44,17 @@ def _load_table(args):
 
 def blocks_from_bytes(data: bytes, n: int) -> list:
     width = 4 * n
-    total = len(data) * 8
-    if total % width:
+    if len(data) * 8 % width:
         raise ParameterError(
             f"input of {len(data)} bytes is not a whole number of {width}-bit blocks")
-    acc = int.from_bytes(data, "big") if data else 0
-    return [(acc >> (total - width * (i + 1))) & ((1 << width) - 1)
-            for i in range(total // width)]
+    digits = data.hex()  # a 4n-bit block is exactly n hex digits
+    return [int(digits[i:i + n], 16) for i in range(0, len(digits), n)]
 
 
 def blocks_to_bytes(blocks, n: int) -> bytes:
-    width = 4 * n
-    total = len(blocks) * width
-    if total % 8:
+    if len(blocks) * 4 * n % 8:
         raise ParameterError("block stream is not a whole number of bytes")
-    acc = 0
-    for b in blocks:
-        acc = (acc << width) | b
-    return acc.to_bytes(total // 8, "big")
+    return bytes.fromhex("".join(f"{b:0{n}x}" for b in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -71,16 +69,17 @@ def cmd_keygen(args) -> int:
         # safe sampling range: 0 < |alpha - 0.5| < 0.01
         off = rng.uniform(0.0005, 0.0095) * rng.choice((-1, 1))
         alpha = backend.from_float(0.5 + off)
+    n = _n(args)
     key = cipher.KeyMaterial(
         alpha=alpha,
         beta=backend.from_float(rng.uniform(0.05, 0.95)),
         gamma=backend.from_float(rng.uniform(0.05, 0.95)),
-        K=rng.randrange(1 << (4 * args.n)),
+        K=rng.randrange(1 << (4 * n)),
     )
     notes = cipher.check_key_strength(key, backend)
     if notes and not args.allow_weak and args.alpha is not None:
         print("warning: " + "; ".join(notes), file=sys.stderr)
-    cipher.save_key(key, args.n, backend, args.out)
+    cipher.save_key(key, n, backend, args.out)
     print(f"wrote key file {args.out}")
     return EXIT_OK
 
@@ -122,7 +121,7 @@ def _victim_session(args):
         key, n, backend = cipher.load_key(args.key)
     else:
         rng = random.Random(f"victim:{_seed(args)}")
-        n = args.n
+        n = _n(args)
         key = cipher.KeyMaterial(
             backend.from_float(rng.uniform(0.02, 0.98)),
             backend.from_float(rng.uniform(0.02, 0.98)),
@@ -193,7 +192,7 @@ def cmd_analyze(args) -> int:
                                          mended=args.mended)
         analysis.emit_csv(hist, args.out, alpha=Fraction(1, 10))
     elif args.figure == "fig2":
-        points = analysis.complexity_curve(args.n if args.n != 2 else 16)
+        points = analysis.complexity_curve(_n(args, 16))
         analysis.emit_csv(points, args.out)
     elif args.figure == "fig3":
         p = tentmap.TentParams(backend.from_float(0.5), backend.from_float(0.4))
@@ -236,11 +235,18 @@ def cmd_solve_u(args) -> int:
     state = attack.load_state(args.state)
     pairs = []
     with open(args.pairs) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            pairs.append(tuple(int(x, 16) for x in line.split()))
+            try:
+                pair = tuple(int(x, 16) for x in line.split())
+            except ValueError:
+                pair = ()
+            if len(pair) != 4:
+                raise ParameterError(f"{args.pairs}: line {lineno}: expected "
+                                     f"four hex values, got {line!r}")
+            pairs.append(pair)
     f = state.perms.get(args.j - 1)
     if not 2 <= args.j <= state.r or f is None:
         raise ParameterError(f"--j {args.j} must name a block 2..{state.r} "
@@ -250,6 +256,8 @@ def cmd_solve_u(args) -> int:
         order = attack.prioritized_candidates(args.alpha_est, state.n)
     try:
         sols = attack.solve_uj(pairs, f, state.n, order=order)
+    except ParameterError as exc:  # bad input, not a failed verification
+        raise ParameterError(f"{args.pairs}: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -266,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", default=argparse.SUPPRESS,
                         help="arithmetic backend: fpNN or f64 (default fp62)")
     common.add_argument("--n", type=int, default=argparse.SUPPRESS,
-                        help="block parameter (4n-bit blocks)")
+                        help="block parameter (4n-bit blocks; default 2, "
+                             "16 for analyze fig2)")
     common.add_argument("--r", type=int, default=argparse.SUPPRESS,
                         help="precomputation bound")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quarter-permutation table file")
 
     ap = argparse.ArgumentParser(prog="tentbreak", parents=[common])
-    ap.set_defaults(backend="fp62", n=2, r=16, seed=None, workers=1, table=None)
+    ap.set_defaults(backend="fp62", n=None, r=16, seed=None, workers=1, table=None)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("keygen", help="write a key file", parents=[common])

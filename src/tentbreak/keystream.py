@@ -14,10 +14,12 @@ which is exactly what the differential attack exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import islice, permutations
+from operator import itemgetter
 
 from .backend import ParameterError
-from .tentmap import TentParams, extended_step
+from .tentmap import TentParams, orbit_stream
 
 
 # ---------------------------------------------------------------------------
@@ -26,21 +28,6 @@ from .tentmap import TentParams, extended_step
 def threshold_bit(x, alpha) -> int:
     """0 if x <= alpha else 1 (equality goes to the 0 branch)."""
     return 0 if x <= alpha else 1
-
-
-def extract_bits(orbit, alpha, count: int) -> list[int]:
-    """Threshold the first `count` orbit values against alpha."""
-    if len(orbit) < count:
-        raise ParameterError("orbit shorter than requested bit count")
-    return [threshold_bit(orbit[i], alpha) for i in range(count)]
-
-
-def extract_bits_mended(orbit, count: int, backend) -> list[int]:
-    """Balanced variant: threshold fixed at 1/2 regardless of alpha."""
-    if len(orbit) < count:
-        raise ParameterError("orbit shorter than requested bit count")
-    half = backend.half
-    return [threshold_bit(orbit[i], half) for i in range(count)]
 
 
 def bits_to_block(bits) -> int:
@@ -55,23 +42,19 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
                         mended: bool = False) -> list[int]:
     """Noise vectors U_0 .. U_j_max from the orbit starting at x0.
 
-    Bit u_i thresholds orbit state x_i (the initial condition is x_0), and
-    u_{4jn} is the most significant bit of U_j.
+    Bit u_i is threshold_bit(x_i, alpha) of orbit state x_i (the initial
+    condition is x_0), or threshold_bit(x_i, 1/2) when mended, and
+    u_{4jn} is the most significant bit of U_j.  Each U_j is packed from
+    its 4n states as tentmap.orbit_stream yields them, so no orbit list is
+    kept and no step past x_{4n(j_max+1)-1} is taken.
     """
     if j_max < 0:
         raise ParameterError("j_max must be >= 0")
-    total = 4 * n * (j_max + 1)
-    orbit = [x0]
-    x = x0
-    for _ in range(total - 1):
-        x = extended_step(x, p, backend)
-        orbit.append(x)
-    if mended:
-        bits = extract_bits_mended(orbit, total, backend)
-    else:
-        bits = extract_bits(orbit, p.alpha, total)
-    return [bits_to_block(bits[4 * n * j: 4 * n * (j + 1)])
-            for j in range(j_max + 1)]
+    width = 4 * n
+    threshold = backend.half if mended else p.alpha
+    orbit = orbit_stream(x0, p, backend)
+    return [bits_to_block(x > threshold for x in islice(orbit, width))
+            for _ in range(j_max + 1)]
 
 
 def compute_vj(uj: int, k: int) -> int:
@@ -108,12 +91,20 @@ class QuarterPermTable:
     def load(cls, path) -> "QuarterPermTable":
         entries = [None] * 16
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 head, _, tail = line.partition(":")
-                entries[int(head)] = tuple(int(x) for x in tail.split())
+                try:
+                    v = int(head)
+                    entry = tuple(int(x) for x in tail.split())
+                except ValueError:
+                    v = -1
+                if not 0 <= v < 16:
+                    raise ParameterError(f"{path}: line {lineno}: expected "
+                                         f"'v: a b c d' with v in 0..15")
+                entries[v] = entry
         if any(e is None for e in entries):
             raise ParameterError(f"table file {path} does not define all 16 entries")
         return cls(entries)
@@ -171,11 +162,8 @@ def compose(outer: BitPermutation, inner: BitPermutation) -> BitPermutation:
     return BitPermutation(tuple(outer.dest[d] for d in inner.dest), inner.n)
 
 
-def build_fji(v: int, table: QuarterPermTable, n: int) -> BitPermutation:
-    """Bit permutation of one round: quarter shuffle by table[v], then <<< 1."""
-    if not 0 <= v < 16:
-        raise ParameterError("selector must be a 4-bit value")
-    w = table.entries[v]
+def _round_dest(w, n: int) -> tuple:
+    """dest of one round: quarter shuffle by w, then <<< 1."""
     width = 4 * n
     dest = [0] * width
     for slot in range(1, 5):          # output quarter slot, 1 = most significant
@@ -185,17 +173,33 @@ def build_fji(v: int, table: QuarterPermTable, n: int) -> BitPermutation:
         for k in range(n):
             pre = slot_base + k       # position before the rotation
             dest[src_base + k] = (pre + 1) % width
-    return BitPermutation(tuple(dest), n)
+    return tuple(dest)
+
+
+def build_fji(v: int, table: QuarterPermTable, n: int) -> BitPermutation:
+    """Bit permutation of one round: quarter shuffle by table[v], then <<< 1."""
+    if not 0 <= v < 16:
+        raise ParameterError("selector must be a 4-bit value")
+    return BitPermutation(_round_dest(table.entries[v], n), n)
+
+
+@lru_cache(maxsize=32)
+def _round_dests(entries: tuple, n: int) -> tuple:
+    """The 16 round dests of a table at block parameter n, built on first use."""
+    return tuple(_round_dest(w, n) for w in entries)
 
 
 def compose_fj(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
-    """f_j from the n 4-bit nibbles of V_j, most significant nibble first."""
+    """f_j from the n 4-bit nibbles of V_j, most significant nibble first.
+
+    Composes the table's 16 round maps, built once per (table, n) and
+    cached, by indexing; equal to composing build_fji of each nibble.
+    """
     width = 4 * n
     if vj >> width:
         raise ParameterError("V_j wider than 4n bits")
-    dest = list(range(width))
-    for i in range(1, n + 1):
-        nib = (vj >> (width - 4 * i)) & 0xF
-        step = build_fji(nib, table, n)
-        dest = [step.dest[d] for d in dest]
+    rounds = _round_dests(table.entries, n)
+    dest = range(width)
+    for shift in range(width - 4, -1, -4):
+        dest = itemgetter(*dest)(rounds[(vj >> shift) & 0xF])
     return BitPermutation(tuple(dest), n)

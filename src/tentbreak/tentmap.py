@@ -13,6 +13,7 @@ backend from :mod:`tentbreak.backend`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .backend import DomainError, ParameterError
 
@@ -76,27 +77,41 @@ def derive_x0(t: int, gamma, n: int, backend):
     return x
 
 
+def orbit_stream(x0, p: TentParams, backend):
+    """Infinite generator x0, x1, x2, ... of G (includes the initial state).
+
+    The package's one orbit loop: each step is extended_step(x, p, backend)
+    with the loop-invariant work hoisted.  alpha is checked once, at the
+    first step from an interior state, which is where skew_tent_step first
+    checks it; the domain is checked on every step and beta at every
+    boundary hit.  So the same errors fire at the same step, and a step runs
+    only when its value is requested.
+    """
+    zero, one, div, complement = (backend.zero, backend.one, backend.div,
+                                  backend.complement)
+    alpha, beta = p.alpha, p.beta
+    x = x0
+    yield x
+    while x == zero or x == one:
+        _check_open_unit(beta, backend, "beta")
+        x = beta
+        yield x
+    _check_open_unit(alpha, backend, "alpha")
+    alpha_c = complement(alpha)
+    while True:
+        if zero < x < one:
+            x = div(x, alpha) if x <= alpha else div(complement(x), alpha_c)
+        elif x == zero or x == one:
+            _check_open_unit(beta, backend, "beta")
+            x = beta
+        else:
+            raise DomainError("x outside [0, 1]")
+        yield x
+
+
 def iterate_orbit(x0, p: TentParams, count: int, backend):
     """The first `count` iterates [x_1, ..., x_count] of G from x0."""
-    out = []
-    x = x0
-    for _ in range(count):
-        x = extended_step(x, p, backend)
-        out.append(x)
-    return out
-
-
-def orbit_stream(x0, p: TentParams, backend):
-    """Infinite generator x0, x1, x2, ... (includes the initial state)."""
-    x = x0
-    while True:
-        yield x
-        x = extended_step(x, p, backend)
-
-
-def binary_precision(x, backend) -> int:
-    """Position of the least significant set bit after the binary point."""
-    return backend.binary_precision(x)
+    return list(islice(orbit_stream(x0, p, backend), 1, count + 1))
 
 
 def analyze_orbit(x0, p: TentParams, max_iter: int, backend,
@@ -110,8 +125,10 @@ def analyze_orbit(x0, p: TentParams, max_iter: int, backend,
     seen = {}
     samples = []
     hit = None
-    x = x0
-    for i in range(max_iter + 1):
+    zero, one = backend.zero, backend.one
+    for i, x in enumerate(orbit_stream(x0, p, backend)):
+        if i > max_iter:  # x_{max_iter+1} is computed but not examined
+            break
         if x in seen:
             first = seen[x]
             return OrbitReport(transient_len=first, period=i - first,
@@ -119,18 +136,17 @@ def analyze_orbit(x0, p: TentParams, max_iter: int, backend,
         seen[x] = i
         if len(samples) < sample_limit:
             samples.append(x)
-        if hit is None and i > 0 and (x == backend.zero or x == backend.one):
+        if hit is None and i > 0 and (x == zero or x == one):
             hit = i
-        x = extended_step(x, p, backend)
     return OrbitReport(transient_len=0, period=1, hit_boundary_at=hit,
                        samples=samples, conclusive=False)
 
 
 def first_hit_boundary(x0, p: TentParams, max_iter: int, backend) -> int | None:
     """Index of the first iterate landing exactly on 0 or 1, if any."""
-    x = x0
-    for i in range(1, max_iter + 1):
-        x = extended_step(x, p, backend)
-        if x == backend.zero or x == backend.one:
+    zero, one = backend.zero, backend.one
+    for i, x in zip(range(1, max_iter + 1),
+                    islice(orbit_stream(x0, p, backend), 1, None)):
+        if x == zero or x == one:
             return i
     return None

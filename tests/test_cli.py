@@ -21,6 +21,13 @@ def test_blocks_codec_roundtrip():
         assert cli.blocks_to_bytes(blocks, n) == data
     with pytest.raises(ParameterError):
         cli.blocks_from_bytes(b"\x01", 3)   # 8 bits into 12-bit blocks
+    for n in range(1, 17):
+        data = rng.randbytes(n * 257)        # a whole number of blocks
+        blocks = cli.blocks_from_bytes(data, n)
+        assert len(blocks) == len(data) * 2 // n
+        assert blocks[0] == int.from_bytes(data, "big") >> (4 * n * (len(blocks) - 1))
+        assert all(0 <= b < 1 << (4 * n) for b in blocks)
+        assert cli.blocks_to_bytes(blocks, n) == data
 
 
 def test_keygen_default_alpha_near_half(tmp_path):
@@ -182,3 +189,85 @@ def test_solve_u_block_index_out_of_range(tmp_path, capsys):
                     "--j", j]) == 2
         err = capsys.readouterr().err
         assert "--j" in err and "r=4" in err
+
+
+def test_state_file_without_r_names_the_file(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("YTSREC n=2\nf0: 1 2 3 4 5 6 7 0\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("12 34 56 78\n")
+    assert run(["solve-u", "--state", state, "--pairs", pairs, "--j", 2]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "line 1" in err and "r=" in err
+
+
+def test_truncated_ciphertext_names_the_file_and_line(tmp_path, capsys):
+    key, msg, ct = tmp_path / "key.txt", tmp_path / "m.bin", tmp_path / "ct.txt"
+    run(["keygen", "--seed", 3, "--out", key])
+    msg.write_bytes(bytes(range(6)))
+    assert run(["encrypt", "--key", key, "--t", 77, msg, "--out", ct]) == 0
+    lines = ct.read_text().splitlines()
+    ct.write_text("\n".join(lines[:4]) + "\n")   # header and 3 of 6 blocks
+    capsys.readouterr()
+    assert run(["decrypt", "--key", key, ct, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert str(ct) in err and "line 5" in err
+    lines[3] = "1ff"                            # 9 bits in an 8-bit block
+    ct.write_text("\n".join(lines) + "\n")
+    assert run(["decrypt", "--key", key, ct, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert str(ct) in err and "line 4" in err
+    ct.write_text("YTS1 t=77 n=99 len=1\n00\n")
+    assert run(["decrypt", "--key", key, ct, "--out", tmp_path / "x"]) == 2
+    assert "n must be in 1..16" in capsys.readouterr().err
+
+
+def test_solve_u_empty_pairs_file_is_usage_error(tmp_path, capsys):
+    from tentbreak import attack, keystream
+    state = attack.RecoveredState(n=2, r=4)
+    for i in range(4):
+        state.perms[i] = keystream.BitPermutation(tuple(range(8)), 2)
+    state_file = tmp_path / "state.txt"
+    attack.save_state(state, state_file)
+    pairs = tmp_path / "pairs.txt"
+    for text in ("# no pairs\n", "12 34 56\n", "12 34 56 zz\n"):
+        pairs.write_text(text)
+        assert run(["solve-u", "--state", state_file, "--pairs", pairs,
+                    "--j", 2]) == 2
+        assert str(pairs) in capsys.readouterr().err
+
+
+def test_analyze_fig2_honours_n(tmp_path):
+    def curve(*flags):
+        out = tmp_path / "f2.csv"
+        assert run(["analyze", "fig2", *flags, "--out", out]) == 0
+        return [float(line.split(",")[1])
+                for line in out.read_text().splitlines()[1:]]
+
+    assert max(curve("--n", 2)) <= 8             # 2^8 candidates at n = 2
+    assert curve() == curve("--n", 16)           # --n absent: the n = 16 curve
+    assert max(curve()) > 8
+
+
+def test_malformed_f64_key_value_names_the_file(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    assert run(["keygen", "--backend", "f64", "--seed", 3, "--out", key]) == 0
+    text = key.read_text().splitlines()
+    key.write_text("\n".join(["alpha=f64:abcd"] + text[1:]) + "\n")
+    capsys.readouterr()
+    assert run(["encrypt", "--key", key, "--t", 5, key, "--out",
+                tmp_path / "ct.txt"]) == 2
+    assert str(key) in capsys.readouterr().err
+
+
+def test_malformed_table_file_names_the_line(tmp_path, capsys):
+    from tentbreak import keystream
+    table = tmp_path / "table.txt"
+    keystream.DEFAULT_TABLE.save(table)
+    good = table.read_text()
+    for bad in ("16: 1 2 3 4\n", "x: 1 2 3 4\n"):
+        table.write_text(good + bad)
+        assert run(["attack", "--mode", "cpa", "--r", 2, "--table", table,
+                    "--out", tmp_path / "rec.txt"]) == 2
+        err = capsys.readouterr().err
+        assert str(table) in err and "line 17" in err

@@ -1,12 +1,15 @@
 """Noise-vector extraction and the bit-permutation machinery."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from tentbreak import keystream, tentmap
 from tentbreak.backend import ParameterError, get_backend
-from tentbreak.keystream import BitPermutation, DEFAULT_TABLE, QuarterPermTable
+from tentbreak.keystream import (BitPermutation, DEFAULT_TABLE, QuarterPermTable,
+                                 build_fji, bits_to_block, threshold_bit)
+from tentbreak.tentmap import TentParams, extended_step
 
 FP = get_backend("fp62")
 
@@ -175,3 +178,99 @@ def test_bad_permutation_rejected():
         BitPermutation((0, 0, 1, 2), 1)
     with pytest.raises(ParameterError):
         keystream.compose_fj(0x100, DEFAULT_TABLE, 1)
+
+
+# ---------------------------------------------------------------------------
+# slow references: the nibble-by-nibble composition and the step-by-step
+# orbit list that the fast paths replace
+
+def _compose_fj_reference(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
+    """f_j from the n 4-bit nibbles of V_j, most significant nibble first."""
+    width = 4 * n
+    if vj >> width:
+        raise ParameterError("V_j wider than 4n bits")
+    dest = list(range(width))
+    for i in range(1, n + 1):
+        nib = (vj >> (width - 4 * i)) & 0xF
+        step = build_fji(nib, table, n)
+        dest = [step.dest[d] for d in dest]
+    return BitPermutation(tuple(dest), n)
+
+
+def _noise_vectors_reference(x0, p: TentParams, n: int, j_max: int, backend,
+                             mended: bool = False) -> list[int]:
+    """Noise vectors U_0 .. U_j_max from the orbit starting at x0.
+
+    Bit u_i thresholds orbit state x_i (the initial condition is x_0), and
+    u_{4jn} is the most significant bit of U_j.
+    """
+    if j_max < 0:
+        raise ParameterError("j_max must be >= 0")
+    total = 4 * n * (j_max + 1)
+    orbit = [x0]
+    x = x0
+    for _ in range(total - 1):
+        x = extended_step(x, p, backend)
+        orbit.append(x)
+    if mended:
+        bits = [threshold_bit(orbit[i], backend.half) for i in range(total)]
+    else:
+        bits = [threshold_bit(orbit[i], p.alpha) for i in range(total)]
+    return [bits_to_block(bits[4 * n * j: 4 * n * (j + 1)])
+            for j in range(j_max + 1)]
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_compose_fj_matches_reference():
+    rng = random.Random(17)
+    orders = list(permutations((1, 2, 3, 4)))
+    tables = [DEFAULT_TABLE] + [
+        QuarterPermTable([rng.choice(orders) for _ in range(16)])
+        for _ in range(7)]
+    for table in tables:
+        for n in range(1, 17):
+            for vj in [0, (1 << (4 * n)) - 1] + \
+                      [rng.randrange(1 << (4 * n)) for _ in range(6)]:
+                assert keystream.compose_fj(vj, table, n) == \
+                    _compose_fj_reference(vj, table, n)
+
+
+@pytest.mark.parametrize("name", ["fp62", "fp8", "f64"])
+def test_noise_vectors_match_reference(name):
+    be = get_backend(name)
+    rng = random.Random(name)
+    boundary = [be.zero, be.one]
+
+    def interior():
+        return be.from_float(rng.uniform(0.01, 0.99))
+
+    cases = [(interior(), interior(), x0)
+             for x0 in boundary + [interior() for _ in range(6)]]
+    cases += [(interior(), bad, x0) for bad in boundary for x0 in boundary]
+    cases += [(bad, interior(), interior()) for bad in boundary]
+    cases += [(be.zero, be.one, x0) for x0 in boundary]   # alpha and beta bad
+    for alpha, beta, x0 in cases:
+        p = TentParams(alpha, beta)
+        for mended in (False, True):
+            for n, j_max in ((1, 40), (2, 9), (5, 3), (16, 2)):
+                got = _outcome(keystream.build_noise_vectors, x0, p, n, j_max,
+                               be, mended=mended)
+                want = _outcome(_noise_vectors_reference, x0, p, n, j_max,
+                                be, mended=mended)
+                assert got == want
+
+
+def test_noise_vectors_invalid_beta_error_matches_reference():
+    p = TentParams(fp(3, 10), FP.one)        # beta must lie inside (0, 1)
+    with pytest.raises(ParameterError, match="beta") as fast:
+        keystream.build_noise_vectors(FP.zero, p, 2, 3, FP)
+    with pytest.raises(ParameterError) as slow:
+        _noise_vectors_reference(FP.zero, p, 2, 3, FP)
+    assert str(fast.value) == str(slow.value)
