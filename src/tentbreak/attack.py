@@ -5,7 +5,9 @@ Because every f_j is a bit permutation, two plaintexts that differ in a
 single bit of their last block produce ciphertexts that differ in a single
 bit of the corresponding block; reading off where the flipped bit lands for
 each of the 4n positions reconstructs f_{j-1} exactly with 4n+1 queries.
-The chosen-ciphertext dual recovers the inverse permutations the same way.
+The chosen-ciphertext attack is the dual: the same battery submitted as
+ciphertexts reads off f_{j-1}^{-1}.  recover_perm is that one routine for
+both directions.
 
 Once the permutations are known, the noise vectors U_{j+1} (j >= 2) are
 the solutions x of
@@ -21,7 +23,9 @@ the 2^{4n} candidates.
 For the first block the unknown registers P_0, C_0 only ever appear inside
 (P_0 [+] U_2) and (C_0 [+] U_2), and the permutation is XOR-linear, so any
 consistent register pair (y, z) decrypts every first block; no search is
-needed there.
+needed there.  Keyless decryption is cipher.chain in the decryption
+direction with (y, z) as the block-1 registers and U_2 taken as 0, run over
+the blocks the recovered material covers.
 """
 
 from __future__ import annotations
@@ -47,13 +51,12 @@ class EncryptionOracle:
 
     def __init__(self, session: cipher.Session):
         self._session = session
-        self.fixed_clock = session.t
         self.query_count = 0
 
     def encrypt_blocks(self, blocks) -> list:
         self.query_count += 1
         return cipher.encrypt(self._session, cipher.Message(list(blocks),
-                                                            self.fixed_clock)).blocks
+                                                            self._session.t)).blocks
 
 
 class DecryptionOracle:
@@ -62,13 +65,12 @@ class DecryptionOracle:
 
     def __init__(self, session: cipher.Session):
         self._session = session
-        self.fixed_clock = session.t
         self.query_count = 0
 
     def decrypt_blocks(self, blocks) -> list:
         self.query_count += 1
         return cipher.decrypt(self._session, cipher.Message(list(blocks),
-                                                            self.fixed_clock)).blocks
+                                                            self._session.t)).blocks
 
 
 class DriftingClockOracle(EncryptionOracle):
@@ -99,7 +101,6 @@ class RecoveredState:
     noise: dict = field(default_factory=dict)       # j -> U_j  (j >= 3)
     reg1: tuple | None = None                        # (C_0 [+] U_2, P_0 [+] U_2)
     provenance: dict = field(default_factory=dict)   # item name -> method tag
-    candidate_sets: dict = field(default_factory=dict, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -125,50 +126,36 @@ def _single_bit_index(delta: int, what: str) -> int:
     return delta.bit_length() - 1
 
 
-def recover_fj_cpa(oracle: EncryptionOracle, j: int, n: int,
-                   p_star: int = 0) -> BitPermutation:
-    """Reconstruct f_{j-1} exactly from the 4n+1 query battery."""
-    battery = gen_cpa_battery(j, n, p_star)
-    base_c = oracle.encrypt_blocks(battery[0])[j - 1]
-    dest = []
-    for msg in battery[1:]:
-        c = oracle.encrypt_blocks(msg)[j - 1]
-        dest.append(_single_bit_index(base_c ^ c, "ciphertext"))
+def recover_perm(query, j: int, n: int, what: str) -> BitPermutation:
+    """The bit permutation block j applies to a single-bit difference, read
+    off the 4n+1 query battery: f_{j-1} when `query` encrypts, f_{j-1}^{-1}
+    when it decrypts.  `query` maps a block list to the oracle's response
+    blocks; `what` names the response in errors."""
+    battery = gen_cpa_battery(j, n)
+    base = query(battery[0])[j - 1]
+    dest = [_single_bit_index(base ^ query(msg)[j - 1], what)
+            for msg in battery[1:]]
     if sorted(dest) != list(range(4 * n)):
         raise OracleModelViolation("recovered map is not a bijection")
     return BitPermutation(tuple(dest), n)
 
 
-def recover_all_f(oracle: EncryptionOracle, r: int, n: int,
-                  p_star: int = 0) -> RecoveredState:
+def recover_all_f(oracle: EncryptionOracle, r: int, n: int) -> RecoveredState:
+    """f_0..f_{r-1} from chosen plaintexts, (4n+1)r queries."""
     state = RecoveredState(n=n, r=r)
-    for j in range(1, r + 1):
-        state.perms[j - 1] = recover_fj_cpa(oracle, j, n, p_star)
-        state.provenance[f"f{j - 1}"] = "cpa"
+    for j in range(r):
+        state.perms[j] = recover_perm(oracle.encrypt_blocks, j + 1, n, "ciphertext")
+        state.provenance[f"f{j}"] = "cpa"
     return state
 
 
-def recover_finv_cca(oracle: DecryptionOracle, j: int, n: int,
-                     c_star: int = 0) -> BitPermutation:
-    """Chosen-ciphertext dual: returns f_{j-1}^{-1}."""
-    battery = gen_cpa_battery(j, n, c_star)  # same shape, interpreted as ciphertexts
-    base_p = oracle.decrypt_blocks(battery[0])[j - 1]
-    dest = []
-    for msg in battery[1:]:
-        p = oracle.decrypt_blocks(msg)[j - 1]
-        dest.append(_single_bit_index(base_p ^ p, "plaintext"))
-    if sorted(dest) != list(range(4 * n)):
-        raise OracleModelViolation("recovered map is not a bijection")
-    return BitPermutation(tuple(dest), n)
-
-
-def recover_all_finv(oracle: DecryptionOracle, r: int, n: int,
-                     c_star: int = 0) -> RecoveredState:
+def recover_all_finv(oracle: DecryptionOracle, r: int, n: int) -> RecoveredState:
+    """f_0..f_{r-1} from chosen ciphertexts, (4n+1)r queries."""
     state = RecoveredState(n=n, r=r)
-    for j in range(1, r + 1):
-        finv = recover_finv_cca(oracle, j, n, c_star)
-        state.perms[j - 1] = keystream.invert(finv)
-        state.provenance[f"f{j - 1}"] = "cca"
+    for j in range(r):
+        state.perms[j] = keystream.invert(
+            recover_perm(oracle.decrypt_blocks, j + 1, n, "plaintext"))
+        state.provenance[f"f{j}"] = "cca"
     return state
 
 
@@ -230,16 +217,17 @@ def solve_block1_registers(pairs, f0: BitPermutation, n: int) -> tuple:
 
     pairs are (P_1, C_1) tuples from known messages.  Since f_0 is
     XOR-linear, (0, C_1 xor f_0(P_1)) reproduces every pair; the remaining
-    pairs are used as a consistency check of the recovered f_0.
+    pairs are used as a consistency check of the recovered f_0: each must
+    satisfy the block equation with x = 0 and registers (z, y).
     """
     if not pairs:
         raise ParameterError("at least one first-block pair is needed")
     p1, c1 = pairs[0]
     y = 0
     z = c1 ^ keystream.apply(f0, p1)
-    f0inv = keystream.invert(f0)
+    mask = (1 << (4 * n)) - 1
     for p, c in pairs:
-        if keystream.apply(f0inv, c ^ z) ^ y != p:
+        if not _pair_consistent(0, f0, (z, p, y, c), mask):
             raise ValueError("first-block pairs are inconsistent with f_0")
     return y, z
 
@@ -285,55 +273,21 @@ def prioritized_candidates(alpha_est: float, n: int):
 
 
 def keyless_decrypt(state: RecoveredState, blocks) -> list:
-    """Decrypt with recovered material only; None marks coverage gaps."""
-    mask = (1 << (4 * state.n)) - 1
-    out = []
-    p_prev = None
-    c_prev = None
-    for j, c in enumerate(blocks, start=1):
-        f = state.perms.get(j - 1)
-        if j == 1:
-            if f is None or state.reg1 is None:
-                out.append(None)
-            else:
-                y, z = state.reg1
-                out.append(keystream.apply(keystream.invert(f), c ^ z) ^ y)
-        else:
-            u = state.noise.get(j + 1)
-            if f is None or u is None or p_prev is None or c_prev is None:
-                out.append(None)
-            else:
-                out.append(keystream.apply(keystream.invert(f),
-                                           c ^ ((p_prev + u) & mask))
-                           ^ ((c_prev + u) & mask))
-        p_prev = out[-1]
-        c_prev = c
-    return out
+    """Decrypt with recovered material only; None marks coverage gaps.
 
-
-def solve_all_noise(state: RecoveredState, known_messages,
-                    order=None) -> RecoveredState:
-    """Fill state.noise (and reg1) from known (P_blocks, C_blocks) messages.
-
-    Every message must come from the same fixed-clock session the
-    permutations were recovered from.  For each block index the solver keeps
-    the full candidate set; ambiguous indices get provenance 'ambiguous' and
-    the first candidate in enumeration order.
+    Block j is covered when f_{j-1} is known and, for j >= 2, U_{j+1} is
+    known too; the first gap leaves every later block unknown, so
+    cipher.chain runs over the longest covered prefix.
     """
-    if not known_messages:
-        raise ParameterError("at least one known message is needed")
-    first_pairs = [(p[0], c[0]) for p, c in known_messages if p]
-    state.reg1 = solve_block1_registers(first_pairs, state.perms[0], state.n)
-    state.provenance["reg1"] = "affine"
-    max_len = max(len(p) for p, _ in known_messages)
-    for j in range(2, max_len + 1):
-        pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
-                 for p, c in known_messages if len(p) >= j]
-        sols = solve_uj(pairs, state.perms[j - 1], state.n, order=order)
-        state.candidate_sets[j] = sols
-        state.noise[j + 1] = sols[0]
-        state.provenance[f"U{j + 1}"] = "solved" if len(sols) == 1 else "ambiguous"
-    return state
+    perms, noise = state.perms, state.noise
+    m = 0
+    if state.reg1 is not None:
+        while m < len(blocks) and m in perms and (m == 0 or m + 2 in noise):
+            m += 1
+    y, z = state.reg1 or (0, 0)
+    out = cipher.chain([keystream.invert(perms[j]) for j in range(m)], y, z,
+                       {**noise, 2: 0}, blocks[:m], state.n)
+    return out + [None] * (len(blocks) - m)
 
 
 def _settled(sols, f: BitPermutation) -> bool:
@@ -366,20 +320,30 @@ def full_attack(oracle: EncryptionOracle, known_messages, r: int, n: int,
                 seed: int = 0, max_extra_queries: int = 512) -> AttackReport:
     """Recover permutations, then the noise vectors, for keyless decryption.
 
-    The solve step finds every candidate per block consistent with the known
-    (P, C) messages (see solve_uj).  A single equation has ~2^n structurally
-    related solutions (the branch degeneracy of the modular-addition/XOR
-    mixture), so leftover ambiguity is resolved with extra chosen-plaintext
-    queries until each candidate set collapses to one equivalence family;
-    members of a family decrypt identically, so any of them completes the
-    key.  The report's `stopped` says whether that happened ("settled") or
-    the max_extra_queries budget ran out first ("budget").
+    Every known (P, C) message must come from the fixed-clock session the
+    permutations are recovered from.  The solve step finds every candidate
+    per block consistent with those messages (see solve_uj).  A single
+    equation has ~2^n structurally related solutions (the branch degeneracy
+    of the modular-addition/XOR mixture), so leftover ambiguity is resolved
+    with extra chosen-plaintext queries until each candidate set collapses
+    to one equivalence family; members of a family decrypt identically, so
+    any of them completes the key.  The report's `stopped` says whether that
+    happened ("settled") or the max_extra_queries budget ran out first
+    ("budget").
     """
     state = recover_all_f(oracle, r, n)
     recovery_queries = oracle.query_count
-    state = solve_all_noise(state, known_messages)
+    if not known_messages:
+        raise ParameterError("at least one known message is needed")
+    first_pairs = [(p[0], c[0]) for p, c in known_messages if p]
+    state.reg1 = solve_block1_registers(first_pairs, state.perms[0], n)
+    state.provenance["reg1"] = "affine"
+    sets = {}
+    for j in range(2, max(len(p) for p, _ in known_messages) + 1):
+        pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
+                 for p, c in known_messages if len(p) >= j]
+        sets[j] = solve_uj(pairs, state.perms[j - 1], n)
     mask = (1 << (4 * n)) - 1
-    sets = dict(state.candidate_sets)
     rng = random.Random(f"disambiguate:{seed}")
     extra = 0
     stopped = "settled"
@@ -428,11 +392,18 @@ def save_state(state: RecoveredState, path) -> None:
             fh.write(f"reg1: 0x{y:0{state.n}x} 0x{z:0{state.n}x}  # {tag}\n")
 
 
+def _bounded(value: int, lo: int, hi: int, what: str) -> int:
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} {value} is outside {lo}..{hi}")
+    return value
+
+
 def load_state(path) -> RecoveredState:
     with open(path) as fh:
         n, r = cipher.read_header(fh, path, "YTSREC", "recovered-state",
                                   ("n", "r"))
         state = RecoveredState(n=n, r=r)
+        top = (1 << (4 * n)) - 1
         for lineno, line in enumerate(fh, start=2):
             body, _, comment = line.partition("#")
             body = body.strip()
@@ -442,15 +413,18 @@ def load_state(path) -> RecoveredState:
             tag = comment.strip() or "assumed"
             try:
                 if head == "reg1":
-                    y, z = (int(x, 16) for x in tail.split())
+                    y, z = (_bounded(int(x, 16), 0, top, "reg1 value")
+                            for x in tail.split())
                     state.reg1 = (y, z)
                     state.provenance["reg1"] = tag
                 elif head.startswith("f"):
                     dest = tuple(int(x) for x in tail.split())
-                    state.perms[int(head[1:])] = BitPermutation(dest, state.n)
+                    j = _bounded(int(head[1:]), 0, r - 1, "f index")
+                    state.perms[j] = BitPermutation(dest, state.n)
                     state.provenance[head] = tag
                 elif head.startswith("U"):
-                    state.noise[int(head[1:])] = int(tail, 16)
+                    j = _bounded(int(head[1:]), 3, r + 1, "U index")
+                    state.noise[j] = _bounded(int(tail, 16), 0, top, f"{head} value")
                     state.provenance[head] = tag
             except ValueError as exc:
                 raise ParameterError(f"{path}: line {lineno}: {exc}") from None

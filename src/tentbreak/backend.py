@@ -158,10 +158,6 @@ def get_backend(name: str):
     raise ParameterError(f"unknown backend {name!r}")
 
 
-def serialize_value(x, backend) -> str:
-    return backend.serialize(x)
-
-
 def parse_value(s: str):
     """Parse a serialized value; returns (value, backend)."""
     s = s.strip()

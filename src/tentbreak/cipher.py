@@ -3,12 +3,14 @@
 A session is fully determined by the key (alpha, beta, gamma, K), the public
 timestamp t, the block parameter n and the precomputation bound r.  Per
 session the noise vectors U_0..U_{r+1} and bit permutations f_0..f_{r-1}
-are derived once; the running registers start at C_0 = U_0, P_0 = U_1.
+are derived once.  Both directions run one register chain (see chain):
 
-    C_j = f_{j-1}(P_j xor (C_{j-1} [+] U_{j+1})) xor (P_{j-1} [+] U_{j+1})
-    P_j = f_{j-1}^{-1}(C_j xor (P_{j-1} [+] U_{j+1})) xor (C_{j-1} [+] U_{j+1})
+    y_j = perms[j-1](x_j xor (y_{j-1} [+] U_{j+1})) xor (x_{j-1} [+] U_{j+1})
 
-with [+] addition mod 2^{4n}.
+with [+] addition mod 2^{4n}.  Encryption maps x = P to y = C with
+perms = f and starts from (x_0, y_0) = (P_0, C_0) = (U_1, U_0); decryption
+maps x = C to y = P with perms = f^{-1} and starts from (C_0, P_0) =
+(U_0, U_1).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import keystream, tentmap
-from .backend import ParameterError, parse_value, serialize_value
+from .backend import ParameterError, parse_value
 from .keystream import DEFAULT_TABLE, QuarterPermTable
 
 
@@ -73,12 +75,8 @@ def check_key_strength(key: KeyMaterial, backend) -> list[str]:
 
 def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
                  table: QuarterPermTable | None = None,
-                 x0_override=None, mended: bool = False) -> Session:
-    """Derive all per-session secrets from (key, t, n, r).
-
-    x0_override substitutes the timestamp-derived initial condition; it is a
-    test/analysis hook, not part of the cipher.
-    """
+                 mended: bool = False) -> Session:
+    """Derive all per-session secrets from (key, t, n, r)."""
     if not 1 <= n <= 16:
         raise ParameterError(f"block parameter n must be in 1..16, got {n}")
     if r < 1:
@@ -88,10 +86,7 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
     table = table if table is not None else DEFAULT_TABLE
     for note in check_key_strength(key, backend):
         warnings.warn(note, WeakKeyWarning, stacklevel=2)
-    if x0_override is not None:
-        x0 = x0_override
-    else:
-        x0 = tentmap.derive_x0(t, key.gamma, n, backend)
+    x0 = tentmap.derive_x0(t, key.gamma, n, backend)
     params = tentmap.TentParams(key.alpha, key.beta)
     U = keystream.build_noise_vectors(x0, params, n, r + 1, backend, mended=mended)
     F = [keystream.compose_fj(U[j] ^ key.K, table, n) for j in range(r)]
@@ -102,44 +97,38 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
                    mended=mended)
 
 
-def encrypt(session: Session, plain: Message) -> Message:
-    if len(plain.blocks) > session.r:
+def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int) -> list:
+    """y_1..y_m of the register chain for blocks x_1..x_m (module doc).
+
+    perms holds one map per precomputed block and U is indexed by j + 1;
+    x_prev and y_prev are the starting registers x_0 and y_0.
+    """
+    if len(blocks) > len(perms):
         raise ParameterError(
-            f"message has {len(plain.blocks)} blocks but the session only "
-            f"precomputed r={session.r}")
-    mask = (1 << (4 * session.n)) - 1
-    c_prev = session.U[0]
-    p_prev = session.U[1]
+            f"message has {len(blocks)} blocks but the session only "
+            f"precomputed r={len(perms)}")
+    width = 4 * n
+    mask = (1 << width) - 1
     out = []
-    for j, p in enumerate(plain.blocks, start=1):
-        if p >> (4 * session.n):
+    for j, x in enumerate(blocks, start=1):
+        if x >> width:
             raise ParameterError(f"block {j} wider than 4n bits")
-        u = session.U[j + 1]
-        c = keystream.apply(session.F[j - 1], p ^ ((c_prev + u) & mask)) \
-            ^ ((p_prev + u) & mask)
-        out.append(c)
-        p_prev, c_prev = p, c
-    return Message(out, session.t)
+        u = U[j + 1]
+        y_prev = keystream.apply(perms[j - 1], x ^ ((y_prev + u) & mask)) \
+            ^ ((x_prev + u) & mask)
+        out.append(y_prev)
+        x_prev = x
+    return out
+
+
+def encrypt(session: Session, plain: Message) -> Message:
+    return Message(chain(session.F, session.U[1], session.U[0], session.U,
+                         plain.blocks, session.n), session.t)
 
 
 def decrypt(session: Session, cipher: Message) -> Message:
-    if len(cipher.blocks) > session.r:
-        raise ParameterError(
-            f"message has {len(cipher.blocks)} blocks but the session only "
-            f"precomputed r={session.r}")
-    mask = (1 << (4 * session.n)) - 1
-    c_prev = session.U[0]
-    p_prev = session.U[1]
-    out = []
-    for j, c in enumerate(cipher.blocks, start=1):
-        if c >> (4 * session.n):
-            raise ParameterError(f"block {j} wider than 4n bits")
-        u = session.U[j + 1]
-        p = keystream.apply(session.Finv[j - 1], c ^ ((p_prev + u) & mask)) \
-            ^ ((c_prev + u) & mask)
-        out.append(p)
-        p_prev, c_prev = p, c
-    return Message(out, cipher.t)
+    return Message(chain(session.Finv, session.U[0], session.U[1], session.U,
+                         cipher.blocks, session.n), cipher.t)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +136,9 @@ def decrypt(session: Session, cipher: Message) -> Message:
 
 def save_key(key: KeyMaterial, n: int, backend, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"alpha={serialize_value(key.alpha, backend)}\n")
-        fh.write(f"beta={serialize_value(key.beta, backend)}\n")
-        fh.write(f"gamma={serialize_value(key.gamma, backend)}\n")
+        fh.write(f"alpha={backend.serialize(key.alpha)}\n")
+        fh.write(f"beta={backend.serialize(key.beta)}\n")
+        fh.write(f"gamma={backend.serialize(key.gamma)}\n")
         fh.write(f"K=0x{key.K:0{n}x}\n")
         fh.write(f"n={n}\n")
 

@@ -57,11 +57,6 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
             for _ in range(j_max + 1)]
 
 
-def compute_vj(uj: int, k: int) -> int:
-    """V_j = U_j xor K."""
-    return uj ^ k
-
-
 # ---------------------------------------------------------------------------
 # quarter-permutation table
 
@@ -155,11 +150,6 @@ def invert(p: BitPermutation) -> BitPermutation:
     for i, d in enumerate(p.dest):
         inv[d] = i
     return BitPermutation(tuple(inv), p.n)
-
-
-def compose(outer: BitPermutation, inner: BitPermutation) -> BitPermutation:
-    """outer after inner (apply inner first)."""
-    return BitPermutation(tuple(outer.dest[d] for d in inner.dest), inner.n)
 
 
 def _round_dest(w, n: int) -> tuple:

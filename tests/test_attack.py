@@ -36,7 +36,7 @@ def test_battery_shape():
 def test_recover_single_permutation():
     s = random_session(random.Random(1))
     oracle = attack.EncryptionOracle(s)
-    f = attack.recover_fj_cpa(oracle, 1, 2)
+    f = attack.recover_perm(oracle.encrypt_blocks, 1, 2, "ciphertext")
     assert f.dest == s.F[0].dest
     assert oracle.query_count == 9  # 4n + 1
 
@@ -327,3 +327,16 @@ def test_state_file_rejects_garbage(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(ParameterError):
         attack.load_state(path)
+
+
+def test_state_file_rejects_out_of_range_values(tmp_path):
+    path = tmp_path / "state.txt"
+    identity = " ".join(str(i) for i in range(8))
+    good = f"YTSREC n=2 r=4\nf0: {identity}\nU3: 0xff\nreg1: 0x12 0x34\n"
+    path.write_text(good)
+    assert attack.load_state(path).noise == {3: 0xFF}
+    for bad in ("U3: 0x1ffff", "reg1: 0x1ff 0x0", "U5: -0x1", f"f4: {identity}",
+                f"f-1: {identity}", "U2: 0x00", "U6: 0x00"):
+        path.write_text(good + bad + "\n")
+        with pytest.raises(ParameterError, match=f"{path}: line 5: "):
+            attack.load_state(path)

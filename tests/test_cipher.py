@@ -16,12 +16,12 @@ GOLDEN_PT = [0x00, 0xFF, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC]
 GOLDEN_CT = [0xFF, 0x7B, 0xAA, 0xFC, 0xF8, 0x5C, 0x62, 0x90]
 
 
-def make_session(backend=FP, alpha=0.43, t=1234, n=2, r=8, **kw):
+def make_session(backend=FP, alpha=0.43, t=1234, n=2, r=8):
     key = KeyMaterial(backend.from_float(alpha), backend.from_float(0.7),
                       backend.from_float(0.37), 0xA5 & ((1 << (4 * n)) - 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakKeyWarning)
-        return cipher.init_session(key, t, n, r, backend, **kw)
+        return cipher.init_session(key, t, n, r, backend)
 
 
 def test_golden_vector():
@@ -114,11 +114,6 @@ def test_bad_parameters_rejected():
     wide = KeyMaterial(key.alpha, key.beta, key.gamma, 0x1FF)
     with pytest.raises(ParameterError):
         cipher.init_session(wide, 1234, 2, 4, FP)
-
-
-def test_x0_override_hook():
-    s = make_session(x0_override=FP.from_ratio(3, 10))
-    assert s.x0 == FP.from_ratio(3, 10)
 
 
 def test_key_file_roundtrip(tmp_path):

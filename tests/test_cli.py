@@ -271,3 +271,15 @@ def test_malformed_table_file_names_the_line(tmp_path, capsys):
                     "--out", tmp_path / "rec.txt"]) == 2
         err = capsys.readouterr().err
         assert str(table) in err and "line 17" in err
+
+
+def test_solve_u_rejects_out_of_range_state(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    identity = " ".join(str(i) for i in range(8))
+    state.write_text(f"YTSREC n=2 r=4\nf2: {identity}\nU3: 0x1ffff\n"
+                     "reg1: 0x1ff 0x0\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 0 0 0\n")
+    assert run(["solve-u", "--state", state, "--pairs", pairs, "--j", 3]) == 2
+    err = capsys.readouterr().err
+    assert str(state) in err and "line 3" in err and "U3" in err

@@ -61,12 +61,6 @@ def test_mended_extraction_is_balanced():
     assert 0.45 < ones / (8 * len(u)) < 0.55
 
 
-def test_compute_vj():
-    assert keystream.compute_vj(0xFF, 0x00) == 0xFF
-    assert keystream.compute_vj(0xA7, 0xA7) == 0
-    assert keystream.compute_vj(0b10101010, 0b11110000) == 0b01011010
-
-
 def test_default_table_valid():
     assert len(DEFAULT_TABLE.entries) == 16
     assert DEFAULT_TABLE.entries[0] == (1, 2, 3, 4)
@@ -159,18 +153,6 @@ def test_invert_exhaustive():
 def test_invert_rotation():
     rot1 = BitPermutation(tuple((i + 1) % 8 for i in range(8)), 2)
     assert keystream.invert(rot1).dest == tuple((i - 1) % 8 for i in range(8))
-
-
-def test_compose_order():
-    rng = random.Random(6)
-    d1, d2 = list(range(8)), list(range(8))
-    rng.shuffle(d1)
-    rng.shuffle(d2)
-    inner, outer = BitPermutation(tuple(d1), 2), BitPermutation(tuple(d2), 2)
-    both = keystream.compose(outer, inner)
-    for x in range(256):
-        assert keystream.apply(both, x) == \
-            keystream.apply(outer, keystream.apply(inner, x))
 
 
 def test_bad_permutation_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 from tentbreak import tentmap
 from tentbreak.backend import (DomainError, FixedPointBackend, ParameterError,
-                               get_backend, parse_value, serialize_value)
+                               get_backend, parse_value)
 
 FP = get_backend("fp62")
 F64 = get_backend("f64")
@@ -74,12 +74,12 @@ def test_halving_cycle_fixture():
 
 def test_derive_x0_golden_fixed_point():
     x0 = tentmap.derive_x0(1234, fp(3, 10), 2, FP)
-    assert serialize_value(x0, FP) == "fp62:0x3fd5cf2c6e12776"
+    assert FP.serialize(x0) == "fp62:0x3fd5cf2c6e12776"
 
 
 def test_derive_x0_golden_binary64():
     x0 = tentmap.derive_x0(1234, 0.3, 2, F64)
-    assert serialize_value(x0, F64) == "f64:3fafeae7963706c5"
+    assert F64.serialize(x0) == "f64:3fafeae7963706c5"
 
 
 def test_derive_x0_backends_agree():
@@ -154,4 +154,4 @@ def test_first_hit_boundary_miss_returns_none():
 def test_value_serialization_roundtrip():
     for text in ("fp62:0x3fd5cf2c6e12776", "f64:3fafeae7963706c5"):
         v, be = parse_value(text)
-        assert serialize_value(v, be) == text
+        assert be.serialize(v) == text
