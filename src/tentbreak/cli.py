@@ -84,6 +84,13 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
+def _warn_degenerate(session) -> None:
+    if session.degenerate:
+        print(f"warning: timestamp t={session.t} gives a degenerate initial "
+              "condition (x0 is 0 or 1), so the keystream does not depend "
+              "on t or gamma", file=sys.stderr)
+
+
 def cmd_encrypt(args) -> int:
     key, n, backend = cipher.load_key(args.key)
     with open(args.infile, "rb") as fh:
@@ -91,6 +98,7 @@ def cmd_encrypt(args) -> int:
     r = max(args.r, len(blocks))
     session = cipher.init_session(key, args.t, n, r, backend,
                                   table=_load_table(args))
+    _warn_degenerate(session)
     out = cipher.encrypt(session, cipher.Message(blocks, args.t))
     cipher.save_ciphertext(out, n, args.out)
     print(f"encrypted {len(blocks)} blocks -> {args.out} (t={args.t})")
@@ -107,6 +115,7 @@ def cmd_decrypt(args) -> int:
     r = max(args.r, len(msg.blocks))
     session = cipher.init_session(key, msg.t, n, r, backend,
                                   table=_load_table(args))
+    _warn_degenerate(session)
     out = cipher.decrypt(session, msg)
     with open(args.out, "wb") as fh:
         fh.write(blocks_to_bytes(out.blocks, n))

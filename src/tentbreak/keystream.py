@@ -9,14 +9,18 @@ w of the four quarters; the per-nibble round function is
 and f_j is the composition of the n per-nibble functions, first nibble
 (most significant) applied first.  Every f_j is a pure bit permutation,
 which is exactly what the differential attack exploits.
+
+It is more than that: f_j keeps each bit's offset within its quarter, so it
+is n independent permutations of the four quarters, one per offset (a
+"column").  compose_fj builds it column by column, and every bit moves by
+one of at most 4 rotations, 0, n, 2n or 3n.  BitPermutation stores a
+permutation as these rotation classes, so apply and invert cost one
+mask-and-shift per class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, permutations
-from operator import itemgetter
 
 from .backend import ParameterError
 from .tentmap import TentParams, orbit_stream
@@ -24,11 +28,6 @@ from .tentmap import TentParams, orbit_stream
 
 # ---------------------------------------------------------------------------
 # bit extraction (noise vectors)
-
-def threshold_bit(x, alpha) -> int:
-    """0 if x <= alpha else 1 (equality goes to the 0 branch)."""
-    return 0 if x <= alpha else 1
-
 
 def bits_to_block(bits) -> int:
     """Pack a bit list into an integer, first bit most significant."""
@@ -42,8 +41,8 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
                         mended: bool = False) -> list[int]:
     """Noise vectors U_0 .. U_j_max from the orbit starting at x0.
 
-    Bit u_i is threshold_bit(x_i, alpha) of orbit state x_i (the initial
-    condition is x_0), or threshold_bit(x_i, 1/2) when mended, and
+    Bit u_i is 1 when orbit state x_i exceeds alpha (the initial condition
+    is x_0), or 1/2 when mended, and 0 otherwise, equality included;
     u_{4jn} is the most significant bit of U_j.  Each U_j is packed from
     its 4n states as tentmap.orbit_stream yields them, so no orbit list is
     kept and no step past x_{4n(j_max+1)-1} is taken.
@@ -59,6 +58,20 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
 
 # ---------------------------------------------------------------------------
 # quarter-permutation table
+#
+# S4 acts on the quarter indices 0..3, 0 being the least significant quarter
+# M4.  An element a is the tuple of images, a[q]; _S4_MUL[a][b] is a o b.
+
+_S4 = tuple(permutations(range(4)))
+_S4_INDEX = {a: k for k, a in enumerate(_S4)}
+_S4_MUL = tuple(tuple(_S4_INDEX[tuple(a[q] for q in b)] for b in _S4)
+                for a in _S4)
+_S4_ID = _S4_INDEX[(0, 1, 2, 3)]
+# sigma, the quarter cycle q -> q+1 that the carry of the <<< 1 applies
+_SIGMA_MUL = _S4_MUL[_S4_INDEX[(1, 2, 3, 0)]]
+# per element, (k, a[q]) for each quarter q: it moves up k = a[q] - q mod 4
+_S4_MOVES = tuple(tuple(((a[q] - q) % 4, a[q]) for q in range(4)) for a in _S4)
+
 
 class QuarterPermTable:
     """16 permutations of {1,2,3,4}, one per 4-bit selector value.
@@ -77,6 +90,10 @@ class QuarterPermTable:
             if sorted(e) != [1, 2, 3, 4]:
                 raise ParameterError(f"entry {e} is not a permutation of 1..4")
         self.entries = tuple(entries)
+        # S4 element of each entry: quarter M_w[s-1] lands in slot s
+        self.quarter_maps = tuple(
+            _S4_INDEX[tuple(3 - e.index(4 - q) for q in range(4))]
+            for e in entries)
 
     @classmethod
     def default(cls) -> "QuarterPermTable":
@@ -116,80 +133,145 @@ DEFAULT_TABLE = QuarterPermTable.default()
 # ---------------------------------------------------------------------------
 # bit permutations
 
-@dataclass(frozen=True)
 class BitPermutation:
     """Permutation of 4n bit positions; dest[i] is where input bit i goes.
 
     Bit positions are counted from the least significant bit (position 0).
+    The permutation is held as rotation classes, the bits that it moves by
+    the same distance k = dest[i] - i mod 4n: `classes` has one (t, mask)
+    pair per distinct k, with t = 4n - k and the mask holding the output
+    positions of those bits, which apply reads as (x * (2^{4n} + 1) >> t)
+    & mask.  An f_j has at most 4 classes (k a multiple of n, see
+    compose_fj); an arbitrary permutation has up to 4n.  dest is kept when
+    the caller supplies it and derived from the classes on first use
+    otherwise.  Equality and hashing are on (dest, n).
     """
 
-    dest: tuple
-    n: int
+    __slots__ = ("n", "classes", "_dest", "_inv")
 
-    def __post_init__(self):
-        if sorted(self.dest) != list(range(4 * self.n)):
+    def __init__(self, dest, n: int):
+        dest = tuple(dest)
+        width = 4 * n
+        if sorted(dest) != list(range(width)):
             raise ParameterError("dest is not a bijection on the bit positions")
+        masks = {}
+        for i, d in enumerate(dest):
+            t = width - (d - i) % width
+            masks[t] = masks.get(t, 0) | 1 << d
+        self.n = n
+        self.classes = tuple(masks.items())
+        self._dest = dest
+        self._inv = None
+
+    @classmethod
+    def _from_classes(cls, classes: tuple, n: int) -> "BitPermutation":
+        p = cls.__new__(cls)
+        p.n = n
+        p.classes = classes
+        p._dest = None
+        p._inv = None
+        return p
 
     @property
     def width(self) -> int:
         return 4 * self.n
 
+    @property
+    def dest(self) -> tuple:
+        if self._dest is None:
+            width = 4 * self.n
+            dest = [0] * width
+            for t, m in self.classes:
+                while m:
+                    low = m & -m
+                    d = low.bit_length() - 1
+                    dest[(d + t) % width] = d
+                    m ^= low
+            self._dest = tuple(dest)
+        return self._dest
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dest, self.n) == (other.dest, other.n)
+
+    def __hash__(self):
+        return hash((self.dest, self.n))
+
+    def __repr__(self):
+        return f"BitPermutation(dest={self.dest!r}, n={self.n!r})"
+
 
 def apply(p: BitPermutation, x: int) -> int:
-    """Route every input bit i of x to output position p.dest[i]."""
-    if x >> p.width:
+    """Move every input bit i of x to output position p.dest[i], one
+    mask-and-shift of the doubled block per rotation class."""
+    width = 4 * p.n
+    if x >> width:
         raise ParameterError("block wider than the permutation")
+    x |= x << width
     y = 0
-    for i, d in enumerate(p.dest):
-        y |= ((x >> i) & 1) << d
+    for t, m in p.classes:
+        y |= (x >> t) & m
     return y
 
 
 def invert(p: BitPermutation) -> BitPermutation:
-    inv = [0] * p.width
-    for i, d in enumerate(p.dest):
-        inv[d] = i
-    return BitPermutation(tuple(inv), p.n)
+    """p^{-1}: the class rotating by k becomes the one rotating by 4n - k,
+    its mask rotated back onto the input positions.
 
-
-def _round_dest(w, n: int) -> tuple:
-    """dest of one round: quarter shuffle by w, then <<< 1."""
-    width = 4 * n
-    dest = [0] * width
-    for slot in range(1, 5):          # output quarter slot, 1 = most significant
-        src = w[slot - 1]             # input quarter M_src lands in this slot
-        src_base = (4 - src) * n
-        slot_base = (4 - slot) * n
-        for k in range(n):
-            pre = slot_base + k       # position before the rotation
-            dest[src_base + k] = (pre + 1) % width
-    return tuple(dest)
-
-
-def build_fji(v: int, table: QuarterPermTable, n: int) -> BitPermutation:
-    """Bit permutation of one round: quarter shuffle by table[v], then <<< 1."""
-    if not 0 <= v < 16:
-        raise ParameterError("selector must be a 4-bit value")
-    return BitPermutation(_round_dest(table.entries[v], n), n)
-
-
-@lru_cache(maxsize=32)
-def _round_dests(entries: tuple, n: int) -> tuple:
-    """The 16 round dests of a table at block parameter n, built on first use."""
-    return tuple(_round_dest(w, n) for w in entries)
+    The inverse is cached on p, so repeated inversions of one permutation
+    cost nothing; it holds no reference back to p.
+    """
+    if p._inv is None:
+        width = 4 * p.n
+        full = (1 << width) - 1
+        inverse = []
+        for t, m in p.classes:
+            t = width - t or width
+            inverse.append((t, ((m | m << width) >> t) & full))
+        p._inv = BitPermutation._from_classes(tuple(inverse), p.n)
+    return p._inv
 
 
 def compose_fj(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
     """f_j from the n 4-bit nibbles of V_j, most significant nibble first.
 
-    Composes the table's 16 round maps, built once per (table, n) and
-    cached, by indexing; equal to composing build_fji of each nibble.
+    A round moves quarters by its table entry and then rotates <<< 1, which
+    adds 1 to every bit's offset within its quarter; the bit at offset
+    n - 1 carries into the next quarter up (sigma).  After n rounds every
+    offset is back where it started, so f_j keeps each bit's offset
+    (dest[i] mod n = i mod n) and permutes the four quarters of column o by
+
+        A_o = R_k o sigma o Q_k,   k = n - o,
+
+    with Q_k the product of the first k rounds' quarter maps and R_k that of
+    the rest.  Each A_o comes from prefix and suffix products in the S4
+    product table.  A bit that A_o moves up k quarters (mod 4) rotates by
+    kn, so its output position joins the mask of that rotation class.
     """
     width = 4 * n
     if vj >> width:
         raise ParameterError("V_j wider than 4n bits")
-    rounds = _round_dests(table.entries, n)
-    dest = range(width)
-    for shift in range(width - 4, -1, -4):
-        dest = itemgetter(*dest)(rounds[(vj >> shift) & 0xF])
-    return BitPermutation(tuple(dest), n)
+    maps = table.quarter_maps
+    mul = _S4_MUL
+    rounds = [maps[(vj >> shift) & 0xF] for shift in range(width - 4, -1, -4)]
+    carried = []                         # sigma o Q_k for k = 1..n
+    q = _S4_ID
+    for pi in rounds:
+        q = mul[pi][q]
+        carried.append(_SIGMA_MUL[q])
+    columns = {}                         # A_o -> bits 1 << o of its columns
+    suffix = _S4_ID                      # R_k, from k = n down
+    col = 1
+    for sq, pi in zip(reversed(carried), reversed(rounds)):
+        a = mul[suffix][sq]
+        columns[a] = columns.get(a, 0) | col
+        col <<= 1
+        suffix = mul[suffix][pi]
+    masks = [0] * 4                      # by quarter rotation k = 0..3
+    base = (0, n, 2 * n, 3 * n)
+    for a, col in columns.items():
+        for k, quarter in _S4_MOVES[a]:
+            masks[k] |= col << base[quarter]
+    return BitPermutation._from_classes(
+        tuple((width - k * n, m) for k, m in enumerate(masks) if m), n)

@@ -1,5 +1,6 @@
 """Differential recovery, noise solving and keyless decryption."""
 
+import gc
 import random
 import warnings
 
@@ -275,6 +276,31 @@ def test_full_attack_reports_budget_stop():
     assert report.extra_queries == 0
     assert report.stopped == "budget"
     assert "ambiguous" in report.state.provenance.values()
+
+
+def test_cipher_and_attack_leave_no_reference_cycles():
+    # sessions, cached inverses and recovered states are freed by reference
+    # counting alone; a cycle would keep each one until the cyclic collector
+    # runs, which shows as peak memory on many-session traffic
+    rng = random.Random(10)
+    key = KeyMaterial(FP.from_float(0.503), FP.from_float(0.3),
+                      FP.from_float(0.6), rng.randrange(1 << 16))
+    gc.collect()
+    gc.disable()
+    try:
+        s = cipher.init_session(key, 123457, 4, 8, FP)
+        known = []
+        for _ in range(2):
+            p = [rng.randrange(1 << 16) for _ in range(8)]
+            known.append((p, cipher.encrypt(s, Message(p, s.t)).blocks))
+        back = cipher.decrypt(s, Message(known[0][1], s.t)).blocks
+        report = attack.full_attack(attack.EncryptionOracle(s), known, 8, 4)
+        plain = attack.keyless_decrypt(report.state, known[1][1])
+        assert back == known[0][0] and plain == known[1][0]
+        del s, known, back, report, plain, p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_keyless_decrypt_gap_case():

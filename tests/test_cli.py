@@ -76,6 +76,29 @@ def test_encrypt_decrypt_roundtrip(tmp_path):
     assert out.read_bytes() == payload
 
 
+def test_degenerate_timestamp_warns_on_stderr_only(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    msg = tmp_path / "msg.bin"
+    run(["keygen", "--seed", 3, "--out", key])
+    msg.write_bytes(os.urandom(12))
+    capsys.readouterr()
+    outputs = {}
+    for t in (1000, 987654):
+        ct, out = tmp_path / f"ct{t}.txt", tmp_path / f"out{t}.bin"
+        assert run(["encrypt", "--key", key, "--t", t, msg, "--out", ct]) == 0
+        enc = capsys.readouterr()
+        assert enc.out == f"encrypted 12 blocks -> {ct} (t={t})\n"
+        assert run(["decrypt", "--key", key, ct, "--out", out]) == 0
+        dec = capsys.readouterr()
+        assert dec.out == f"decrypted 12 blocks -> {out}\n"
+        assert out.read_bytes() == msg.read_bytes()
+        outputs[t] = (enc.err, dec.err)
+    warning = ("warning: timestamp t=1000 gives a degenerate initial condition "
+               "(x0 is 0 or 1), so the keystream does not depend on t or gamma\n")
+    assert outputs[1000] == (warning, warning)
+    assert outputs[987654] == ("", "")
+
+
 def test_decrypt_mismatched_n(tmp_path):
     key1 = tmp_path / "k1.txt"
     key2 = tmp_path / "k2.txt"
