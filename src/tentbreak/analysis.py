@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import keystream, tentmap
+from . import attack, keystream, tentmap
 from .backend import FixedPointBackend, ParameterError
 
 
@@ -67,22 +67,6 @@ def class_offset_h(i: int, n: int) -> int:
     return 2 * sum(math.comb(4 * n, l) for l in range(i))
 
 
-def _class_order(alpha: Fraction, n: int):
-    """(one-bit-count, class-size) in the enumeration order that
-    prioritized_candidates uses for this alpha."""
-    width = 4 * n
-    if alpha < Fraction(1, 2):
-        ones = list(range(width, -1, -1))
-    elif alpha == Fraction(1, 2):
-        ones = list(range(width + 1))  # any fixed order; uniform probabilities
-    else:
-        ones = []
-        for i in range(2 * n):
-            ones += [i, width - i]
-        ones.append(2 * n)
-    return [(o, math.comb(width, o)) for o in ones]
-
-
 def guess_complexity(alpha, n: int):
     """Exact expected number of candidates examined before the true noise
     vector, under the prioritized enumeration; returns (Com, log2(Com)).
@@ -95,7 +79,8 @@ def guess_complexity(alpha, n: int):
     width = 4 * n
     com = Fraction(0)
     off = 0
-    for ones, c in _class_order(al, n):
+    for ones in attack.class_order(al, n):
+        c = math.comb(width, ones)
         p = al ** (width - ones) * (1 - al) ** ones  # per-element probability
         com += p * (c * off + Fraction(c * (c + 1), 2))
         off += c
@@ -114,21 +99,19 @@ def log2_fraction(fr: Fraction) -> float:
     return lg(fr.numerator) - lg(fr.denominator)
 
 
-def complexity_curve(n: int, grid=None):
-    """(alpha, log2 Com) points; default grid is 0.01 .. 0.99 step 0.01."""
-    if grid is None:
-        grid = [Fraction(i, 100) for i in range(1, 100)]
-    return [(float(a), guess_complexity(a, n)[1]) for a in grid]
+def complexity_curve(n: int):
+    """(alpha, log2 Com) points for alpha = 0.01 .. 0.99 in steps of 0.01."""
+    return [(i / 100, guess_complexity(Fraction(i, 100), n)[1])
+            for i in range(1, 100)]
 
 
 def mean_rank_monte_carlo(alpha: float, n: int, trials: int, seed: int = 0,
                           workers: int = 1) -> float:
     """Mean 1-based rank of an i.i.d.-bit noise vector (Prob{bit=0} = alpha)
     under the prioritized enumeration; the simulation oracle for Com."""
-    from .attack import prioritized_candidates
     width = 4 * n
     rank = {}
-    for i, v in enumerate(prioritized_candidates(alpha, n), start=1):
+    for i, v in enumerate(attack.prioritized_candidates(alpha, n), start=1):
         rank[v] = i
     total = 0
     for chunk in _worker_chunks(trials, workers):
@@ -168,13 +151,12 @@ def first_hit_model_trials(L: int, trials: int, seed: int = 0,
     return total / trials
 
 
-def degradation_report(beta, x0, backend, max_iter: int | None = None):
+def degradation_report(beta, x0, backend):
     """Orbit analysis at alpha = 1/2, where one iteration strips one bit of
     binary precision, forcing transient <= n_x0 + 1 and period n_beta + 1."""
     n_x0 = backend.binary_precision(x0)
     n_beta = backend.binary_precision(beta)
-    if max_iter is None:
-        max_iter = n_x0 + 2 * (n_beta + 1) + 8
+    max_iter = n_x0 + 2 * (n_beta + 1) + 8
     params = tentmap.TentParams(backend.half, beta)
     report = tentmap.analyze_orbit(x0, params, max_iter, backend)
     ok = (report.conclusive
@@ -188,7 +170,6 @@ def degradation_report(beta, x0, backend, max_iter: int | None = None):
         "expected_period": n_beta + 1,
         "conclusive": report.conclusive,
         "ok": ok,
-        "orbit": report,
     }
 
 
@@ -269,7 +250,7 @@ def emit_csv(obj, path, alpha=None) -> None:
         if isinstance(obj, Histogram):
             emit_histogram_csv(obj, path, alpha=alpha)
         elif isinstance(obj, dict):
-            emit_report_csv({k: v for k, v in obj.items() if k != "orbit"}, path)
+            emit_report_csv(obj, path)
         else:
             emit_curve_csv(obj, path)
     except OSError as exc:

@@ -162,7 +162,7 @@ def recover_all_finv(oracle: DecryptionOracle, r: int, n: int) -> RecoveredState
 # ---------------------------------------------------------------------------
 # solving the noise vectors
 
-def solve_uj(pairs, f: BitPermutation, n: int, order=None) -> list:
+def solve_uj(pairs, f: BitPermutation, n: int) -> list:
     """All x = U_{j+1} consistent with every (P_{j-1}, P_j, C_{j-1}, C_j).
 
     The block equation holds iff, for every input bit i, bit f.dest[i] of
@@ -170,9 +170,8 @@ def solve_uj(pairs, f: BitPermutation, n: int, order=None) -> list:
     constraint is decided by the low max(i, f.dest[i]) + 1 bits of x.  A
     depth-first search fixes x one bit at a time from the least significant
     end and drops a branch at the first constraint any pair violates.  The
-    solutions come back ascending, or ranked by `order` (e.g. from
-    prioritized_candidates), which is read only until every solution has
-    appeared.  No solution means the inputs are inconsistent with the
+    solutions come back ascending (rank_candidates reorders them by
+    probability).  No solution means the inputs are inconsistent with the
     supplied permutation.
     """
     if not pairs:
@@ -195,17 +194,7 @@ def solve_uj(pairs, f: BitPermutation, n: int, order=None) -> list:
             if all((c_j ^ (p_prev + x)) >> d & 1 == (p_j ^ (c_prev + x)) >> i & 1
                    for p_prev, p_j, c_prev, c_j in pairs for i, d in levels[k]):
                 stack.append((k + 1, x))
-    if order is None:
-        sols.sort()
-    else:
-        unseen = set(sols)
-        sols = []
-        for x in order:
-            if x in unseen:
-                unseen.remove(x)
-                sols.append(x)
-                if not unseen:
-                    break
+    sols.sort()
     if not sols:
         raise ValueError("no candidate satisfies the pairs; wrong permutation "
                          "or mismatched pairs")
@@ -232,17 +221,34 @@ def solve_block1_registers(pairs, f0: BitPermutation, n: int) -> tuple:
     return y, z
 
 
-def prioritized_candidates(alpha_est: float, n: int):
-    """All 2^{4n} block values, most probable noise-vector classes first.
+def class_order(alpha_est: float, n: int) -> list:
+    """One-bit counts of the block-value classes, most probable noise-vector
+    class first, in the order prioritized_candidates walks them.
 
     With Prob{bit = 0} = alpha, values fall into classes A_i by their count
     of 0-bits.  alpha < 0.5: plain descending-probability order A_0 -> A_4n.
     alpha > 0.5: the class pairs (A_i, A_{4n-i}) are walked outside-in with
     the heavier class first, the order suited to an attacker who only knows
-    alpha is extreme.  alpha = 0.5: natural numeric order.
+    alpha is extreme.  alpha = 0.5: every value is equally likely and the
+    classes come by ascending one-bit count.
     """
     if not 0.0 < alpha_est < 1.0:
         raise ParameterError("alpha estimate must be in (0, 1)")
+    width = 4 * n
+    if alpha_est < 0.5:
+        return list(range(width, -1, -1))  # i 0-bits == width - i 1-bits
+    if alpha_est == 0.5:
+        return list(range(width + 1))
+    ones = []
+    for i in range(2 * n):
+        ones += [i, width - i]  # A_{4n-i} (few ones, many zeros), then A_i
+    return ones + [2 * n]
+
+
+def prioritized_candidates(alpha_est: float, n: int):
+    """All 2^{4n} block values class by class in class_order, each class
+    ascending; at alpha = 0.5 natural numeric order."""
+    order = class_order(alpha_est, n)
     width = 4 * n
     if alpha_est == 0.5:
         yield from range(1 << width)
@@ -261,15 +267,17 @@ def prioritized_candidates(alpha_est: float, n: int):
             rr = v + c
             v = (((rr ^ v) >> 2) // c) | rr
 
-    if alpha_est < 0.5:
-        # i 0-bits == width - i 1-bits; A_0 (all ones) is the heaviest
-        for zeros in range(width + 1):
-            yield from klass(width - zeros)
-    else:
-        for i in range(2 * n):
-            yield from klass(i)               # A_{4n-i}: few ones, many zeros
-            yield from klass(width - i)       # A_i
-        yield from klass(2 * n)
+    for ones in order:
+        yield from klass(ones)
+
+
+def rank_candidates(values, alpha_est: float, n: int) -> list:
+    """`values` in their prioritized_candidates order, found without walking
+    the 2^{4n} enumeration: by class position then value."""
+    position = {ones: k for k, ones in enumerate(class_order(alpha_est, n))}
+    if alpha_est == 0.5:
+        return sorted(values)
+    return sorted(values, key=lambda x: (position[bin(x).count("1")], x))
 
 
 def keyless_decrypt(state: RecoveredState, blocks) -> list:

@@ -147,15 +147,13 @@ class Binary64Backend:
 
 
 def get_backend(name: str):
-    """Backend from a short name: 'fp62', 'fp30', ... or 'f64'/'binary64'."""
-    name = name.strip().lower()
-    if name in ("f64", "binary64", "native-binary64"):
+    """Backend from a short name: 'fpNN' ('fp62', 'fp30', ...) or 'f64'."""
+    key = name.strip().lower()
+    if key == "f64":
         return Binary64Backend()
-    if name.startswith("fp"):
-        return FixedPointBackend(int(name[2:]))
-    if name.startswith("fixed-point"):
-        return FixedPointBackend(int(name.split("(")[1].rstrip(")")))
-    raise ParameterError(f"unknown backend {name!r}")
+    if key.startswith("fp") and key[2:].isdecimal():
+        return FixedPointBackend(int(key[2:]))
+    raise ParameterError(f"unknown backend {name!r}: use fpNN (e.g. fp62) or f64")
 
 
 def parse_value(s: str):

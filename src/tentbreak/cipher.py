@@ -3,7 +3,8 @@
 A session is fully determined by the key (alpha, beta, gamma, K), the public
 timestamp t, the block parameter n and the precomputation bound r.  Per
 session the noise vectors U_0..U_{r+1} and bit permutations f_0..f_{r-1}
-are derived once.  Both directions run one register chain (see chain):
+are derived once, and their inverses on the first decryption.  Both
+directions run one register chain (see chain):
 
     y_j = perms[j-1](x_j xor (y_{j-1} [+] U_{j+1})) xor (x_{j-1} [+] U_{j+1})
 
@@ -16,7 +17,8 @@ maps x = C to y = P with perms = f^{-1} and starts from (C_0, P_0) =
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import keystream, tentmap
 from .backend import ParameterError, parse_value
@@ -56,9 +58,13 @@ class Session:
     x0: object
     U: list  # U_0 .. U_{r+1}
     F: list  # f_0 .. f_{r-1}
-    Finv: list
     degenerate: bool = False
-    mended: bool = field(default=False, repr=False)
+
+    @cached_property
+    def Finv(self) -> list:
+        """f_0^{-1} .. f_{r-1}^{-1}, built when first read: only decryption
+        needs them."""
+        return [keystream.invert(f) for f in self.F]
 
 
 def check_key_strength(key: KeyMaterial, backend) -> list[str]:
@@ -74,8 +80,7 @@ def check_key_strength(key: KeyMaterial, backend) -> list[str]:
 
 
 def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
-                 table: QuarterPermTable | None = None,
-                 mended: bool = False) -> Session:
+                 table: QuarterPermTable | None = None) -> Session:
     """Derive all per-session secrets from (key, t, n, r)."""
     if not 1 <= n <= 16:
         raise ParameterError(f"block parameter n must be in 1..16, got {n}")
@@ -88,13 +93,11 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
         warnings.warn(note, WeakKeyWarning, stacklevel=2)
     x0 = tentmap.derive_x0(t, key.gamma, n, backend)
     params = tentmap.TentParams(key.alpha, key.beta)
-    U = keystream.build_noise_vectors(x0, params, n, r + 1, backend, mended=mended)
+    U = keystream.build_noise_vectors(x0, params, n, r + 1, backend)
     F = [keystream.compose_fj(U[j] ^ key.K, table, n) for j in range(r)]
-    Finv = [keystream.invert(f) for f in F]
     degenerate = x0 == backend.zero or x0 == backend.one
     return Session(key=key, t=t, n=n, r=r, backend=backend, table=table,
-                   x0=x0, U=U, F=F, Finv=Finv, degenerate=degenerate,
-                   mended=mended)
+                   x0=x0, U=U, F=F, degenerate=degenerate)
 
 
 def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int) -> list:

@@ -10,6 +10,7 @@ import argparse
 import os
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 from . import analysis, attack, cipher, keystream, tentmap
@@ -34,7 +35,7 @@ def _n(args, default: int = 2) -> int:
 
 
 def _load_table(args):
-    if getattr(args, "table", None):
+    if args.table:
         return keystream.QuarterPermTable.load(args.table)
     return keystream.DEFAULT_TABLE
 
@@ -70,6 +71,8 @@ def cmd_keygen(args) -> int:
         off = rng.uniform(0.0005, 0.0095) * rng.choice((-1, 1))
         alpha = backend.from_float(0.5 + off)
     n = _n(args)
+    if not 1 <= n <= 16:
+        raise ParameterError(f"--n must be in 1..16, got {n}")
     key = cipher.KeyMaterial(
         alpha=alpha,
         beta=backend.from_float(rng.uniform(0.05, 0.95)),
@@ -95,9 +98,8 @@ def cmd_encrypt(args) -> int:
     key, n, backend = cipher.load_key(args.key)
     with open(args.infile, "rb") as fh:
         blocks = blocks_from_bytes(fh.read(), n)
-    r = max(args.r, len(blocks))
-    session = cipher.init_session(key, args.t, n, r, backend,
-                                  table=_load_table(args))
+    session = cipher.init_session(key, args.t, n, max(len(blocks), 1),
+                                  backend, table=_load_table(args))
     _warn_degenerate(session)
     out = cipher.encrypt(session, cipher.Message(blocks, args.t))
     cipher.save_ciphertext(out, n, args.out)
@@ -112,9 +114,8 @@ def cmd_decrypt(args) -> int:
         print(f"error: ciphertext n={n_file} does not match key n={n}",
               file=sys.stderr)
         return EXIT_USAGE
-    r = max(args.r, len(msg.blocks))
-    session = cipher.init_session(key, msg.t, n, r, backend,
-                                  table=_load_table(args))
+    session = cipher.init_session(key, msg.t, n, max(len(msg.blocks), 1),
+                                  backend, table=_load_table(args))
     _warn_degenerate(session)
     out = cipher.decrypt(session, msg)
     with open(args.out, "wb") as fh:
@@ -137,7 +138,6 @@ def _victim_session(args):
             backend.from_float(rng.uniform(0.02, 0.98)),
             rng.randrange(1 << (4 * n)),
         )
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cipher.WeakKeyWarning)
         return cipher.init_session(key, args.t, n, args.r, backend,
@@ -152,15 +152,9 @@ def cmd_attack(args) -> int:
             oracle = (attack.DriftingClockOracle(session) if args.drift
                       else attack.EncryptionOracle(session))
             state = attack.recover_all_f(oracle, r, n)
-            exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
-            print(f"cpa: {oracle.query_count} queries, "
-                  f"recovered f_0..f_{r - 1} exact={exact}")
         elif args.mode == "cca":
             oracle = attack.DecryptionOracle(session)
             state = attack.recover_all_finv(oracle, r, n)
-            exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
-            print(f"cca: {oracle.query_count} queries, "
-                  f"recovered f_0..f_{r - 1} exact={exact}")
         else:  # full
             rng = random.Random(f"known:{_seed(args)}")
             oracle = attack.EncryptionOracle(session)
@@ -173,9 +167,9 @@ def cmd_attack(args) -> int:
             state = report.state
             fresh = [rng.randrange(1 << (4 * n)) for _ in range(r)]
             fresh_c = cipher.encrypt(session, cipher.Message(fresh, session.t)).blocks
-            dec = attack.keyless_decrypt(state, fresh_c)
-            ok = dec == fresh
-            exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
+            ok = attack.keyless_decrypt(state, fresh_c) == fresh
+        exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
+        if args.mode == "full":
             print(f"full: {report.recovery_queries} recovery queries "
                   f"+ {report.extra_queries} disambiguation queries; "
                   f"permutations exact={exact}; keyless decryption "
@@ -183,6 +177,9 @@ def cmd_attack(args) -> int:
             if not ok:
                 attack.save_state(state, args.out)
                 return EXIT_VERIFY
+        else:
+            print(f"{args.mode}: {oracle.query_count} queries, "
+                  f"recovered f_0..f_{r - 1} exact={exact}")
     except attack.OracleModelViolation as exc:
         print(f"oracle-model violation: {exc}", file=sys.stderr)
         return EXIT_ORACLE
@@ -194,6 +191,8 @@ def cmd_attack(args) -> int:
 def cmd_analyze(args) -> int:
     backend = get_backend(args.backend)
     seed = _seed(args)
+    if args.samples is not None and args.samples < 1:
+        raise ParameterError(f"--samples must be >= 1, got {args.samples}")
     if args.figure == "fig1":
         p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
         hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
@@ -222,7 +221,7 @@ def cmd_analyze(args) -> int:
             "decryptable_bytes": dec_bytes,
             "model_trial_mean": model_mean,
         }, args.out)
-    elif args.figure == "census":
+    else:  # census
         L = args.precision or 16
         mean, lengths = analysis.orbit_length_census(
             L, args.alpha or 0.37, args.samples or 500, seed=seed,
@@ -233,9 +232,6 @@ def cmd_analyze(args) -> int:
             "mean_orbit_length": mean,
             "sqrt_scale_reference": 2 ** (L / 2),
         }, args.out)
-    else:
-        print(f"unknown figure {args.figure}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -260,16 +256,17 @@ def cmd_solve_u(args) -> int:
     if not 2 <= args.j <= state.r or f is None:
         raise ParameterError(f"--j {args.j} must name a block 2..{state.r} "
                              f"whose f{args.j - 1} is in {args.state} (r={state.r})")
-    order = None
-    if args.alpha_est is not None:
-        order = attack.prioritized_candidates(args.alpha_est, state.n)
+    if args.alpha_est is not None and not 0 < args.alpha_est < 1:
+        raise ParameterError(f"--alpha-est must be in (0, 1), got {args.alpha_est}")
     try:
-        sols = attack.solve_uj(pairs, f, state.n, order=order)
+        sols = attack.solve_uj(pairs, f, state.n)
     except ParameterError as exc:  # bad input, not a failed verification
         raise ParameterError(f"{args.pairs}: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    if args.alpha_est is not None:
+        sols = attack.rank_candidates(sols, args.alpha_est, state.n)
     print(f"U_{args.j + 1} candidates ({len(sols)}): "
           + " ".join(f"0x{x:0{state.n}x}" for x in sols))
     return EXIT_OK
@@ -286,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="block parameter (4n-bit blocks; default 2, "
                              "16 for analyze fig2)")
     common.add_argument("--r", type=int, default=argparse.SUPPRESS,
-                        help="precomputation bound")
+                        help="precomputation bound r of the attack's "
+                             "victim session (encrypt and decrypt size the "
+                             "session from the message)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed (fallback: TENTBREAK_SEED)")
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
@@ -341,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--j", type=int, required=True, help="block index (>= 2)")
     s.add_argument("--alpha-est", type=float,
                    help="list the solved candidates in prioritized "
-                        "order (does not change which are found)")
+                        "order (only ranks them; does not change which "
+                        "are found)")
     s.set_defaults(func=cmd_solve_u)
     return ap
 

@@ -12,7 +12,7 @@ backend from :mod:`tentbreak.backend`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from .backend import DomainError, ParameterError
@@ -32,8 +32,6 @@ class OrbitReport:
 
     transient_len: int
     period: int
-    hit_boundary_at: int | None
-    samples: list = field(default_factory=list)
     conclusive: bool = True
 
 
@@ -114,8 +112,7 @@ def iterate_orbit(x0, p: TentParams, count: int, backend):
     return list(islice(orbit_stream(x0, p, backend), 1, count + 1))
 
 
-def analyze_orbit(x0, p: TentParams, max_iter: int, backend,
-                  sample_limit: int = 64) -> OrbitReport:
+def analyze_orbit(x0, p: TentParams, max_iter: int, backend) -> OrbitReport:
     """Detect the eventual cycle of the orbit of G from x0.
 
     State equality is exact (ints or floats), so a visited-state map gives
@@ -123,23 +120,14 @@ def analyze_orbit(x0, p: TentParams, max_iter: int, backend,
     max_iter steps the report is flagged inconclusive.
     """
     seen = {}
-    samples = []
-    hit = None
-    zero, one = backend.zero, backend.one
     for i, x in enumerate(orbit_stream(x0, p, backend)):
         if i > max_iter:  # x_{max_iter+1} is computed but not examined
             break
         if x in seen:
             first = seen[x]
-            return OrbitReport(transient_len=first, period=i - first,
-                              hit_boundary_at=hit, samples=samples)
+            return OrbitReport(transient_len=first, period=i - first)
         seen[x] = i
-        if len(samples) < sample_limit:
-            samples.append(x)
-        if hit is None and i > 0 and (x == zero or x == one):
-            hit = i
-    return OrbitReport(transient_len=0, period=1, hit_boundary_at=hit,
-                       samples=samples, conclusive=False)
+    return OrbitReport(transient_len=0, period=1, conclusive=False)
 
 
 def first_hit_boundary(x0, p: TentParams, max_iter: int, backend) -> int | None:

@@ -139,18 +139,46 @@ def test_solve_uj_matches_exhaustive(n, r):
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_solve_uj_order_matches_exhaustive(alpha):
+    # ranked solutions == the exhaustive loop walking prioritized_candidates
     rng = random.Random(11)
-    for _ in range(10):
-        s = random_session(rng)
-        p = [rng.randrange(256) for _ in range(8)]
-        c = cipher.encrypt(s, Message(p, s.t)).blocks
-        for j in range(2, 9):
-            pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])]
-            fast, slow = (
-                solver(pairs, s.F[j - 1], 2,
-                       order=attack.prioritized_candidates(alpha, 2))
-                for solver in (attack.solve_uj, _solve_uj_exhaustive))
-            assert fast == slow
+    for n in (1, 2):
+        for _ in range(10):
+            s = random_session(rng, n=n)
+            p = [rng.randrange(1 << (4 * n)) for _ in range(8)]
+            c = cipher.encrypt(s, Message(p, s.t)).blocks
+            for j in range(2, 9):
+                pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])]
+                fast = attack.rank_candidates(
+                    attack.solve_uj(pairs, s.F[j - 1], n), alpha, n)
+                assert fast == _solve_uj_exhaustive(
+                    pairs, s.F[j - 1], n,
+                    order=attack.prioritized_candidates(alpha, n))
+
+
+def test_rank_candidates_n16():
+    """Ranking at n = 16, where the 2^64 enumeration cannot be walked: for
+    alpha < 0.5 the all-zero noise vector is the last value it reaches."""
+    width = 64
+    rng = random.Random(16)
+    values = [0, (1 << width) - 1, 1, 1 << 63, 3, (1 << 32) - 1,
+              ((1 << 32) - 1) << 32] + [rng.randrange(1 << width) for _ in range(40)]
+
+    def zeros(x):
+        return width - bin(x).count("1")
+
+    def outside_in(x):   # class pairs (A_i, A_{4n-i}), A_{4n-i} first
+        z = zeros(x)
+        return 2 * (width - z) if z > width // 2 else \
+            2 * z + 1 if z < width // 2 else width
+
+    want = {0.2: sorted(values, key=lambda x: (zeros(x), x)),
+            0.5: sorted(values),
+            0.9: sorted(values, key=lambda x: (outside_in(x), x))}
+    for alpha, order in want.items():
+        assert attack.rank_candidates(values, alpha, 16) == order
+    assert want[0.2][-1] == 0 and want[0.9][0] == 0
+    with pytest.raises(ParameterError):
+        attack.rank_candidates(values, 1.0, 16)
 
 
 def test_solve_uj_rejects_out_of_range_pairs():

@@ -3,8 +3,10 @@ separate loops they replaced.
 
 The `_ref_*` functions are the earlier per-direction implementations,
 kept verbatim apart from their names, the module prefixes they need here,
-and the first line of _ref_solve_all_noise, which creates the state's
-candidate-set attribute that RecoveredState no longer has.  Every test
+the first line of _ref_solve_all_noise, which creates the state's
+candidate-set attribute that RecoveredState no longer has, and its `order`
+argument, which was always None here and which solve_uj no longer takes.
+Every test
 asserts equal outputs, or equal error types and messages, on seeded
 sessions.
 """
@@ -135,7 +137,7 @@ def _ref_recover_all_finv(oracle, r, n, c_star=0):
     return state
 
 
-def _ref_solve_all_noise(state, known_messages, order=None):
+def _ref_solve_all_noise(state, known_messages):
     state.candidate_sets = {}
     if not known_messages:
         raise ParameterError("at least one known message is needed")
@@ -146,7 +148,7 @@ def _ref_solve_all_noise(state, known_messages, order=None):
     for j in range(2, max_len + 1):
         pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                  for p, c in known_messages if len(p) >= j]
-        sols = solve_uj(pairs, state.perms[j - 1], state.n, order=order)
+        sols = solve_uj(pairs, state.perms[j - 1], state.n)
         state.candidate_sets[j] = sols
         state.noise[j + 1] = sols[0]
         state.provenance[f"U{j + 1}"] = "solved" if len(sols) == 1 else "ambiguous"

@@ -36,6 +36,16 @@ def test_golden_vector_decrypts():
     assert pt == GOLDEN_PT
 
 
+def test_encrypt_only_session_builds_no_inverse():
+    s = make_session()
+    assert cipher.encrypt(s, Message(GOLDEN_PT, 1234)).blocks == GOLDEN_CT
+    assert "Finv" not in vars(s)
+    assert all(f._inv is None for f in s.F)
+    assert cipher.decrypt(s, Message(GOLDEN_CT, 1234)).blocks == GOLDEN_PT
+    assert s.Finv is vars(s)["Finv"]  # built once, on the first decryption
+    assert [f._inv for f in s.F] == s.Finv
+
+
 def test_registers_start_at_noise_vectors():
     s = make_session()
     assert (s.U[0], s.U[1]) == (0xF4, 0x9F)

@@ -306,3 +306,26 @@ def test_solve_u_rejects_out_of_range_state(tmp_path, capsys):
     assert run(["solve-u", "--state", state, "--pairs", pairs, "--j", 3]) == 2
     err = capsys.readouterr().err
     assert str(state) in err and "line 3" in err and "U3" in err
+
+
+def test_census_negative_samples_is_usage_error(tmp_path, capsys):
+    assert run(["analyze", "census", "--precision", 8, "--samples", -5,
+                "--out", tmp_path / "c.csv"]) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_keygen_rejects_block_parameter_out_of_range(tmp_path, capsys):
+    for n in (0, 17):
+        out = tmp_path / f"key{n}.txt"
+        assert run(["keygen", "--n", n, "--seed", 1, "--out", out]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_unknown_backend_names_the_value(tmp_path, capsys):
+    for name in ("fixed-point", "fixed-point(62)", "binary64", "fp", "fpx"):
+        assert run(["keygen", "--backend", name, "--out",
+                    tmp_path / "key.txt"]) == 2
+        assert repr(name) in capsys.readouterr().err
+    assert not (tmp_path / "key.txt").exists()

@@ -1,5 +1,7 @@
 """Map iteration, initial-condition derivation and orbit analysis."""
 
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -138,6 +140,65 @@ def test_analyze_orbit_inconclusive_cap():
     p = tentmap.TentParams(fp(37, 100), fp(7, 10))
     rep = tentmap.analyze_orbit(fp(123, 1000), p, 20, FP)
     assert not rep.conclusive  # 62-bit orbits do not close in 20 steps
+
+
+@dataclass
+class _ParentOrbitReport:
+    transient_len: int
+    period: int
+    hit_boundary_at: int | None
+    samples: list = field(default_factory=list)
+    conclusive: bool = True
+
+
+def _analyze_orbit_parent(x0, p, max_iter, backend, sample_limit=64):
+    """analyze_orbit as it was before its unread sample and boundary-hit
+    bookkeeping was removed; kept verbatim apart from its name and that of
+    its report class."""
+    seen = {}
+    samples = []
+    hit = None
+    zero, one = backend.zero, backend.one
+    for i, x in enumerate(tentmap.orbit_stream(x0, p, backend)):
+        if i > max_iter:  # x_{max_iter+1} is computed but not examined
+            break
+        if x in seen:
+            first = seen[x]
+            return _ParentOrbitReport(transient_len=first, period=i - first,
+                                      hit_boundary_at=hit, samples=samples)
+        seen[x] = i
+        if len(samples) < sample_limit:
+            samples.append(x)
+        if hit is None and i > 0 and (x == zero or x == one):
+            hit = i
+    return _ParentOrbitReport(transient_len=0, period=1, hit_boundary_at=hit,
+                              samples=samples, conclusive=False)
+
+
+@pytest.mark.parametrize("name", ["fp8", "fp12", "fp16", "fp62", "f64"])
+def test_analyze_orbit_matches_parent(name):
+    be = get_backend(name)
+    rng = random.Random(name)
+
+    def draw(lo, hi):          # a backend value in [lo, hi] of the unit range
+        if name == "f64":
+            return lo + (hi - lo) * rng.random()
+        return rng.randint(round(lo * be.one), round(hi * be.one))
+
+    full = (1 << be.bits) + 2 if be.bits <= 16 else 200
+    outcomes = set()
+    for k in range(60):
+        alpha = be.half if k % 3 == 0 else draw(0.01, 0.99)  # 1/2: boundary orbits
+        p = tentmap.TentParams(alpha, draw(0.01, 0.99))
+        x0 = (be.zero, be.one)[k % 2] if k % 10 < 2 else draw(0, 1)
+        for cap in (0, 1, 5, full):
+            got = tentmap.analyze_orbit(x0, p, cap, be)
+            ref = _analyze_orbit_parent(x0, p, cap, be)
+            assert (got.transient_len, got.period, got.conclusive) == \
+                (ref.transient_len, ref.period, ref.conclusive)
+            outcomes.add((alpha == be.half, got.conclusive))
+    # both kinds of orbit are exercised, conclusive and capped
+    assert {(True, True), (True, False), (False, False)} <= outcomes
 
 
 def test_first_hit_boundary_at_peak():
