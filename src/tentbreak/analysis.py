@@ -138,16 +138,18 @@ def first_hit_model_trials(L: int, trials: int, seed: int = 0,
                            workers: int = 1) -> float:
     """Monte Carlo of the uniform-orbit model behind beta_impact: iterates
     drawn uniformly from the 2^L-state space until one of the two boundary
-    states appears.  Mean ~ 2^{L-1}."""
+    states appears.  The index of that first hit is geometric with
+    p = 2/2^L, so each trial draws it from one uniform u by inversion,
+    1 + floor(log(1 - u) / log(1 - p)).  Mean ~ 2^{L-1}."""
+    if not 1 <= L <= 64:
+        raise ParameterError(f"precision must be in 1..64, got {L}")
+    # at L = 1 both states are boundary states and every first hit is at 1
+    log_miss = math.log1p(-2.0 ** (1 - L)) if L > 1 else -math.inf
     total = 0
-    space = 1 << L
     for chunk in _worker_chunks(trials, workers):
         rng = random.Random(f"{seed}:{chunk['worker']}")
         for _ in range(chunk["count"]):
-            k = 1
-            while rng.randrange(space) >= 2:
-                k += 1
-            total += k
+            total += 1 + math.floor(math.log(1.0 - rng.random()) / log_miss)
     return total / trials
 
 

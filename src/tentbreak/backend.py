@@ -75,6 +75,25 @@ class FixedPointBackend:
     def complement(self, x: int) -> int:
         return self.one - x
 
+    def tent_branches(self, alpha: int):
+        """(left, right), the interior steps of the skew tent map with peak
+        alpha in (0, 1): left(x) == div(x, alpha) for 0 <= x <= alpha and
+        right(x) == div(complement(x), complement(alpha)) for
+        alpha < x <= one.  On those ranges the rounded quotient already lies
+        in [0, one] (x <= alpha gives 2*x*one + alpha < 2*alpha*(one + 1),
+        and likewise for the complements), so neither clamps."""
+        shift, one = self.bits + 1, self.one
+        alpha2, alpha_c = 2 * alpha, one - alpha
+        alpha_c2 = 2 * alpha_c
+
+        def left(x):
+            return ((x << shift) + alpha) // alpha2
+
+        def right(x):
+            return (((one - x) << shift) + alpha_c) // alpha_c2
+
+        return left, right
+
     def _clamp(self, raw: int) -> int:
         if raw < 0:
             return 0
@@ -135,6 +154,20 @@ class Binary64Backend:
 
     def complement(self, x: float) -> float:
         return 1.0 - x
+
+    def tent_branches(self, alpha: float):
+        """The interior steps, as FixedPointBackend.tent_branches.  Rounding
+        is monotone, so on their ranges the quotients already lie in [0, 1]
+        and neither clamps."""
+        alpha_c = 1.0 - alpha
+
+        def left(x):
+            return x / alpha
+
+        def right(x):
+            return (1.0 - x) / alpha_c
+
+        return left, right
 
     def binary_precision(self, x: float) -> int:
         if x == 0.0:

@@ -31,7 +31,10 @@ def _seed(args) -> int:
 
 def _n(args, default: int = 2) -> int:
     """--n if it was given, else the command's own default."""
-    return args.n if args.n is not None else default
+    n = args.n if args.n is not None else default
+    if not 1 <= n <= 16:
+        raise ParameterError(f"--n must be in 1..16, got {n}")
+    return n
 
 
 def _load_table(args):
@@ -53,8 +56,12 @@ def blocks_from_bytes(data: bytes, n: int) -> list:
 
 
 def blocks_to_bytes(blocks, n: int) -> bytes:
-    if len(blocks) * 4 * n % 8:
+    width = 4 * n
+    if len(blocks) * width % 8:
         raise ParameterError("block stream is not a whole number of bytes")
+    for j, b in enumerate(blocks, start=1):
+        if b >> width:
+            raise ParameterError(f"block {j} wider than 4n bits")
     return bytes.fromhex("".join(f"{b:0{n}x}" for b in blocks))
 
 
@@ -71,8 +78,6 @@ def cmd_keygen(args) -> int:
         off = rng.uniform(0.0005, 0.0095) * rng.choice((-1, 1))
         alpha = backend.from_float(0.5 + off)
     n = _n(args)
-    if not 1 <= n <= 16:
-        raise ParameterError(f"--n must be in 1..16, got {n}")
     key = cipher.KeyMaterial(
         alpha=alpha,
         beta=backend.from_float(rng.uniform(0.05, 0.95)),
@@ -193,6 +198,10 @@ def cmd_analyze(args) -> int:
     seed = _seed(args)
     if args.samples is not None and args.samples < 1:
         raise ParameterError(f"--samples must be >= 1, got {args.samples}")
+    if args.alpha is not None and not 0 < args.alpha < 1:
+        raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if args.workers < 1:
+        raise ParameterError(f"--workers must be >= 1, got {args.workers}")
     if args.figure == "fig1":
         p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
         hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
@@ -210,9 +219,11 @@ def cmd_analyze(args) -> int:
             for i, x in enumerate(orbit, start=1):
                 fh.write(f"{i},{backend.to_float(x):.12g}\n")
     elif args.figure == "beta":
-        L = args.precision or backend.bits
+        L = backend.bits if args.precision is None else args.precision
+        if not 2 <= L <= 64:
+            raise ParameterError(f"--precision must be in 2..64 for beta, got {L}")
         p, expected, dec_bytes = analysis.beta_impact(L)
-        model_mean = analysis.first_hit_model_trials(min(L, 24), 200, seed=seed,
+        model_mean = analysis.first_hit_model_trials(L, 200, seed=seed,
                                                      workers=args.workers)
         analysis.emit_csv({
             "precision_bits": L,
@@ -222,10 +233,12 @@ def cmd_analyze(args) -> int:
             "model_trial_mean": model_mean,
         }, args.out)
     else:  # census
-        L = args.precision or 16
+        L = 16 if args.precision is None else args.precision
+        if not 1 <= L <= 24:
+            raise ParameterError(f"--precision must be in 1..24 for census, got {L}")
         mean, lengths = analysis.orbit_length_census(
-            L, args.alpha or 0.37, args.samples or 500, seed=seed,
-            workers=args.workers)
+            L, 0.37 if args.alpha is None else args.alpha, args.samples or 500,
+            seed=seed, workers=args.workers)
         analysis.emit_csv({
             "precision_bits": L,
             "samples": len(lengths),

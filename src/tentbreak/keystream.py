@@ -20,22 +20,14 @@ mask-and-shift per class.
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import permutations
 
 from .backend import ParameterError
-from .tentmap import TentParams, orbit_stream
+from .tentmap import TentParams, check_open_unit, restart
 
 
 # ---------------------------------------------------------------------------
 # bit extraction (noise vectors)
-
-def bits_to_block(bits) -> int:
-    """Pack a bit list into an integer, first bit most significant."""
-    v = 0
-    for b in bits:
-        v = (v << 1) | b
-    return v
-
 
 def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
                         mended: bool = False) -> list[int]:
@@ -43,17 +35,40 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
 
     Bit u_i is 1 when orbit state x_i exceeds alpha (the initial condition
     is x_0), or 1/2 when mended, and 0 otherwise, equality included;
-    u_{4jn} is the most significant bit of U_j.  Each U_j is packed from
-    its 4n states as tentmap.orbit_stream yields them, so no orbit list is
+    u_{4jn} is the most significant bit of U_j.  The orbit is that of
+    tentmap.orbit_stream, stepped here through backend.tent_branches in one
+    loop that packs each bit as its state is reached, so no orbit list is
     kept and no step past x_{4n(j_max+1)-1} is taken.
     """
     if j_max < 0:
         raise ParameterError("j_max must be >= 0")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    zero, one, alpha, beta = backend.zero, backend.one, p.alpha, p.beta
+    # The orbit takes at least 4n - 1 >= 3 steps, so its first step from a
+    # state other than 0 and 1, where G first checks alpha, is step 0, or
+    # step 1 from beta when x0 is 0 or 1: checking here raises what the
+    # stepwise checks would, in the same order.
+    if x0 == zero or x0 == one:
+        check_open_unit(beta, backend, "beta")
+    check_open_unit(alpha, backend, "alpha")
+    left, right = backend.tent_branches(alpha)
+    threshold = backend.half if mended else alpha
     width = 4 * n
-    threshold = backend.half if mended else p.alpha
-    orbit = orbit_stream(x0, p, backend)
-    return [bits_to_block(x > threshold for x in islice(orbit, width))
-            for _ in range(j_max + 1)]
+    vectors = []
+    x, u, steps = x0, int(x0 > threshold), width - 1
+    for _ in range(j_max + 1):
+        for _ in range(steps):
+            if x <= alpha:
+                x = left(x) if x > zero else restart(x, beta, backend)
+            elif x < one:
+                x = right(x)
+            else:
+                x = restart(x, beta, backend)
+            u = u << 1 | (x > threshold)
+        vectors.append(u)
+        u, steps = 0, width
+    return vectors
 
 
 # ---------------------------------------------------------------------------

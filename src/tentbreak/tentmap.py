@@ -35,14 +35,14 @@ class OrbitReport:
     conclusive: bool = True
 
 
-def _check_open_unit(v, backend, name):
+def check_open_unit(v, backend, name):
     if not (backend.zero < v < backend.one):
         raise ParameterError(f"{name} must lie strictly inside (0, 1)")
 
 
 def skew_tent_step(x, alpha, backend):
     """One step of the plain skew tent map F_alpha."""
-    _check_open_unit(alpha, backend, "alpha")
+    check_open_unit(alpha, backend, "alpha")
     if not backend.zero <= x <= backend.one:
         raise DomainError("x outside [0, 1]")
     if x <= alpha:
@@ -53,7 +53,7 @@ def skew_tent_step(x, alpha, backend):
 def extended_step(x, p: TentParams, backend):
     """One step of the extended map G: boundary states go to beta."""
     if x == backend.zero or x == backend.one:
-        _check_open_unit(p.beta, backend, "beta")
+        check_open_unit(p.beta, backend, "beta")
         return p.beta
     return skew_tent_step(x, p.alpha, backend)
 
@@ -67,7 +67,7 @@ def derive_x0(t: int, gamma, n: int, backend):
     """
     if t < 1:
         raise DomainError(f"timestamp must be a positive integer, got {t}")
-    _check_open_unit(gamma, backend, "gamma")
+    check_open_unit(gamma, backend, "gamma")
     k = len(str(t)) - 1  # floor(log10 t), exact over integers
     x = backend.from_ratio(10 ** k, t)
     for _ in range(4 * n):
@@ -75,35 +75,46 @@ def derive_x0(t: int, gamma, n: int, backend):
     return x
 
 
+def restart(x, beta, backend):
+    """G at a state outside (0, 1): the boundary states 0 and 1 go to beta,
+    which is checked at every hit; any other state is outside the domain."""
+    if x == backend.zero or x == backend.one:
+        check_open_unit(beta, backend, "beta")
+        return beta
+    raise DomainError("x outside [0, 1]")
+
+
 def orbit_stream(x0, p: TentParams, backend):
     """Infinite generator x0, x1, x2, ... of G (includes the initial state).
 
-    The package's one orbit loop: each step is extended_step(x, p, backend)
-    with the loop-invariant work hoisted.  alpha is checked once, at the
-    first step from an interior state, which is where skew_tent_step first
-    checks it; the domain is checked on every step and beta at every
-    boundary hit.  So the same errors fire at the same step, and a step runs
-    only when its value is requested.
+    Each step is extended_step(x, p, backend) with the loop-invariant work
+    hoisted: the interior steps are backend.tent_branches(alpha).  alpha is
+    checked once, at the first step from an interior state, which is where
+    skew_tent_step first checks it; the domain is checked on every step and
+    beta at every boundary hit.  So the same errors fire at the same step,
+    and a step runs only when its value is requested.
+
+    keystream.build_noise_vectors steps the same branches in a loop of its
+    own: the yield and resume per state cost about a third of that loop's
+    time, and noise vectors are the per-message cost of the cipher.
     """
-    zero, one, div, complement = (backend.zero, backend.one, backend.div,
-                                  backend.complement)
+    zero, one = backend.zero, backend.one
     alpha, beta = p.alpha, p.beta
     x = x0
     yield x
     while x == zero or x == one:
-        _check_open_unit(beta, backend, "beta")
+        check_open_unit(beta, backend, "beta")
         x = beta
         yield x
-    _check_open_unit(alpha, backend, "alpha")
-    alpha_c = complement(alpha)
+    check_open_unit(alpha, backend, "alpha")
+    left, right = backend.tent_branches(alpha)
     while True:
-        if zero < x < one:
-            x = div(x, alpha) if x <= alpha else div(complement(x), alpha_c)
-        elif x == zero or x == one:
-            _check_open_unit(beta, backend, "beta")
-            x = beta
+        if x <= alpha:
+            x = left(x) if x > zero else restart(x, beta, backend)
+        elif x < one:
+            x = right(x)
         else:
-            raise DomainError("x outside [0, 1]")
+            x = restart(x, beta, backend)
         yield x
 
 

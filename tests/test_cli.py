@@ -21,6 +21,8 @@ def test_blocks_codec_roundtrip():
         assert cli.blocks_to_bytes(blocks, n) == data
     with pytest.raises(ParameterError):
         cli.blocks_from_bytes(b"\x01", 3)   # 8 bits into 12-bit blocks
+    with pytest.raises(ParameterError, match="block 2 "):
+        cli.blocks_to_bytes([0x12, 0x1ff, 0x1ff], 2)   # 9-bit blocks at n = 2
     for n in range(1, 17):
         data = rng.randbytes(n * 257)        # a whole number of blocks
         blocks = cli.blocks_from_bytes(data, n)
@@ -160,6 +162,29 @@ def test_analyze_beta(tmp_path):
     assert run(["analyze", "beta", "--precision", 12, "--out", out]) == 0
     rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
     assert rows["expected_first_hit"] == str(2 ** 11)
+
+
+def test_analyze_beta_defaults_to_backend_precision(tmp_path):
+    out = tmp_path / "b.csv"
+    assert run(["analyze", "beta", "--out", out]) == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert rows["precision_bits"] == "62"
+    # the model's mean first hit is 2^61 at 62 bits, not that of a capped L
+    assert 2 ** 59 < float(rows["model_trial_mean"]) < 2 ** 63
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["census", "--alpha", 0, "--precision", 10, "--samples", 20], "--alpha"),
+    (["census", "--precision", 0, "--samples", 5], "--precision"),
+    (["beta", "--precision", 1], "--precision"),
+    (["fig2", "--n", 0], "--n"),
+    (["census", "--workers", 0, "--precision", 8, "--samples", 5], "--workers"),
+])
+def test_analyze_bad_flag_is_usage_error(tmp_path, capsys, flags, flag):
+    out = tmp_path / "a.csv"
+    assert run(["analyze", *flags, "--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_census(tmp_path):

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tentbreak import cipher, keystream, tentmap
 from tentbreak.backend import ParameterError, get_backend
 from tentbreak.cipher import KeyMaterial, Message
-from tentbreak.keystream import (BitPermutation, DEFAULT_TABLE, QuarterPermTable,
-                                 bits_to_block)
+from tentbreak.keystream import BitPermutation, DEFAULT_TABLE, QuarterPermTable
 from tentbreak.tentmap import TentParams, extended_step
 
 FP = get_backend("fp62")
@@ -101,8 +100,8 @@ def test_threshold_bit():
 
 
 def test_bits_to_block_msb_first():
-    assert keystream.bits_to_block([1, 0, 1, 0, 1, 0, 1, 0]) == 0b10101010
-    assert keystream.bits_to_block([0, 0, 0, 1]) == 1
+    assert bits_to_block([1, 0, 1, 0, 1, 0, 1, 0]) == 0b10101010
+    assert bits_to_block([0, 0, 0, 1]) == 1
 
 
 def test_noise_vectors_golden():
@@ -253,6 +252,14 @@ def _compose_fj_reference(vj: int, table: QuarterPermTable, n: int) -> BitPermut
     return BitPermutation(tuple(dest), n)
 
 
+def bits_to_block(bits) -> int:
+    """Pack a bit list into an integer, first bit most significant."""
+    v = 0
+    for b in bits:
+        v = (v << 1) | b
+    return v
+
+
 def _noise_vectors_reference(x0, p: TentParams, n: int, j_max: int, backend,
                              mended: bool = False) -> list[int]:
     """Noise vectors U_0 .. U_j_max from the orbit starting at x0.
@@ -297,24 +304,26 @@ def test_compose_fj_matches_reference():
                     _compose_fj_reference(vj, table, n)
 
 
-@pytest.mark.parametrize("name", ["fp62", "fp8", "f64"])
+@pytest.mark.parametrize("name", ["fp2", "fp8", "fp62", "fp64", "f64"])
 def test_noise_vectors_match_reference(name):
     be = get_backend(name)
     rng = random.Random(name)
     boundary = [be.zero, be.one]
+    outside = [be.zero - be.one, be.one + be.one]
 
     def interior():
         return be.from_float(rng.uniform(0.01, 0.99))
 
     cases = [(interior(), interior(), x0)
-             for x0 in boundary + [interior() for _ in range(6)]]
+             for x0 in boundary + outside + [interior() for _ in range(6)]]
     cases += [(interior(), bad, x0) for bad in boundary for x0 in boundary]
-    cases += [(bad, interior(), interior()) for bad in boundary]
+    cases += [(bad, interior(), x0) for bad in boundary
+              for x0 in [interior()] + outside]
     cases += [(be.zero, be.one, x0) for x0 in boundary]   # alpha and beta bad
     for alpha, beta, x0 in cases:
         p = TentParams(alpha, beta)
         for mended in (False, True):
-            for n, j_max in ((1, 40), (2, 9), (5, 3), (16, 2)):
+            for n, j_max in ((1, 40), (2, 9), (5, 3), (16, 2), (16, 70)):
                 got = _outcome(keystream.build_noise_vectors, x0, p, n, j_max,
                                be, mended=mended)
                 want = _outcome(_noise_vectors_reference, x0, p, n, j_max,

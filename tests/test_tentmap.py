@@ -3,8 +3,10 @@
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tentbreak import tentmap
 from tentbreak.backend import (DomainError, FixedPointBackend, ParameterError,
@@ -142,6 +144,87 @@ def test_analyze_orbit_inconclusive_cap():
     assert not rep.conclusive  # 62-bit orbits do not close in 20 steps
 
 
+_check_open_unit = tentmap.check_open_unit
+
+
+def _orbit_stream_parent(x0, p, backend):
+    """orbit_stream as it was before it stepped through
+    backend.tent_branches; kept verbatim apart from its name and
+    annotation."""
+    zero, one, div, complement = (backend.zero, backend.one, backend.div,
+                                  backend.complement)
+    alpha, beta = p.alpha, p.beta
+    x = x0
+    yield x
+    while x == zero or x == one:
+        _check_open_unit(beta, backend, "beta")
+        x = beta
+        yield x
+    _check_open_unit(alpha, backend, "alpha")
+    alpha_c = complement(alpha)
+    while True:
+        if zero < x < one:
+            x = div(x, alpha) if x <= alpha else div(complement(x), alpha_c)
+        elif x == zero or x == one:
+            _check_open_unit(beta, backend, "beta")
+            x = beta
+        else:
+            raise DomainError("x outside [0, 1]")
+        yield x
+
+
+def _states(stream, x0, p, backend, count):
+    """The first `count` states of stream(x0, p, backend), or the type and
+    message of what it raised."""
+    try:
+        return list(islice(stream(x0, p, backend), count))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["fp2", "fp8", "fp62", "fp64", "f64"])
+def test_orbit_stream_matches_parent(name):
+    be = get_backend(name)
+    rng = random.Random(name)
+    boundary = [be.zero, be.one]
+    outside = [be.zero - be.one, be.one + be.one]
+
+    def interior():
+        return be.from_float(rng.uniform(0.01, 0.99))
+
+    cases = [(be.half, interior(), x0) for x0 in boundary + [interior()]]
+    cases += [(interior(), interior(), x0)
+              for x0 in boundary + outside + [interior() for _ in range(6)]]
+    cases += [(interior(), bad, x0) for bad in boundary for x0 in boundary]
+    cases += [(bad, interior(), x0) for bad in boundary
+              for x0 in boundary + outside + [interior()]]
+    for alpha, beta, x0 in cases:
+        p = tentmap.TentParams(alpha, beta)
+        for count in (1, 2, 3, 300):
+            assert _states(tentmap.orbit_stream, x0, p, be, count) == \
+                _states(_orbit_stream_parent, x0, p, be, count)
+
+
+@pytest.mark.parametrize("name", ["fp2", "fp8", "fp16", "fp62", "fp64", "f64"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tent_branches_match_div(name, data):
+    be = get_backend(name)
+    if name == "f64":
+        alpha = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        left_x = st.floats(0.0, alpha)
+        right_x = st.floats(alpha, 1.0, exclude_min=True)
+    else:
+        alpha = data.draw(st.integers(1, be.one - 1))
+        left_x = st.integers(0, alpha)
+        right_x = st.integers(alpha + 1, be.one)
+    left, right = be.tent_branches(alpha)
+    x = data.draw(left_x)
+    assert left(x) == be.div(x, alpha)
+    x = data.draw(right_x)
+    assert right(x) == be.div(be.complement(x), be.complement(alpha))
+
+
 @dataclass
 class _ParentOrbitReport:
     transient_len: int
@@ -153,13 +236,13 @@ class _ParentOrbitReport:
 
 def _analyze_orbit_parent(x0, p, max_iter, backend, sample_limit=64):
     """analyze_orbit as it was before its unread sample and boundary-hit
-    bookkeeping was removed; kept verbatim apart from its name and that of
-    its report class."""
+    bookkeeping was removed; kept verbatim apart from its name, that of its
+    report class and the parent orbit_stream it iterates."""
     seen = {}
     samples = []
     hit = None
     zero, one = backend.zero, backend.one
-    for i, x in enumerate(tentmap.orbit_stream(x0, p, backend)):
+    for i, x in enumerate(_orbit_stream_parent(x0, p, backend)):
         if i > max_iter:  # x_{max_iter+1} is computed but not examined
             break
         if x in seen:
