@@ -224,36 +224,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit_histogram_csv(hist: Histogram, path, alpha=None) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("value,count,frequency,theoretical\n")
-        for a, c in enumerate(hist.counts):
-            theo = theoretical_prob(a, alpha, hist.n) if alpha is not None else ""
-            fh.write(f"{a},{c},{_fmt(c / hist.samples)},{_fmt(theo)}\n")
-
-
-def emit_curve_csv(points, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("alpha,log2_com\n")
-        for a, lc in points:
-            fh.write(f"{_fmt(a)},{_fmt(lc)}\n")
-
-
-def emit_report_csv(report: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("key,value\n")
-        for k, v in report.items():
-            fh.write(f"{k},{_fmt(v)}\n")
-
-
-def emit_csv(obj, path, alpha=None) -> None:
-    """Dispatching writer for histograms, curves and key/value reports."""
+def emit_csv(path, header, rows) -> None:
+    """Write a CSV file: the header's column names, then one line per row,
+    each value formatted by _fmt."""
     try:
-        if isinstance(obj, Histogram):
-            emit_histogram_csv(obj, path, alpha=alpha)
-        elif isinstance(obj, dict):
-            emit_report_csv(obj, path)
-        else:
-            emit_curve_csv(obj, path)
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc

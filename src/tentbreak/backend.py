@@ -65,23 +65,14 @@ class FixedPointBackend:
     def to_float(self, x: int) -> float:
         return x / self.one
 
-    def div(self, x: int, y: int) -> int:
-        """Value division x/y, rounded to nearest, clamped into [0, 1]."""
-        if y == 0:
-            raise DomainError("division by zero value")
-        raw = (2 * x * self.one + y) // (2 * y)
-        return self._clamp(raw)
-
-    def complement(self, x: int) -> int:
-        return self.one - x
-
     def tent_branches(self, alpha: int):
-        """(left, right), the interior steps of the skew tent map with peak
-        alpha in (0, 1): left(x) == div(x, alpha) for 0 <= x <= alpha and
-        right(x) == div(complement(x), complement(alpha)) for
-        alpha < x <= one.  On those ranges the rounded quotient already lies
-        in [0, one] (x <= alpha gives 2*x*one + alpha < 2*alpha*(one + 1),
-        and likewise for the complements), so neither clamps."""
+        """(left, right), the two branches of the skew tent map with peak
+        alpha in (0, 1), the map's one definition: left(x) = x / alpha for
+        0 <= x <= alpha and right(x) = (1 - x) / (1 - alpha) for
+        alpha < x <= one, each rounded to nearest.  On those ranges the
+        quotient lies in [0, one] (x <= alpha gives
+        2*x*one + alpha < 2*alpha*(one + 1), and likewise for 1 - x), so
+        no clamp is needed."""
         shift, one = self.bits + 1, self.one
         alpha2, alpha_c = 2 * alpha, one - alpha
         alpha_c2 = 2 * alpha_c
@@ -146,19 +137,10 @@ class Binary64Backend:
     def to_float(self, x: float) -> float:
         return x
 
-    def div(self, x: float, y: float) -> float:
-        if y == 0.0:
-            raise DomainError("division by zero value")
-        v = x / y
-        return min(max(v, 0.0), 1.0)
-
-    def complement(self, x: float) -> float:
-        return 1.0 - x
-
     def tent_branches(self, alpha: float):
-        """The interior steps, as FixedPointBackend.tent_branches.  Rounding
-        is monotone, so on their ranges the quotients already lie in [0, 1]
-        and neither clamps."""
+        """The branches, as FixedPointBackend.tent_branches.  Rounding is
+        monotone, so on their ranges the quotients lie in [0, 1] and need
+        no clamp."""
         alpha_c = 1.0 - alpha
 
         def left(x):

@@ -147,7 +147,9 @@ def save_key(key: KeyMaterial, n: int, backend, path) -> None:
 
 
 def load_key(path):
-    """Returns (KeyMaterial, n, backend)."""
+    """Returns (KeyMaterial, n, backend).  alpha, beta and gamma must lie
+    strictly inside (0, 1) on one backend, n in 1..16 and K below 2^{4n};
+    an error names the file and the field."""
     fields = {}
     with open(path) as fh:
         for line in fh:
@@ -156,18 +158,31 @@ def load_key(path):
                 continue
             k, _, v = line.partition("=")
             fields[k.strip()] = v.strip()
+    parsers = {"alpha": parse_value, "beta": parse_value, "gamma": parse_value,
+               "n": int, "K": lambda text: int(text, 16)}
+    values = {}
     try:
-        alpha, backend = parse_value(fields["alpha"])
-        beta, b2 = parse_value(fields["beta"])
-        gamma, b3 = parse_value(fields["gamma"])
-        k = int(fields["K"], 16)
-        n = int(fields["n"])
+        for name, parse in parsers.items():
+            values[name] = parse(fields[name])
     except KeyError as exc:
         raise ParameterError(f"key file {path} is missing field {exc}") from None
     except ValueError as exc:
-        raise ParameterError(f"key file {path}: {exc}") from None
+        raise ParameterError(f"key file {path}: {name}: {exc}") from None
+    (alpha, backend), (beta, b2), (gamma, b3) = (
+        values["alpha"], values["beta"], values["gamma"])
     if not backend == b2 == b3:
         raise ParameterError(f"key file {path} mixes arithmetic backends")
+    n, k = values["n"], values["K"]
+    try:
+        if not 1 <= n <= 16:
+            raise ParameterError(f"n must be in 1..16, got {n}")
+        for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+            tentmap.check_open_unit(v, backend, name)
+        if not 0 <= k < 1 << (4 * n):
+            raise ParameterError(f"K must be below 2^{4 * n} at n={n}, "
+                                 f"got {fields['K']}")
+    except ParameterError as exc:
+        raise ParameterError(f"key file {path}: {exc}") from None
     return KeyMaterial(alpha, beta, gamma, k), n, backend
 
 

@@ -72,7 +72,10 @@ def cmd_keygen(args) -> int:
     backend = get_backend(args.backend)
     rng = random.Random(_seed(args))
     if args.alpha is not None:
-        alpha = backend.from_float(args.alpha)
+        alpha = backend.from_float(args.alpha) if 0 < args.alpha < 1 else None
+        if alpha is None or not backend.zero < alpha < backend.one:
+            raise ParameterError(f"--alpha must be in (0, 1) at {args.backend} "
+                                 f"precision, got {args.alpha}")
     else:
         # safe sampling range: 0 < |alpha - 0.5| < 0.01
         off = rng.uniform(0.0005, 0.0095) * rng.choice((-1, 1))
@@ -207,17 +210,19 @@ def cmd_analyze(args) -> int:
         hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
                                          args.samples or 1000, backend,
                                          mended=args.mended)
-        analysis.emit_csv(hist, args.out, alpha=Fraction(1, 10))
+        analysis.emit_csv(args.out, ("value", "count", "frequency", "theoretical"),
+                          ((a, c, c / hist.samples,
+                            analysis.theoretical_prob(a, Fraction(1, 10), hist.n))
+                           for a, c in enumerate(hist.counts)))
     elif args.figure == "fig2":
-        points = analysis.complexity_curve(_n(args, 16))
-        analysis.emit_csv(points, args.out)
+        analysis.emit_csv(args.out, ("alpha", "log2_com"),
+                          analysis.complexity_curve(_n(args, 16)))
     elif args.figure == "fig3":
         p = tentmap.TentParams(backend.from_float(0.5), backend.from_float(0.4))
         orbit = tentmap.iterate_orbit(backend.from_float(0.123), p, 200, backend)
-        with open(args.out, "w") as fh:
-            fh.write("i,x\n")
-            for i, x in enumerate(orbit, start=1):
-                fh.write(f"{i},{backend.to_float(x):.12g}\n")
+        analysis.emit_csv(args.out, ("i", "x"),
+                          ((i, backend.to_float(x))
+                           for i, x in enumerate(orbit, start=1)))
     elif args.figure == "beta":
         L = backend.bits if args.precision is None else args.precision
         if not 2 <= L <= 64:
@@ -225,13 +230,13 @@ def cmd_analyze(args) -> int:
         p, expected, dec_bytes = analysis.beta_impact(L)
         model_mean = analysis.first_hit_model_trials(L, 200, seed=seed,
                                                      workers=args.workers)
-        analysis.emit_csv({
+        analysis.emit_csv(args.out, ("key", "value"), {
             "precision_bits": L,
             "hit_probability": p,
             "expected_first_hit": expected,
             "decryptable_bytes": dec_bytes,
             "model_trial_mean": model_mean,
-        }, args.out)
+        }.items())
     else:  # census
         L = 16 if args.precision is None else args.precision
         if not 1 <= L <= 24:
@@ -239,12 +244,12 @@ def cmd_analyze(args) -> int:
         mean, lengths = analysis.orbit_length_census(
             L, 0.37 if args.alpha is None else args.alpha, args.samples or 500,
             seed=seed, workers=args.workers)
-        analysis.emit_csv({
+        analysis.emit_csv(args.out, ("key", "value"), {
             "precision_bits": L,
             "samples": len(lengths),
             "mean_orbit_length": mean,
             "sqrt_scale_reference": 2 ** (L / 2),
-        }, args.out)
+        }.items())
     print(f"wrote {args.out}")
     return EXIT_OK
 

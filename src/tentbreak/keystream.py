@@ -131,6 +131,9 @@ class QuarterPermTable:
                 if not 0 <= v < 16:
                     raise ParameterError(f"{path}: line {lineno}: expected "
                                          f"'v: a b c d' with v in 0..15")
+                if sorted(entry) != [1, 2, 3, 4]:
+                    raise ParameterError(f"{path}: line {lineno}: entry "
+                                         f"{entry} is not a permutation of 1..4")
                 entries[v] = entry
         if any(e is None for e in entries):
             raise ParameterError(f"table file {path} does not define all 16 entries")

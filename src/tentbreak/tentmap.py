@@ -6,8 +6,8 @@ The skew tent map with peak alpha:
              (1 - x)/(1 - a)  for a < x <= 1
 
 and its extended form G_{a,b} that redirects the boundary states {0, 1}
-to b so orbits escape the fixed point at 0.  All arithmetic goes through a
-backend from :mod:`tentbreak.backend`.
+to b so orbits escape the fixed point at 0.  The interior steps of F are
+defined once, by tent_branches of a backend from :mod:`tentbreak.backend`.
 """
 
 from __future__ import annotations
@@ -40,24 +40,6 @@ def check_open_unit(v, backend, name):
         raise ParameterError(f"{name} must lie strictly inside (0, 1)")
 
 
-def skew_tent_step(x, alpha, backend):
-    """One step of the plain skew tent map F_alpha."""
-    check_open_unit(alpha, backend, "alpha")
-    if not backend.zero <= x <= backend.one:
-        raise DomainError("x outside [0, 1]")
-    if x <= alpha:
-        return backend.div(x, alpha)
-    return backend.div(backend.complement(x), backend.complement(alpha))
-
-
-def extended_step(x, p: TentParams, backend):
-    """One step of the extended map G: boundary states go to beta."""
-    if x == backend.zero or x == backend.one:
-        check_open_unit(p.beta, backend, "beta")
-        return p.beta
-    return skew_tent_step(x, p.alpha, backend)
-
-
 def derive_x0(t: int, gamma, n: int, backend):
     """Initial condition from a public timestamp t.
 
@@ -70,8 +52,11 @@ def derive_x0(t: int, gamma, n: int, backend):
     check_open_unit(gamma, backend, "gamma")
     k = len(str(t)) - 1  # floor(log10 t), exact over integers
     x = backend.from_ratio(10 ** k, t)
+    # x stays in [0, 1]: each branch maps its range into [0, 1], and both
+    # 0 and 1 go to 0, so F needs no domain check here
+    left, right = backend.tent_branches(gamma)
     for _ in range(4 * n):
-        x = skew_tent_step(x, gamma, backend)
+        x = left(x) if x <= gamma else right(x)
     return x
 
 
@@ -87,12 +72,11 @@ def restart(x, beta, backend):
 def orbit_stream(x0, p: TentParams, backend):
     """Infinite generator x0, x1, x2, ... of G (includes the initial state).
 
-    Each step is extended_step(x, p, backend) with the loop-invariant work
-    hoisted: the interior steps are backend.tent_branches(alpha).  alpha is
-    checked once, at the first step from an interior state, which is where
-    skew_tent_step first checks it; the domain is checked on every step and
-    beta at every boundary hit.  So the same errors fire at the same step,
-    and a step runs only when its value is requested.
+    An interior state x steps through backend.tent_branches(alpha): left for
+    0 < x <= alpha, right for alpha < x < 1.  The boundary states 0 and 1
+    go to beta, which is checked at every hit, and any state outside [0, 1]
+    raises DomainError.  alpha is checked once, before the first step from
+    a state other than 0 and 1.  A step runs only when its value is requested.
 
     keystream.build_noise_vectors steps the same branches in a loop of its
     own: the yield and resume per state cost about a third of that loop's
@@ -139,13 +123,3 @@ def analyze_orbit(x0, p: TentParams, max_iter: int, backend) -> OrbitReport:
             return OrbitReport(transient_len=first, period=i - first)
         seen[x] = i
     return OrbitReport(transient_len=0, period=1, conclusive=False)
-
-
-def first_hit_boundary(x0, p: TentParams, max_iter: int, backend) -> int | None:
-    """Index of the first iterate landing exactly on 0 or 1, if any."""
-    zero, one = backend.zero, backend.one
-    for i, x in zip(range(1, max_iter + 1),
-                    islice(orbit_stream(x0, p, backend), 1, None)):
-        if x == zero or x == one:
-            return i
-    return None

@@ -127,15 +127,18 @@ def test_csv_emitters(tmp_path):
     p = tentmap.TentParams(0.1, 0.7)
     hist = analysis.sample_histogram(p, 0.3, 2, 100, F64)
     out = tmp_path / "hist.csv"
-    analysis.emit_csv(hist, out, alpha=Fraction(1, 10))
+    analysis.emit_csv(out, ("value", "count", "frequency", "theoretical"),
+                      ((a, c, c / hist.samples,
+                        analysis.theoretical_prob(a, Fraction(1, 10), 2))
+                       for a, c in enumerate(hist.counts)))
     lines = out.read_text().splitlines()
     assert lines[0] == "value,count,frequency,theoretical"
     assert len(lines) == 257
 
     out = tmp_path / "curve.csv"
-    analysis.emit_csv(analysis.complexity_curve(1), out)
+    analysis.emit_csv(out, ("alpha", "log2_com"), analysis.complexity_curve(1))
     assert len(out.read_text().splitlines()) == 100
 
     out = tmp_path / "report.csv"
-    analysis.emit_csv({"a": 1, "b": Fraction(1, 2)}, out)
+    analysis.emit_csv(out, ("key", "value"), {"a": 1, "b": Fraction(1, 2)}.items())
     assert out.read_text().splitlines() == ["key,value", "a,1", "b,0.5"]

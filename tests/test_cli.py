@@ -308,12 +308,59 @@ def test_malformed_f64_key_value_names_the_file(tmp_path, capsys):
     assert str(key) in capsys.readouterr().err
 
 
+def _encrypt_with_key_field(tmp_path, capsys, field, value):
+    """encrypt's exit code and stderr under a key file whose `field` line
+    is replaced by `field=value`."""
+    key, msg = tmp_path / "key.txt", tmp_path / "m.bin"
+    assert run(["keygen", "--seed", 3, "--out", key]) == 0
+    lines = [f"{field}={value}" if line.startswith(f"{field}=") else line
+             for line in key.read_text().splitlines()]
+    key.write_text("\n".join(lines) + "\n")
+    msg.write_bytes(bytes(range(6)))
+    capsys.readouterr()
+    code = run(["encrypt", "--key", key, "--t", 77, msg, "--out",
+                tmp_path / "ct.txt"])
+    return code, capsys.readouterr().err
+
+
+def test_key_file_block_parameter_out_of_range(tmp_path, capsys):
+    for n in ("0", "17", "-1"):
+        code, err = _encrypt_with_key_field(tmp_path, capsys, "n", n)
+        assert code == 2
+        assert str(tmp_path / "key.txt") in err and "n must be in 1..16" in err
+
+
+def test_key_file_beta_on_the_boundary(tmp_path, capsys):
+    for beta in ("fp62:0x0", "fp62:0x4000000000000000"):    # 0 and 1
+        code, err = _encrypt_with_key_field(tmp_path, capsys, "beta", beta)
+        assert code == 2
+        assert str(tmp_path / "key.txt") in err and "beta" in err
+        assert not (tmp_path / "ct.txt").exists()
+
+
+def test_key_file_bad_values_name_the_file_and_field(tmp_path, capsys):
+    for field, value in (("alpha", "fp62:0x0"), ("alpha", "fp62:0x4000000000000000"),
+                         ("gamma", "fp62:0x0"), ("K", "0x100"), ("K", "-0x1"),
+                         ("K", "zz"), ("n", "two")):
+        code, err = _encrypt_with_key_field(tmp_path, capsys, field, value)
+        assert code == 2
+        assert str(tmp_path / "key.txt") in err and f": {field}" in err, err
+
+
+def test_keygen_rejects_alpha_out_of_range(tmp_path, capsys):
+    for alpha in (0, 1, -0.5, 1.5, "nan", 1e-30):
+        out = tmp_path / "key.txt"
+        assert run(["keygen", "--alpha", alpha, "--seed", 1, "--out", out]) == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_malformed_table_file_names_the_line(tmp_path, capsys):
     from tentbreak import keystream
     table = tmp_path / "table.txt"
     keystream.DEFAULT_TABLE.save(table)
     good = table.read_text()
-    for bad in ("16: 1 2 3 4\n", "x: 1 2 3 4\n"):
+    for bad in ("16: 1 2 3 4\n", "x: 1 2 3 4\n", "3: 1 2 3\n", "3: 1 1 2 3\n"):
         table.write_text(good + bad)
         assert run(["attack", "--mode", "cpa", "--r", 2, "--table", table,
                     "--out", tmp_path / "rec.txt"]) == 2

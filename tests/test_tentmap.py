@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tentbreak import tentmap
 from tentbreak.backend import (DomainError, FixedPointBackend, ParameterError,
                                get_backend, parse_value)
+from tent_reference import derive_x0 as derive_x0_parent, reference_backend
 
 FP = get_backend("fp62")
 F64 = get_backend("f64")
@@ -26,39 +27,45 @@ def fp(num, den):
 
 def test_skew_tent_left_branch():
     # F_0.25(1/8) = (1/8)/(1/4) = 1/2, exact in dyadic fixed point
-    y = tentmap.skew_tent_step(fp(1, 8), fp(1, 4), FP)
-    assert frac(y) == Fraction(1, 2)
-    assert tentmap.skew_tent_step(0.1, 0.25, F64) == pytest.approx(0.4)
+    left, _ = FP.tent_branches(fp(1, 4))
+    assert frac(left(fp(1, 8))) == Fraction(1, 2)
+    left, _ = F64.tent_branches(0.25)
+    assert left(0.1) == pytest.approx(0.4)
 
 
 def test_skew_tent_right_branch():
     # F_0.25(0.5) = (1-0.5)/(1-0.25) = 2/3
-    y = tentmap.skew_tent_step(fp(1, 2), fp(1, 4), FP)
-    assert abs(frac(y) - Fraction(2, 3)) <= Fraction(1, FP.one)
+    _, right = FP.tent_branches(fp(1, 4))
+    assert abs(frac(right(fp(1, 2))) - Fraction(2, 3)) <= Fraction(1, FP.one)
 
 
 def test_skew_tent_peak():
     # the peak value x = alpha maps to 1 exactly
     for a_num in (1, 3, 7):
-        assert tentmap.skew_tent_step(fp(a_num, 10), fp(a_num, 10), FP) == FP.one
-    assert tentmap.skew_tent_step(0.3, 0.3, F64) == 1.0
+        left, _ = FP.tent_branches(fp(a_num, 10))
+        assert left(fp(a_num, 10)) == FP.one
+    left, _ = F64.tent_branches(0.3)
+    assert left(0.3) == 1.0
 
 
 def test_skew_tent_domain():
+    p = tentmap.TentParams(fp(1, 2), fp(7, 10))
     with pytest.raises(DomainError):
-        tentmap.skew_tent_step(FP.one + 1, fp(1, 2), FP)
+        tentmap.iterate_orbit(FP.one + 1, p, 1, FP)
     with pytest.raises(ParameterError):
-        tentmap.skew_tent_step(fp(1, 2), FP.zero, FP)
+        tentmap.iterate_orbit(fp(1, 2), tentmap.TentParams(FP.zero, p.beta), 1, FP)
+    with pytest.raises(ParameterError):
+        tentmap.derive_x0(1234, FP.zero, 2, FP)
 
 
 def test_extended_redirects_boundary():
     beta = fp(7, 10)
     p = tentmap.TentParams(fp(1, 2), beta)
-    assert tentmap.extended_step(FP.zero, p, FP) == beta
-    assert tentmap.extended_step(FP.one, p, FP) == beta
+    assert tentmap.iterate_orbit(FP.zero, p, 1, FP) == [beta]
+    assert tentmap.iterate_orbit(FP.one, p, 1, FP) == [beta]
     # interior points follow the plain map
-    assert tentmap.extended_step(fp(1, 4), p, FP) == \
-        tentmap.skew_tent_step(fp(1, 4), fp(1, 2), FP)
+    left, _ = FP.tent_branches(fp(1, 2))
+    assert tentmap.iterate_orbit(fp(1, 4), p, 1, FP) == [left(fp(1, 4))]
 
 
 def test_orbit_from_zero_goes_through_beta():
@@ -96,6 +103,36 @@ def test_derive_x0_power_of_ten_is_degenerate():
     # t = 10^k gives s = 1, which the plain map sends to 0 and keeps there
     assert tentmap.derive_x0(1000, fp(3, 10), 2, FP) == FP.zero
     assert tentmap.derive_x0(1000, 0.3, 2, F64) == 0.0
+
+
+@pytest.mark.parametrize("name", ["fp1", "fp2", "fp8", "fp62", "fp64", "f64"])
+def test_derive_x0_matches_parent(name):
+    be = get_backend(name)
+    ref = reference_backend(be)
+    rng = random.Random(name)
+    gammas = [be.zero, be.one, be.half]
+    gammas += [be.from_float(rng.uniform(0.001, 0.999)) for _ in range(6)]
+    ts = [0, 1, 10, 1000, 10 ** 18, 10 ** 40, 999, 1001, 10 ** 12 - 1]
+    ts += [rng.randrange(1, 10 ** rng.randrange(1, 20)) for _ in range(12)]
+    outcomes = set()
+    for gamma in gammas:
+        for t in ts:
+            for n in range(1, 17):
+                try:
+                    got = tentmap.derive_x0(t, gamma, n, be)
+                except ValueError as exc:
+                    got = type(exc), str(exc)
+                try:
+                    want = derive_x0_parent(t, gamma, n, ref)
+                except ValueError as exc:
+                    want = type(exc), str(exc)
+                assert got == want, (t, gamma, n)
+                outcomes.add(got if isinstance(got, tuple) else got == be.zero)
+    # the degenerate chain, interior results and both kinds of error occur;
+    # at fp1 the one interior gamma, 1/2, sends every x0 to 0
+    assert {True, (DomainError, "timestamp must be a positive integer, got 0"),
+            (ParameterError, "gamma must lie strictly inside (0, 1)")} <= outcomes
+    assert False in outcomes or name == "fp1"
 
 
 def test_derive_x0_rejects_bad_t():
@@ -150,7 +187,7 @@ _check_open_unit = tentmap.check_open_unit
 def _orbit_stream_parent(x0, p, backend):
     """orbit_stream as it was before it stepped through
     backend.tent_branches; kept verbatim apart from its name and
-    annotation."""
+    annotation.  backend must come from reference_backend."""
     zero, one, div, complement = (backend.zero, backend.one, backend.div,
                                   backend.complement)
     alpha, beta = p.alpha, p.beta
@@ -185,6 +222,7 @@ def _states(stream, x0, p, backend, count):
 @pytest.mark.parametrize("name", ["fp2", "fp8", "fp62", "fp64", "f64"])
 def test_orbit_stream_matches_parent(name):
     be = get_backend(name)
+    ref = reference_backend(be)
     rng = random.Random(name)
     boundary = [be.zero, be.one]
     outside = [be.zero - be.one, be.one + be.one]
@@ -202,7 +240,7 @@ def test_orbit_stream_matches_parent(name):
         p = tentmap.TentParams(alpha, beta)
         for count in (1, 2, 3, 300):
             assert _states(tentmap.orbit_stream, x0, p, be, count) == \
-                _states(_orbit_stream_parent, x0, p, be, count)
+                _states(_orbit_stream_parent, x0, p, ref, count)
 
 
 @pytest.mark.parametrize("name", ["fp2", "fp8", "fp16", "fp62", "fp64", "f64"])
@@ -219,10 +257,11 @@ def test_tent_branches_match_div(name, data):
         left_x = st.integers(0, alpha)
         right_x = st.integers(alpha + 1, be.one)
     left, right = be.tent_branches(alpha)
+    ref = reference_backend(be)
     x = data.draw(left_x)
-    assert left(x) == be.div(x, alpha)
+    assert left(x) == ref.div(x, alpha)
     x = data.draw(right_x)
-    assert right(x) == be.div(be.complement(x), be.complement(alpha))
+    assert right(x) == ref.div(ref.complement(x), ref.complement(alpha))
 
 
 @dataclass
@@ -237,7 +276,8 @@ class _ParentOrbitReport:
 def _analyze_orbit_parent(x0, p, max_iter, backend, sample_limit=64):
     """analyze_orbit as it was before its unread sample and boundary-hit
     bookkeeping was removed; kept verbatim apart from its name, that of its
-    report class and the parent orbit_stream it iterates."""
+    report class and the parent orbit_stream it iterates.  backend must
+    come from reference_backend."""
     seen = {}
     samples = []
     hit = None
@@ -276,23 +316,12 @@ def test_analyze_orbit_matches_parent(name):
         x0 = (be.zero, be.one)[k % 2] if k % 10 < 2 else draw(0, 1)
         for cap in (0, 1, 5, full):
             got = tentmap.analyze_orbit(x0, p, cap, be)
-            ref = _analyze_orbit_parent(x0, p, cap, be)
+            ref = _analyze_orbit_parent(x0, p, cap, reference_backend(be))
             assert (got.transient_len, got.period, got.conclusive) == \
                 (ref.transient_len, ref.period, ref.conclusive)
             outcomes.add((alpha == be.half, got.conclusive))
     # both kinds of orbit are exercised, conclusive and capped
     assert {(True, True), (True, False), (False, False)} <= outcomes
-
-
-def test_first_hit_boundary_at_peak():
-    # x0 = alpha maps to 1 in one step
-    p = tentmap.TentParams(fp(1, 4), fp(7, 10))
-    assert tentmap.first_hit_boundary(fp(1, 4), p, 10, FP) == 1
-
-
-def test_first_hit_boundary_miss_returns_none():
-    p = tentmap.TentParams(fp(37, 100), fp(7, 10))
-    assert tentmap.first_hit_boundary(fp(123, 1000), p, 100, FP) is None
 
 
 def test_value_serialization_roundtrip():
