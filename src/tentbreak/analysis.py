@@ -24,9 +24,6 @@ class Histogram:
     counts: list
     samples: int
 
-    def frequency(self, a: int) -> float:
-        return self.counts[a] / self.samples
-
 
 def sample_histogram(p: tentmap.TentParams, x0, n: int, samples: int, backend,
                      mended: bool = False) -> Histogram:
@@ -58,13 +55,6 @@ def theoretical_prob(a: int, alpha, n: int) -> Fraction:
     al = _as_fraction(alpha)
     zeros = width - bin(a).count("1")
     return al ** zeros * (1 - al) ** (width - zeros)
-
-
-def class_offset_h(i: int, n: int) -> int:
-    """Candidates searched before class pair i in the outside-in order."""
-    if not 0 <= i <= 2 * n:
-        raise ParameterError("class pair index out of range")
-    return 2 * sum(math.comb(4 * n, l) for l in range(i))
 
 
 def guess_complexity(alpha, n: int):
@@ -103,25 +93,6 @@ def complexity_curve(n: int):
     """(alpha, log2 Com) points for alpha = 0.01 .. 0.99 in steps of 0.01."""
     return [(i / 100, guess_complexity(Fraction(i, 100), n)[1])
             for i in range(1, 100)]
-
-
-def mean_rank_monte_carlo(alpha: float, n: int, trials: int, seed: int = 0,
-                          workers: int = 1) -> float:
-    """Mean 1-based rank of an i.i.d.-bit noise vector (Prob{bit=0} = alpha)
-    under the prioritized enumeration; the simulation oracle for Com."""
-    width = 4 * n
-    rank = {}
-    for i, v in enumerate(attack.prioritized_candidates(alpha, n), start=1):
-        rank[v] = i
-    total = 0
-    for chunk in _worker_chunks(trials, workers):
-        rng = random.Random(f"{seed}:{chunk['worker']}")
-        for _ in range(chunk["count"]):
-            u = 0
-            for _ in range(width):
-                u = (u << 1) | (0 if rng.random() < alpha else 1)
-            total += rank[u]
-    return total / trials
 
 
 def beta_impact(L: int):

@@ -106,16 +106,12 @@ class RecoveredState:
 # ---------------------------------------------------------------------------
 # differential recovery of the permutations
 
-def gen_cpa_battery(j: int, n: int, p_star: int = 0) -> list:
+def gen_cpa_battery(j: int, n: int) -> list:
     """The 4n+1 chosen plaintexts of j blocks: a base message and one
     single-bit variant of the last block per bit position."""
     if j < 1:
         raise ParameterError("block index must be >= 1")
-    base = [p_star] * j
-    battery = [base]
-    for l in range(1, 4 * n + 1):
-        battery.append(base[:-1] + [p_star ^ (1 << (l - 1))])
-    return battery
+    return [[0] * j] + [[0] * (j - 1) + [1 << l] for l in range(4 * n)]
 
 
 def _single_bit_index(delta: int, what: str) -> int:
@@ -223,7 +219,8 @@ def solve_block1_registers(pairs, f0: BitPermutation, n: int) -> tuple:
 
 def class_order(alpha_est: float, n: int) -> list:
     """One-bit counts of the block-value classes, most probable noise-vector
-    class first, in the order prioritized_candidates walks them.
+    class first: the order in which the attacker's prioritized enumeration
+    of all 2^{4n} block values walks them, each class ascending.
 
     With Prob{bit = 0} = alpha, values fall into classes A_i by their count
     of 0-bits.  alpha < 0.5: plain descending-probability order A_0 -> A_4n.
@@ -245,35 +242,10 @@ def class_order(alpha_est: float, n: int) -> list:
     return ones + [2 * n]
 
 
-def prioritized_candidates(alpha_est: float, n: int):
-    """All 2^{4n} block values class by class in class_order, each class
-    ascending; at alpha = 0.5 natural numeric order."""
-    order = class_order(alpha_est, n)
-    width = 4 * n
-    if alpha_est == 0.5:
-        yield from range(1 << width)
-        return
-
-    def klass(ones: int):
-        """Values with `ones` one-bits, ascending numerically (Gosper)."""
-        if ones == 0:
-            yield 0
-            return
-        v = (1 << ones) - 1
-        top = 1 << width
-        while v < top:
-            yield v
-            c = v & -v
-            rr = v + c
-            v = (((rr ^ v) >> 2) // c) | rr
-
-    for ones in order:
-        yield from klass(ones)
-
-
 def rank_candidates(values, alpha_est: float, n: int) -> list:
-    """`values` in their prioritized_candidates order, found without walking
-    the 2^{4n} enumeration: by class position then value."""
+    """`values` in the prioritized enumeration's order (class_order, each
+    class ascending; at alpha = 0.5 plain numeric order), found without
+    walking the 2^{4n} enumeration: by class position then value."""
     position = {ones: k for k, ones in enumerate(class_order(alpha_est, n))}
     if alpha_est == 0.5:
         return sorted(values)

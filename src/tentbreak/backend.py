@@ -30,8 +30,6 @@ class ParameterError(ValueError):
 class FixedPointBackend:
     """Binary fixed-point arithmetic on [0, 1] with L fractional bits."""
 
-    kind = "fixed-point"
-
     def __init__(self, bits: int):
         if not 1 <= bits <= 64:
             raise ParameterError(f"fixed-point precision must be in 1..64, got {bits}")
@@ -106,8 +104,6 @@ class FixedPointBackend:
 class Binary64Backend:
     """IEEE-754 double precision; not bit-portable in general, but matches
     the floating environment the empirical figures were produced in."""
-
-    kind = "binary64"
 
     one = 1.0
     zero = 0.0

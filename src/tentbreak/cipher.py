@@ -55,7 +55,6 @@ class Session:
     r: int
     backend: object
     table: QuarterPermTable
-    x0: object
     U: list  # U_0 .. U_{r+1}
     F: list  # f_0 .. f_{r-1}
     degenerate: bool = False
@@ -97,7 +96,7 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
     F = [keystream.compose_fj(U[j] ^ key.K, table, n) for j in range(r)]
     degenerate = x0 == backend.zero or x0 == backend.one
     return Session(key=key, t=t, n=n, r=r, backend=backend, table=table,
-                   x0=x0, U=U, F=F, degenerate=degenerate)
+                   U=U, F=F, degenerate=degenerate)
 
 
 def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int) -> list:

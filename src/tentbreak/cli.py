@@ -87,6 +87,12 @@ def cmd_keygen(args) -> int:
         gamma=backend.from_float(rng.uniform(0.05, 0.95)),
         K=rng.randrange(1 << (4 * n)),
     )
+    for name in ("alpha", "beta", "gamma"):
+        try:
+            tentmap.check_open_unit(getattr(key, name), backend, name)
+        except ParameterError as exc:
+            raise ParameterError(f"drawn {exc} at {args.backend} precision; "
+                                 "try another --seed") from None
     notes = cipher.check_key_strength(key, backend)
     if notes and not args.allow_weak and args.alpha is not None:
         print("warning: " + "; ".join(notes), file=sys.stderr)
@@ -203,8 +209,6 @@ def cmd_analyze(args) -> int:
         raise ParameterError(f"--samples must be >= 1, got {args.samples}")
     if args.alpha is not None and not 0 < args.alpha < 1:
         raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
-    if args.workers < 1:
-        raise ParameterError(f"--workers must be >= 1, got {args.workers}")
     if args.figure == "fig1":
         p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
         hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
@@ -228,8 +232,7 @@ def cmd_analyze(args) -> int:
         if not 2 <= L <= 64:
             raise ParameterError(f"--precision must be in 2..64 for beta, got {L}")
         p, expected, dec_bytes = analysis.beta_impact(L)
-        model_mean = analysis.first_hit_model_trials(L, 200, seed=seed,
-                                                     workers=args.workers)
+        model_mean = analysis.first_hit_model_trials(L, 200, seed=seed)
         analysis.emit_csv(args.out, ("key", "value"), {
             "precision_bits": L,
             "hit_probability": p,
@@ -243,7 +246,7 @@ def cmd_analyze(args) -> int:
             raise ParameterError(f"--precision must be in 1..24 for census, got {L}")
         mean, lengths = analysis.orbit_length_census(
             L, 0.37 if args.alpha is None else args.alpha, args.samples or 500,
-            seed=seed, workers=args.workers)
+            seed=seed)
         analysis.emit_csv(args.out, ("key", "value"), {
             "precision_bits": L,
             "samples": len(lengths),
@@ -293,25 +296,22 @@ def cmd_solve_u(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    # the shared flags are accepted both before and after the subcommand
+    # the shared flags follow the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", default=argparse.SUPPRESS,
+    common.add_argument("--backend", default="fp62",
                         help="arithmetic backend: fpNN or f64 (default fp62)")
-    common.add_argument("--n", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--n", type=int,
                         help="block parameter (4n-bit blocks; default 2, "
                              "16 for analyze fig2)")
-    common.add_argument("--r", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--r", type=int, default=16,
                         help="precomputation bound r of the attack's "
                              "victim session (encrypt and decrypt size the "
                              "session from the message)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=int,
                         help="RNG seed (fallback: TENTBREAK_SEED)")
-    common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--table", default=argparse.SUPPRESS,
-                        help="quarter-permutation table file")
+    common.add_argument("--table", help="quarter-permutation table file")
 
-    ap = argparse.ArgumentParser(prog="tentbreak", parents=[common])
-    ap.set_defaults(backend="fp62", n=None, r=16, seed=None, workers=1, table=None)
+    ap = argparse.ArgumentParser(prog="tentbreak")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("keygen", help="write a key file", parents=[common])

@@ -139,11 +139,6 @@ class QuarterPermTable:
             raise ParameterError(f"table file {path} does not define all 16 entries")
         return cls(entries)
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for v, e in enumerate(self.entries):
-                fh.write(f"{v}: {e[0]} {e[1]} {e[2]} {e[3]}\n")
-
 
 DEFAULT_TABLE = QuarterPermTable.default()
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tentbreak import cipher, cli
-from tentbreak.backend import ParameterError
+from tentbreak.backend import ParameterError, get_backend
 
 
 def run(argv):
@@ -54,6 +54,44 @@ def test_keygen_seed_env_fallback(tmp_path, monkeypatch):
     run(["keygen", "--out", a])
     run(["keygen", "--seed", 9, "--out", b])
     assert a.read_text() == b.read_text()
+
+
+def test_shared_flags_before_the_subcommand_are_usage_errors(tmp_path):
+    out = tmp_path / "key.txt"
+    for flag in (["--seed", 5], ["--n", 3], ["--backend", "f64"], ["--r", 4],
+                 ["--table", tmp_path / "table.txt"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*flag, "keygen", "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+    # after the subcommand the same flags are honoured
+    assert run(["keygen", "--seed", 5, "--n", 3, "--backend", "f64",
+                "--out", out]) == 0
+    key, n, backend = cipher.load_key(out)
+    assert (n, backend) == (3, get_backend("f64"))
+
+
+def test_workers_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "census", "--workers", 2, "--out", tmp_path / "c.csv"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_keygen_low_precision_draw_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "key.txt"
+    # at fp1 a drawn beta or gamma rounds to 0 or 1 unless it lands on 1/2
+    assert run(["keygen", "--backend", "fp1", "--seed", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "fp1" in err and "beta" in err
+    assert not out.exists()
+    assert run(["keygen", "--backend", "fp1", "--seed", 1, "--out", out]) == 0
+    msg, ct, back = tmp_path / "m.bin", tmp_path / "ct.txt", tmp_path / "m.out"
+    msg.write_bytes(bytes(range(6)))
+    with pytest.warns(cipher.WeakKeyWarning):   # alpha is exactly 1/2 at fp1
+        assert run(["encrypt", "--key", out, "--t", 987654, msg, "--out", ct]) == 0
+        assert run(["decrypt", "--key", out, ct, "--out", back]) == 0
+    assert back.read_bytes() == msg.read_bytes()
 
 
 def test_keygen_explicit_alpha(tmp_path, capsys):
@@ -178,7 +216,6 @@ def test_analyze_beta_defaults_to_backend_precision(tmp_path):
     (["census", "--precision", 0, "--samples", 5], "--precision"),
     (["beta", "--precision", 1], "--precision"),
     (["fig2", "--n", 0], "--n"),
-    (["census", "--workers", 0, "--precision", 8, "--samples", 5], "--workers"),
 ])
 def test_analyze_bad_flag_is_usage_error(tmp_path, capsys, flags, flag):
     out = tmp_path / "a.csv"
@@ -358,8 +395,8 @@ def test_keygen_rejects_alpha_out_of_range(tmp_path, capsys):
 def test_malformed_table_file_names_the_line(tmp_path, capsys):
     from tentbreak import keystream
     table = tmp_path / "table.txt"
-    keystream.DEFAULT_TABLE.save(table)
-    good = table.read_text()
+    good = "".join(f"{v}: {a} {b} {c} {d}\n" for v, (a, b, c, d)
+                   in enumerate(keystream.DEFAULT_TABLE.entries))
     for bad in ("16: 1 2 3 4\n", "x: 1 2 3 4\n", "3: 1 2 3\n", "3: 1 1 2 3\n"):
         table.write_text(good + bad)
         assert run(["attack", "--mode", "cpa", "--r", 2, "--table", table,

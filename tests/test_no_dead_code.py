@@ -3,7 +3,9 @@
 A definition counts as used when its bare name is read somewhere in src/ or
 bench/ (as a name or an attribute), or appears in one of the dotted paths of
 bench/tracer.py's WRAPPED table, which the tracer resolves with getattr.
-Dunder methods are called by Python itself and are skipped.
+Dunder methods are called by Python itself and are skipped.  Code that only
+the tests call lives under tests/ (for example rank_reference.py), so
+ALLOWED is empty; a name added to it needs its reason.
 """
 
 import ast
@@ -12,17 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tentbreak"
 
-# definitions that only the tests call, each with the reason it stays
-ALLOWED = {
-    "analysis.mean_rank_monte_carlo":
-        "the Monte Carlo oracle of acceptance criterion 07",
-    "analysis.class_offset_h":
-        "closed-form class offsets, checked against the enumeration",
-    "analysis.Histogram.frequency":
-        "per-value frequency, read by the histogram tests",
-    "keystream.QuarterPermTable.save":
-        "writes the table files that the table-loading tests read",
-}
+# definitions that only the tests call, each mapped to the reason it stays
+ALLOWED = {}
 
 
 def _definitions():
