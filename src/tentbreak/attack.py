@@ -406,6 +406,8 @@ def load_state(path) -> RecoveredState:
                     j = _bounded(int(head[1:]), 3, r + 1, "U index")
                     state.noise[j] = _bounded(int(tail, 16), 0, top, f"{head} value")
                     state.provenance[head] = tag
+                else:
+                    raise ValueError(f"expected f<j>, U<j> or reg1, got {head!r}")
             except ValueError as exc:
                 raise ParameterError(f"{path}: line {lineno}: {exc}") from None
     return state

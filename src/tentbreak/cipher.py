@@ -212,10 +212,13 @@ def read_header(fh, path, magic: str, kind: str, names) -> list[int]:
 
 
 def load_ciphertext(path):
-    """Returns (Message, n)."""
+    """Returns (Message, n).  The file holds exactly `len` blocks; only blank
+    lines may follow them."""
     with open(path) as fh:
         t, n, length = read_header(fh, path, "YTS1", "ciphertext",
                                    ("t", "n", "len"))
+        if length < 0:
+            raise ParameterError(f"{path}: line 1: len must be >= 0, got {length}")
         blocks = []
         for lineno in range(2, length + 2):
             line = fh.readline()
@@ -229,4 +232,9 @@ def load_ciphertext(path):
                     f"{path}: line {lineno}: expected {4 * n}-bit block "
                     f"{lineno - 1} of {length}, {got}")
             blocks.append(block)
+        for lineno, line in enumerate(fh, start=length + 2):
+            if line.strip():
+                raise ParameterError(
+                    f"{path}: line {lineno}: expected the end of the file "
+                    f"after {length} blocks, got {line.strip()!r}")
     return Message(blocks, t), n

@@ -259,6 +259,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_solve_u(args) -> int:
     state = attack.load_state(args.state)
+    width = 4 * state.n
     pairs = []
     with open(args.pairs) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -272,6 +273,9 @@ def cmd_solve_u(args) -> int:
             if len(pair) != 4:
                 raise ParameterError(f"{args.pairs}: line {lineno}: expected "
                                      f"four hex values, got {line!r}")
+            if any(not 0 <= v < 1 << width for v in pair):
+                raise ParameterError(f"{args.pairs}: line {lineno}: pair value "
+                                     f"outside the {width}-bit block range")
             pairs.append(pair)
     f = state.perms.get(args.j - 1)
     if not 2 <= args.j <= state.r or f is None:
@@ -295,21 +299,24 @@ def cmd_solve_u(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# the flags every subcommand takes; they follow the subcommand
+SHARED_FLAGS = {
+    "--backend": dict(default="fp62",
+                      help="arithmetic backend: fpNN or f64 (default fp62)"),
+    "--n": dict(type=int, help="block parameter (4n-bit blocks; default 2, "
+                               "16 for analyze fig2)"),
+    "--r": dict(type=int, default=16,
+                help="precomputation bound r of the attack's victim session "
+                     "(encrypt and decrypt size the session from the message)"),
+    "--seed": dict(type=int, help="RNG seed (fallback: TENTBREAK_SEED)"),
+    "--table": dict(help="quarter-permutation table file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # the shared flags follow the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", default="fp62",
-                        help="arithmetic backend: fpNN or f64 (default fp62)")
-    common.add_argument("--n", type=int,
-                        help="block parameter (4n-bit blocks; default 2, "
-                             "16 for analyze fig2)")
-    common.add_argument("--r", type=int, default=16,
-                        help="precomputation bound r of the attack's "
-                             "victim session (encrypt and decrypt size the "
-                             "session from the message)")
-    common.add_argument("--seed", type=int,
-                        help="RNG seed (fallback: TENTBREAK_SEED)")
-    common.add_argument("--table", help="quarter-permutation table file")
+    for flag, kwargs in SHARED_FLAGS.items():
+        common.add_argument(flag, **kwargs)
 
     ap = argparse.ArgumentParser(prog="tentbreak")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -365,7 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # before the subcommand the top-level parser would read the flag's
+    # value as the subcommand's name
+    flag = argv[0].partition("=")[0] if argv else None
+    if flag in SHARED_FLAGS:
+        parser.error(f"{flag} must follow the subcommand "
+                     f"(tentbreak SUBCOMMAND {flag} ...)")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, OSError, ValueError) as exc:

@@ -2,12 +2,16 @@
 
 import gc
 import random
+import re
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tentbreak import attack, cipher, keystream
+import spec
+from tentbreak import attack, cipher
 from tentbreak.attack import OracleModelViolation
+from tentbreak.keystream import BitPermutation
 from tentbreak.backend import ParameterError, get_backend
 from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
 from rank_reference import prioritized_candidates
@@ -15,16 +19,14 @@ from rank_reference import prioritized_candidates
 FP = get_backend("fp62")
 
 
-def random_session(rng, n=2, r=8, t=None):
+def random_session(rng, n=2, r=8):
     key = KeyMaterial(FP.from_float(rng.uniform(0.02, 0.98)),
                       FP.from_float(rng.uniform(0.02, 0.98)),
                       FP.from_float(rng.uniform(0.02, 0.98)),
                       rng.randrange(1 << (4 * n)))
-    if t is None:
-        t = rng.randrange(1, 10 ** 9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakKeyWarning)
-        return cipher.init_session(key, t, n, r, FP)
+        return cipher.init_session(key, rng.randrange(1, 10 ** 9), n, r, FP)
 
 
 def test_battery_shape():
@@ -85,42 +87,12 @@ def test_single_bit_check():
     assert attack._single_bit_index(0x80, "test") == 7
 
 
-def _solve_uj_exhaustive(pairs, f, n, order=None) -> list:
-    """Reference solver: checks every one of the 2^{4n} candidates, in
-    `order` when given."""
-    if not pairs:
-        raise ParameterError("at least one plaintext/ciphertext pair is needed")
-    mask = (1 << (4 * n)) - 1
-    candidates = order if order is not None else range(mask + 1)
-    sols = []
-    for x in candidates:
-        ok = True
-        for p_prev, p_j, c_prev, c_j in pairs:
-            if c_j ^ ((p_prev + x) & mask) != \
-                    keystream.apply(f, p_j ^ ((c_prev + x) & mask)):
-                ok = False
-                break
-        if ok:
-            sols.append(x)
-    if not sols:
-        raise ValueError("no candidate satisfies the pairs; wrong permutation "
-                         "or mismatched pairs")
-    return sols
-
-
-def _solutions(solver, *args, **kwargs):
-    """The solver's candidate list, or ValueError when it finds none."""
-    try:
-        return solver(*args, **kwargs)
-    except ValueError:
-        return ValueError
-
-
 @pytest.mark.parametrize("n, r", [(1, 6), (2, 4), (3, 3)])
 def test_solve_uj_matches_exhaustive(n, r):
     rng = random.Random(100 + n)
     unsolvable = 0
-    for _ in range(100):
+    # the spec walks all 2^{4n} candidates, 4,096 per call at n = 3
+    for _ in range(100 if n < 3 else 30):
         s = random_session(rng, n=n, r=r)
         msgs = []
         for _ in range(rng.randint(1, 3)):
@@ -129,12 +101,16 @@ def test_solve_uj_matches_exhaustive(n, r):
         for j in range(2, r + 1):
             pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1]) for p, c in msgs]
             sols = attack.solve_uj(pairs, s.F[j - 1], n)
-            assert sols == _solve_uj_exhaustive(pairs, s.F[j - 1], n)
+            assert sols == spec.solve_uj(pairs, s.F[j - 1].dest, n)
             assert s.U[j + 1] in sols
         # pairs now hold the last block, for which f_0 is usually wrong
-        got = _solutions(attack.solve_uj, pairs, s.F[0], n)
-        assert got == _solutions(_solve_uj_exhaustive, pairs, s.F[0], n)
-        unsolvable += got is ValueError
+        want = spec.solve_uj(pairs, s.F[0].dest, n)
+        if want:
+            assert attack.solve_uj(pairs, s.F[0], n) == want
+        else:
+            unsolvable += 1
+            with pytest.raises(ValueError, match="^no candidate satisfies the pairs"):
+                attack.solve_uj(pairs, s.F[0], n)
     assert unsolvable > 0
 
 
@@ -151,9 +127,9 @@ def test_solve_uj_order_matches_exhaustive(alpha):
                 pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])]
                 fast = attack.rank_candidates(
                     attack.solve_uj(pairs, s.F[j - 1], n), alpha, n)
-                assert fast == _solve_uj_exhaustive(
-                    pairs, s.F[j - 1], n,
-                    order=prioritized_candidates(alpha, n))
+                sols = set(spec.solve_uj(pairs, s.F[j - 1].dest, n))
+                assert fast == [x for x in prioritized_candidates(alpha, n)
+                                if x in sols]
 
 
 def test_rank_candidates_n16():
@@ -183,7 +159,7 @@ def test_rank_candidates_n16():
 
 
 def test_solve_uj_rejects_out_of_range_pairs():
-    f = keystream.BitPermutation(tuple(range(8)), 2)
+    f = BitPermutation(tuple(range(8)), 2)
     for bad in (0x100, -1):
         with pytest.raises(ParameterError):
             attack.solve_uj([(0x12, 0x34, 0x56, bad)], f, 2)
@@ -225,7 +201,7 @@ def test_solve_uj_single_equation_is_degenerate():
 
 
 def test_solve_uj_inconsistent_inputs():
-    wrong = keystream.BitPermutation(tuple(range(8)), 2)
+    wrong = BitPermutation(tuple(range(8)), 2)
     with pytest.raises(ValueError):
         attack.solve_uj([(0x12, 0x34, 0x56, 0x78), (0x9A, 0xBC, 0xDE, 0x0F)],
                         wrong, 2)
@@ -242,9 +218,12 @@ def test_block1_registers_reproduce_pairs():
         c = cipher.encrypt(s, Message(p, s.t)).blocks
         pairs.append((p[0], c[0]))
     y, z = attack.solve_block1_registers(pairs, s.F[0], 2)
-    f0inv = keystream.invert(s.F[0])
     for p1, c1 in pairs:
-        assert keystream.apply(f0inv, c1 ^ z) ^ y == p1
+        assert spec.keyless_decrypt({0: s.F[0].dest}, {}, (y, z), [c1], 2) == [p1]
+    p1, c1 = pairs[-1]
+    with pytest.raises(ValueError,
+                       match="^first-block pairs are inconsistent with f_0$"):
+        attack.solve_block1_registers(pairs + [(p1 ^ 1, c1)], s.F[0], 2)
 
 
 def test_prioritized_candidates_complete():
@@ -377,11 +356,43 @@ def test_state_file_roundtrip(tmp_path):
     assert attack.keyless_decrypt(loaded, fresh_c) == fresh
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_state_file_save_load_identity(tmp_path, data):
+    # any subset of the items, each with its provenance tag
+    n, r = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 5))
+    value = st.integers(0, (1 << (4 * n)) - 1)
+    tags = st.sampled_from(("cpa", "cca", "affine", "solved", "ambiguous",
+                            "assumed"))
+    state = attack.RecoveredState(n=n, r=r)
+    for j in data.draw(st.sets(st.integers(0, r - 1))):
+        state.perms[j] = BitPermutation(data.draw(st.permutations(range(4 * n))), n)
+        state.provenance[f"f{j}"] = data.draw(tags)
+    for j in data.draw(st.sets(st.integers(3, r + 1))) if r >= 2 else ():
+        state.noise[j] = data.draw(value)
+        state.provenance[f"U{j}"] = data.draw(tags)
+    if data.draw(st.booleans()):
+        state.reg1 = (data.draw(value), data.draw(value))
+        state.provenance["reg1"] = data.draw(tags)
+    attack.save_state(state, tmp_path / "state.txt")
+    loaded = attack.load_state(tmp_path / "state.txt")
+    assert (loaded.n, loaded.r, loaded.perms, loaded.noise, loaded.reg1,
+            loaded.provenance) == (state.n, state.r, state.perms, state.noise,
+                                   state.reg1, state.provenance)
+
+
 def test_state_file_rejects_garbage(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text("nope\n")
     with pytest.raises(ParameterError):
         attack.load_state(path)
+    identity = " ".join(str(i) for i in range(8))
+    for bad in ("garbage", "hello there", "V3: 0x12"):
+        path.write_text(f"YTSREC n=2 r=4\nf0: {identity}\n{bad}\n")
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{path}: line 3: expected f<j>, U<j> or reg1, got ")):
+            attack.load_state(path)
 
 
 def test_state_file_rejects_out_of_range_values(tmp_path):

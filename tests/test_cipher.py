@@ -1,19 +1,24 @@
 """Session setup, encryption/decryption and the key/ciphertext file formats."""
 
-import random
+import re
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tentbreak import cipher, tentmap
+import spec
+from tentbreak import cipher
 from tentbreak.backend import ParameterError, get_backend
 from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
 
 FP = get_backend("fp62")
-F64 = get_backend("f64")
 
 GOLDEN_PT = [0x00, 0xFF, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC]
 GOLDEN_CT = [0xFF, 0x7B, 0xAA, 0xFC, 0xF8, 0x5C, 0x62, 0x90]
+# hypothesis settings of the file tests, which write under tmp_path
+FILES = settings(max_examples=25, deadline=None, derandomize=True,
+                 database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def make_session(backend=FP, alpha=0.43, t=1234, n=2, r=8):
@@ -49,31 +54,30 @@ def test_encrypt_only_session_builds_no_inverse():
 def test_registers_start_at_noise_vectors():
     s = make_session()
     assert (s.U[0], s.U[1]) == (0xF4, 0x9F)
-    # first ciphertext block from the register equations directly
-    from tentbreak import keystream
-    u2 = s.U[2]
-    c1 = keystream.apply(s.F[0], GOLDEN_PT[0] ^ ((s.U[0] + u2) & 0xFF)) \
-        ^ ((s.U[1] + u2) & 0xFF)
-    assert c1 == GOLDEN_CT[0]
+    # the golden vector from the register equations directly
+    assert spec.encrypt([f.dest for f in s.F], s.U, GOLDEN_PT, 2) == GOLDEN_CT
 
 
-def test_roundtrip_random_sessions():
-    rng = random.Random(42)
-    for backend in (FP, F64):
-        for n in (1, 2):
-            for _ in range(20):
-                key = KeyMaterial(backend.from_float(rng.uniform(0.05, 0.95)),
-                                  backend.from_float(rng.uniform(0.05, 0.95)),
-                                  backend.from_float(rng.uniform(0.05, 0.95)),
-                                  rng.randrange(1 << (4 * n)))
-                t = rng.randrange(1, 10 ** 9)
-                r = rng.randrange(1, 33)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", WeakKeyWarning)
-                    s = cipher.init_session(key, t, n, r, backend)
-                pt = [rng.randrange(1 << (4 * n)) for _ in range(r)]
-                ct = cipher.encrypt(s, Message(pt, t))
-                assert cipher.decrypt(s, ct).blocks == pt
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_roundtrip_random_sessions(data):
+    # decrypt inverts encrypt at every n, and both equal the spec's chain
+    name = data.draw(st.sampled_from(("fp62", "f64")))
+    backend, n = get_backend(name), data.draw(st.integers(1, 16))
+    unit = st.floats(0.02, 0.98).map(backend.from_float)
+    top = (1 << (4 * n)) - 1
+    key = KeyMaterial(data.draw(unit), data.draw(unit), data.draw(unit),
+                      data.draw(st.integers(0, top)))
+    t, r = data.draw(st.integers(1, 10 ** 9)), data.draw(st.integers(1, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakKeyWarning)
+        s = cipher.init_session(key, t, n, r, backend)
+    pt = data.draw(st.lists(st.integers(0, top), max_size=r))
+    F = [f.dest for f in s.F]
+    ct = cipher.encrypt(s, Message(pt, t)).blocks
+    assert ct == spec.encrypt(F, s.U, pt, n)
+    assert cipher.decrypt(s, Message(ct, t)).blocks == \
+        spec.decrypt(F, s.U, ct, n) == pt
 
 
 def test_timestamp_changes_ciphertext():
@@ -126,23 +130,19 @@ def test_bad_parameters_rejected():
         cipher.init_session(wide, 1234, 2, 4, FP)
 
 
-def test_key_file_roundtrip(tmp_path):
-    path = tmp_path / "key.txt"
-    key = KeyMaterial(FP.from_float(0.43), FP.from_float(0.7),
-                      FP.from_float(0.37), 0xA5)
-    cipher.save_key(key, 2, FP, path)
-    loaded, n, backend = cipher.load_key(path)
-    assert n == 2
-    assert loaded == key
-    assert backend.bits == FP.bits
-
-
-def test_key_file_roundtrip_binary64(tmp_path):
-    path = tmp_path / "key.txt"
-    key = KeyMaterial(0.43, 0.7, 0.37, 0xA5)
-    cipher.save_key(key, 2, F64, path)
-    loaded, n, _ = cipher.load_key(path)
-    assert loaded == key
+@FILES
+@given(data=st.data())
+def test_key_file_roundtrip(tmp_path, data):
+    # any key in range on any backend, f64 and fp1..fp64 included
+    name = data.draw(st.sampled_from(("fp62", "f64"))
+                     | st.integers(1, 64).map("fp{}".format))
+    backend, n = get_backend(name), data.draw(st.integers(1, 16))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) \
+        if name == "f64" else st.integers(1, backend.one - 1)
+    key = KeyMaterial(data.draw(unit), data.draw(unit), data.draw(unit),
+                      data.draw(st.integers(0, (1 << (4 * n)) - 1)))
+    cipher.save_key(key, n, backend, tmp_path / "key.txt")
+    assert cipher.load_key(tmp_path / "key.txt") == (key, n, backend)
 
 
 def test_key_file_missing_field(tmp_path):
@@ -152,17 +152,28 @@ def test_key_file_missing_field(tmp_path):
         cipher.load_key(path)
 
 
-def test_ciphertext_file_roundtrip(tmp_path):
+@FILES
+@given(data=st.data())
+def test_ciphertext_file_roundtrip(tmp_path, data):
     path = tmp_path / "ct.txt"
-    cipher.save_ciphertext(Message(GOLDEN_CT, 1234), 2, path)
-    msg, n = cipher.load_ciphertext(path)
-    assert (msg.blocks, msg.t, n) == (GOLDEN_CT, 1234, 2)
+    t, n = data.draw(st.integers(1, 10 ** 20)), data.draw(st.integers(1, 16))
+    blocks = data.draw(st.lists(st.integers(0, (1 << (4 * n)) - 1), max_size=20))
+    cipher.save_ciphertext(Message(blocks, t), n, path)
+    msg, n_file = cipher.load_ciphertext(path)
+    assert (msg.blocks, msg.t, n_file) == (blocks, t, n)
     header = path.read_text().splitlines()[0]
-    assert header == "YTS1 t=1234 n=2 len=8"
+    assert header == f"YTS1 t={t} n={n} len={len(blocks)}"
 
 
 def test_ciphertext_file_rejects_garbage(tmp_path):
     path = tmp_path / "ct.txt"
-    path.write_text("not a ciphertext\n")
-    with pytest.raises(ParameterError):
-        cipher.load_ciphertext(path)
+    for text, error in (
+            ("not a ciphertext\n", " is not a ciphertext file"),
+            ("YTS1 t=5 n=2 len=-3\n", ": line 1: len must be >= 0, got -3"),
+            ("YTS1 t=5 n=2 len=1\n0a\nzzzz\n", ": line 3: expected the end"),
+            ("YTS1 t=5 n=2 len=1\n0a\n\n0b\n", ": line 4: expected the end")):
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=re.escape(f"{path}{error}")):
+            cipher.load_ciphertext(path)
+    path.write_text("YTS1 t=5 n=2 len=1\n0a\n\n  \n")   # blank lines may follow
+    assert cipher.load_ciphertext(path)[0].blocks == [0x0A]

@@ -56,13 +56,16 @@ def test_keygen_seed_env_fallback(tmp_path, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
-def test_shared_flags_before_the_subcommand_are_usage_errors(tmp_path):
+def test_shared_flags_before_the_subcommand_are_usage_errors(tmp_path, capsys):
     out = tmp_path / "key.txt"
     for flag in (["--seed", 5], ["--n", 3], ["--backend", "f64"], ["--r", 4],
-                 ["--table", tmp_path / "table.txt"]):
+                 ["--table", tmp_path / "table.txt"], ["--seed=5"]):
         with pytest.raises(SystemExit) as exc:
             run([*flag, "keygen", "--out", out])
         assert exc.value.code == 2
+        name = flag[0].partition("=")[0]
+        assert f"error: {name} must follow the subcommand " \
+               f"(tentbreak SUBCOMMAND {name} ...)" in capsys.readouterr().err
         assert not out.exists()
     # after the subcommand the same flags are honoured
     assert run(["keygen", "--seed", 5, "--n", 3, "--backend", "f64",
@@ -260,13 +263,15 @@ def test_solve_u_subcommand(tmp_path, capsys):
     assert f"0x{s.U[j + 1]:02x}" in outline
 
 
+def _identity_state(path, blocks) -> None:
+    """A state file at n = 2, r = 4 whose f_j, j in blocks, are the identity."""
+    path.write_text("YTSREC n=2 r=4\n" + "".join(
+        f"f{j}: 0 1 2 3 4 5 6 7\n" for j in blocks))
+
+
 def test_solve_u_block_index_out_of_range(tmp_path, capsys):
-    from tentbreak import attack, keystream
-    state = attack.RecoveredState(n=2, r=4)
-    for i in (0, 1, 3):                       # f2 is missing
-        state.perms[i] = keystream.BitPermutation(tuple(range(8)), 2)
     state_file = tmp_path / "state.txt"
-    attack.save_state(state, state_file)
+    _identity_state(state_file, (0, 1, 3))      # f2 is missing
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("12 34 56 78\n")
     for j in (0, 1, 5, 3):
@@ -308,18 +313,18 @@ def test_truncated_ciphertext_names_the_file_and_line(tmp_path, capsys):
 
 
 def test_solve_u_empty_pairs_file_is_usage_error(tmp_path, capsys):
-    from tentbreak import attack, keystream
-    state = attack.RecoveredState(n=2, r=4)
-    for i in range(4):
-        state.perms[i] = keystream.BitPermutation(tuple(range(8)), 2)
-    state_file = tmp_path / "state.txt"
-    attack.save_state(state, state_file)
-    pairs = tmp_path / "pairs.txt"
-    for text in ("# no pairs\n", "12 34 56\n", "12 34 56 zz\n"):
+    state_file, pairs = tmp_path / "state.txt", tmp_path / "pairs.txt"
+    _identity_state(state_file, range(4))
+    wide = "line 2: pair value outside the 8-bit block range"
+    for text, error in (("# no pairs\n", "at least one plaintext/ciphertext"),
+                        ("12 34 56\n", "line 1: expected four hex values"),
+                        ("12 34 56 zz\n", "line 1: expected four hex values"),
+                        ("12 34 56 78\n00 1ff 02 03\n", wide),
+                        ("12 34 56 78\n00 01 -1 03\n", wide)):
         pairs.write_text(text)
         assert run(["solve-u", "--state", state_file, "--pairs", pairs,
                     "--j", 2]) == 2
-        assert str(pairs) in capsys.readouterr().err
+        assert f"{pairs}: {error}" in capsys.readouterr().err
 
 
 def test_analyze_fig2_honours_n(tmp_path):

@@ -1,19 +1,17 @@
 """Noise-vector extraction and the bit-permutation machinery."""
 
 import random
-from functools import lru_cache
-from itertools import permutations
-from operator import itemgetter
+from itertools import islice, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import spec
 from tentbreak import cipher, keystream, tentmap
-from tentbreak.backend import ParameterError, get_backend
+from tentbreak.backend import DomainError, ParameterError, get_backend
 from tentbreak.cipher import KeyMaterial, Message
 from tentbreak.keystream import BitPermutation, DEFAULT_TABLE, QuarterPermTable
 from tentbreak.tentmap import TentParams
-from tent_reference import extended_step, reference_backend
 
 FP = get_backend("fp62")
 ORDERS = list(permutations((1, 2, 3, 4)))
@@ -23,86 +21,23 @@ def fp(num, den):
     return FP.from_ratio(num, den)
 
 
-# ---------------------------------------------------------------------------
-# slow references: the per-bit permutation routines, the per-round maps and
-# the threshold extractor that the rotation-class forms replace (verbatim)
-
-def threshold_bit(x, alpha) -> int:
-    """0 if x <= alpha else 1 (equality goes to the 0 branch)."""
-    return 0 if x <= alpha else 1
-
-
-def _apply_reference(p: BitPermutation, x: int) -> int:
-    """Route every input bit i of x to output position p.dest[i]."""
-    if x >> p.width:
-        raise ParameterError("block wider than the permutation")
-    y = 0
-    for i, d in enumerate(p.dest):
-        y |= ((x >> i) & 1) << d
-    return y
-
-
-def _invert_reference(p: BitPermutation) -> BitPermutation:
-    inv = [0] * p.width
-    for i, d in enumerate(p.dest):
-        inv[d] = i
-    return BitPermutation(tuple(inv), p.n)
-
-
-def _round_dest(w, n: int) -> tuple:
-    """dest of one round: quarter shuffle by w, then <<< 1."""
-    width = 4 * n
-    dest = [0] * width
-    for slot in range(1, 5):          # output quarter slot, 1 = most significant
-        src = w[slot - 1]             # input quarter M_src lands in this slot
-        src_base = (4 - src) * n
-        slot_base = (4 - slot) * n
-        for k in range(n):
-            pre = slot_base + k       # position before the rotation
-            dest[src_base + k] = (pre + 1) % width
-    return tuple(dest)
-
-
-def build_fji(v: int, table: QuarterPermTable, n: int) -> BitPermutation:
-    """Bit permutation of one round: quarter shuffle by table[v], then <<< 1."""
-    if not 0 <= v < 16:
-        raise ParameterError("selector must be a 4-bit value")
-    return BitPermutation(_round_dest(table.entries[v], n), n)
-
-
-@lru_cache(maxsize=32)
-def _round_dests(entries: tuple, n: int) -> tuple:
-    """The 16 round dests of a table at block parameter n, built on first use."""
-    return tuple(_round_dest(w, n) for w in entries)
-
-
-def _compose_fj_indexed(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
-    """f_j from the n 4-bit nibbles of V_j, most significant nibble first.
-
-    Composes the table's 16 round maps, built once per (table, n) and
-    cached, by indexing; equal to composing build_fji of each nibble.
-    """
-    width = 4 * n
-    if vj >> width:
-        raise ParameterError("V_j wider than 4n bits")
-    rounds = _round_dests(table.entries, n)
-    dest = range(width)
-    for shift in range(width - 4, -1, -4):
-        dest = itemgetter(*dest)(rounds[(vj >> shift) & 0xF])
-    return BitPermutation(tuple(dest), n)
-
-
 def test_threshold_bit():
-    half = fp(1, 2)
-    assert threshold_bit(fp(1, 4), half) == 0
-    assert threshold_bit(fp(3, 4), half) == 1
-    assert threshold_bit(half, half) == 0       # equality -> 0
-    assert threshold_bit(FP.one, fp(9, 10)) == 1
+    # a state equal to the threshold gives bit 0: alpha = 1/2, beta = 0.7,
+    # and the orbits 1/2, 1, 0.7, 0.6 and 1/4, 1/2, 1, 0.7
+    half, beta = fp(1, 2), fp(7, 10)
+    p = TentParams(half, beta)
+    for x0, states, u in ((half, [half, FP.one, beta, fp(3, 5)], 0b0111),
+                          (fp(1, 4), [fp(1, 4), half, FP.one, beta], 0b0011)):
+        assert spec.extract(states, half, 1) == [u]
+        for mended in (False, True):
+            assert keystream.build_noise_vectors(x0, p, 1, 0, FP,
+                                                 mended=mended) == [u]
 
 
 def test_bits_to_block_msb_first():
-    assert bits_to_block([1, 0, 1, 0, 1, 0, 1, 0]) == 0b10101010
-    assert bits_to_block([0, 0, 0, 1]) == 1
+    assert spec.block([1, 0, 1, 0, 1, 0, 1, 0]) == 0b10101010
+    assert spec.block([0, 0, 0, 1]) == 1
+    assert spec.bits(0b0011, 4) == [0, 0, 1, 1]
 
 
 def test_noise_vectors_golden():
@@ -142,12 +77,17 @@ def test_default_table_valid():
         assert sorted(e) == [1, 2, 3, 4]
 
 
-def test_table_file_roundtrip(tmp_path):
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=st.lists(st.sampled_from(ORDERS), min_size=16, max_size=16),
+       order=st.permutations(range(16)))
+@example(entries=list(DEFAULT_TABLE.entries), order=list(range(16)))
+def test_table_file_roundtrip(tmp_path, entries, order):
+    # the 16 'v: a b c d' lines in any order, with comments and blank lines
     path = tmp_path / "table.txt"
-    path.write_text("".join(f"{v}: {a} {b} {c} {d}\n" for v, (a, b, c, d)
-                            in enumerate(DEFAULT_TABLE.entries)))
-    loaded = QuarterPermTable.load(path)
-    assert loaded.entries == DEFAULT_TABLE.entries
+    path.write_text("# quarter table\n\n" + "".join(
+        f"{v}: {' '.join(map(str, entries[v]))}\n" for v in order))
+    assert QuarterPermTable.load(path).entries == tuple(entries)
 
 
 def test_table_rejects_bad_entries():
@@ -160,27 +100,30 @@ def test_table_rejects_bad_entries():
 
 def test_fji_identity_shuffle_is_rotation():
     # table entry 0 keeps the quarters in place, leaving the <<< 1
-    f = build_fji(0, DEFAULT_TABLE, 2)
-    assert f.dest == tuple((i + 1) % 8 for i in range(8))
+    cells = list(range(8))
+    assert spec.quarter_round(DEFAULT_TABLE.entries[0], cells) == cells[1:] + cells[:1]
+    assert keystream.compose_fj(0, DEFAULT_TABLE, 1).dest == (1, 2, 3, 0)
 
 
 def test_fji_quarter_swap_matches_direct_evaluation():
     # w = (2,1,3,4): swap the two most significant quarters, then rotate
-    table = QuarterPermTable([(2, 1, 3, 4)] * 16)
-    f = build_fji(5, table, 2)
-    for x in range(256):
+    def direct(x):
         m1, m2, low = (x >> 6) & 3, (x >> 4) & 3, x & 0xF
         shuffled = (m2 << 6) | (m1 << 4) | low
-        rotated = ((shuffled << 1) | (shuffled >> 7)) & 0xFF
-        assert keystream.apply(f, x) == rotated
+        return ((shuffled << 1) | (shuffled >> 7)) & 0xFF
+
+    f = keystream.compose_fj(0x5A, QuarterPermTable([(2, 1, 3, 4)] * 16), 2)
+    for x in range(256):
+        assert spec.block(spec.quarter_round((2, 1, 3, 4), spec.bits(x, 8))) \
+            == direct(x)
+        assert keystream.apply(f, x) == direct(direct(x))
 
 
 def test_fj_single_nibble_case():
     # n = 1: f_j is a single quarter shuffle plus rotation
     for v in range(16):
-        a = keystream.compose_fj(v, DEFAULT_TABLE, 1)
-        b = build_fji(v, DEFAULT_TABLE, 1)
-        assert a.dest == b.dest
+        assert keystream.compose_fj(v, DEFAULT_TABLE, 1).dest == \
+            spec.fj(v, DEFAULT_TABLE.entries, 1)
 
 
 def test_fj_identity_selectors_rotate_twice():
@@ -202,9 +145,8 @@ def test_fj_matches_stepwise_application():
         vj = rng.randrange(256)
         f = keystream.compose_fj(vj, DEFAULT_TABLE, 2)
         for x in (0, 0xFF, rng.randrange(256)):
-            y = keystream.apply(build_fji((vj >> 4) & 0xF, DEFAULT_TABLE, 2), x)
-            y = keystream.apply(build_fji(vj & 0xF, DEFAULT_TABLE, 2), y)
-            assert keystream.apply(f, x) == y
+            steps = spec.fj_cells(vj, DEFAULT_TABLE.entries, 2, spec.bits(x, 8))
+            assert keystream.apply(f, x) == spec.block(steps)
 
 
 def test_apply_single_bits():
@@ -237,63 +179,6 @@ def test_bad_permutation_rejected():
         keystream.compose_fj(0x100, DEFAULT_TABLE, 1)
 
 
-# ---------------------------------------------------------------------------
-# slow references: the nibble-by-nibble composition and the step-by-step
-# orbit list that the fast paths replace
-
-def _compose_fj_reference(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
-    """f_j from the n 4-bit nibbles of V_j, most significant nibble first."""
-    width = 4 * n
-    if vj >> width:
-        raise ParameterError("V_j wider than 4n bits")
-    dest = list(range(width))
-    for i in range(1, n + 1):
-        nib = (vj >> (width - 4 * i)) & 0xF
-        step = build_fji(nib, table, n)
-        dest = [step.dest[d] for d in dest]
-    return BitPermutation(tuple(dest), n)
-
-
-def bits_to_block(bits) -> int:
-    """Pack a bit list into an integer, first bit most significant."""
-    v = 0
-    for b in bits:
-        v = (v << 1) | b
-    return v
-
-
-def _noise_vectors_reference(x0, p: TentParams, n: int, j_max: int, backend,
-                             mended: bool = False) -> list[int]:
-    """Noise vectors U_0 .. U_j_max from the orbit starting at x0.
-
-    Bit u_i thresholds orbit state x_i (the initial condition is x_0), and
-    u_{4jn} is the most significant bit of U_j.  backend must come from
-    reference_backend.
-    """
-    if j_max < 0:
-        raise ParameterError("j_max must be >= 0")
-    total = 4 * n * (j_max + 1)
-    orbit = [x0]
-    x = x0
-    for _ in range(total - 1):
-        x = extended_step(x, p, backend)
-        orbit.append(x)
-    if mended:
-        bits = [threshold_bit(orbit[i], backend.half) for i in range(total)]
-    else:
-        bits = [threshold_bit(orbit[i], p.alpha) for i in range(total)]
-    return [bits_to_block(bits[4 * n * j: 4 * n * (j + 1)])
-            for j in range(j_max + 1)]
-
-
-def _outcome(fn, *args, **kwargs):
-    """fn's result, or the type and message of what it raised."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 def test_compose_fj_matches_reference():
     rng = random.Random(17)
     tables = [DEFAULT_TABLE] + [
@@ -303,13 +188,15 @@ def test_compose_fj_matches_reference():
         for n in range(1, 17):
             for vj in [0, (1 << (4 * n)) - 1] + \
                       [rng.randrange(1 << (4 * n)) for _ in range(6)]:
-                assert keystream.compose_fj(vj, table, n) == \
-                    _compose_fj_reference(vj, table, n)
+                assert keystream.compose_fj(vj, table, n).dest == \
+                    spec.fj(vj, table.entries, n)
 
 
 @pytest.mark.parametrize("name", ["fp2", "fp8", "fp62", "fp64", "f64"])
 def test_noise_vectors_match_reference(name):
-    be = get_backend(name)
+    # the spec's extractor on the spec's orbit, and an error where the
+    # orbit fails before the last bit
+    be, g = get_backend(name), spec.Grid(name)
     rng = random.Random(name)
     boundary = [be.zero, be.one]
     outside = [be.zero - be.one, be.one + be.one]
@@ -323,24 +210,37 @@ def test_noise_vectors_match_reference(name):
     cases += [(bad, interior(), x0) for bad in boundary
               for x0 in [interior()] + outside]
     cases += [(be.zero, be.one, x0) for x0 in boundary]   # alpha and beta bad
+    sizes = ((1, 40), (2, 9), (5, 3), (16, 2), (16, 12))
+    longest = max(4 * n * (j_max + 1) for n, j_max in sizes)
     for alpha, beta, x0 in cases:
         p = TentParams(alpha, beta)
+        states = []
+        try:
+            states.extend(islice(spec.orbit(x0, alpha, beta, g), longest))
+        except ValueError:
+            pass
         for mended in (False, True):
-            for n, j_max in ((1, 40), (2, 9), (5, 3), (16, 2), (16, 70)):
-                got = _outcome(keystream.build_noise_vectors, x0, p, n, j_max,
-                               be, mended=mended)
-                want = _outcome(_noise_vectors_reference, x0, p, n, j_max,
-                                reference_backend(be), mended=mended)
-                assert got == want
+            for n, j_max in sizes:
+                total = 4 * n * (j_max + 1)
+                if len(states) < total:
+                    with pytest.raises(ValueError):
+                        keystream.build_noise_vectors(x0, p, n, j_max, be,
+                                                      mended=mended)
+                    continue
+                assert keystream.build_noise_vectors(
+                    x0, p, n, j_max, be, mended=mended) == spec.extract(
+                        states[:total], be.half if mended else alpha, n)
 
 
 def test_noise_vectors_invalid_beta_error_matches_reference():
-    p = TentParams(fp(3, 10), FP.one)        # beta must lie inside (0, 1)
-    with pytest.raises(ParameterError, match="beta") as fast:
-        keystream.build_noise_vectors(FP.zero, p, 2, 3, FP)
-    with pytest.raises(ParameterError) as slow:
-        _noise_vectors_reference(FP.zero, p, 2, 3, reference_backend(FP))
-    assert str(fast.value) == str(slow.value)
+    for alpha, beta, x0, error, match in (
+            (fp(3, 10), FP.one, FP.zero, ParameterError,
+             r"beta must lie strictly inside \(0, 1\)"),
+            (FP.zero, fp(7, 10), fp(1, 2), ParameterError,
+             r"alpha must lie strictly inside \(0, 1\)"),
+            (fp(3, 10), fp(7, 10), -1, DomainError, r"x outside \[0, 1\]")):
+        with pytest.raises(error, match=match):
+            keystream.build_noise_vectors(x0, TentParams(alpha, beta), 2, 3, FP)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +248,7 @@ def test_noise_vectors_invalid_beta_error_matches_reference():
 
 TABLES = st.lists(st.sampled_from(ORDERS), min_size=16, max_size=16).map(
     QuarterPermTable)
-CHECKS = settings(max_examples=300, deadline=None, derandomize=True,
+CHECKS = settings(max_examples=200, deadline=None, derandomize=True,
                   database=None)
 
 
@@ -372,14 +272,14 @@ def dest_cases(draw):
 def test_compose_fj_column_form_matches_references(case):
     n, table, vj, x = case
     f = keystream.compose_fj(vj, table, n)
-    ref = _compose_fj_indexed(vj, table, n)
-    assert f.dest == ref.dest == _compose_fj_reference(vj, table, n).dest
+    dest = spec.fj(vj, table.entries, n)
+    assert f.dest == dest
     assert all(d % n == i % n for i, d in enumerate(f.dest))
     assert len(f.classes) <= 4
-    assert keystream.apply(f, x) == _apply_reference(ref, x)
-    finv, ref_inv = keystream.invert(f), _invert_reference(ref)
-    assert finv.dest == ref_inv.dest
-    assert keystream.apply(finv, x) == _apply_reference(ref_inv, x)
+    assert keystream.apply(f, x) == spec.apply(dest, x)
+    finv, inv = keystream.invert(f), spec.invert(dest)
+    assert finv.dest == inv
+    assert keystream.apply(finv, x) == spec.apply(inv, x)
 
 
 @CHECKS
@@ -389,21 +289,19 @@ def test_arbitrary_permutation_matches_references(case):
     n, dest, x = case
     p = BitPermutation(dest, n)
     assert p.dest == tuple(dest)
-    assert keystream.apply(p, x) == _apply_reference(p, x)
-    pinv, ref_inv = keystream.invert(p), _invert_reference(p)
-    assert pinv.dest == ref_inv.dest
-    assert keystream.apply(pinv, x) == _apply_reference(ref_inv, x)
+    assert keystream.apply(p, x) == spec.apply(dest, x)
+    pinv, inv = keystream.invert(p), spec.invert(dest)
+    assert pinv.dest == inv
+    assert keystream.apply(pinv, x) == spec.apply(inv, x)
     assert keystream.invert(pinv) == p
 
 
 def test_apply_rejects_wide_blocks_like_reference():
     f = keystream.compose_fj(0x3C, DEFAULT_TABLE, 2)
     for x in (0x100, -1):
-        with pytest.raises(ParameterError, match="wider") as fast:
+        with pytest.raises(ParameterError,
+                           match="^block wider than the permutation$"):
             keystream.apply(f, x)
-        with pytest.raises(ParameterError) as slow:
-            _apply_reference(f, x)
-        assert str(fast.value) == str(slow.value)
 
 
 def test_permutation_equality_and_hash_are_on_dest():
@@ -413,27 +311,6 @@ def test_permutation_equality_and_hash_are_on_dest():
     assert f != keystream.compose_fj(0x00, DEFAULT_TABLE, 2)
     assert f != BitPermutation(range(4), 1)
     assert len({f, g, keystream.invert(keystream.invert(f))}) == 1
-
-
-def _session_reference(key, t, n, r, backend, table):
-    """U, F, Finv of a session, F and Finv from the references."""
-    x0 = tentmap.derive_x0(t, key.gamma, n, backend)
-    U = keystream.build_noise_vectors(x0, TentParams(key.alpha, key.beta), n,
-                                      r + 1, backend)
-    F = [_compose_fj_indexed(U[j] ^ key.K, table, n) for j in range(r)]
-    return U, F, [_invert_reference(f) for f in F]
-
-
-def _chain_reference(perms, x_prev, y_prev, U, blocks, n):
-    mask = (1 << (4 * n)) - 1
-    out = []
-    for j, x in enumerate(blocks, start=1):
-        u = U[j + 1]
-        y_prev = _apply_reference(perms[j - 1], x ^ ((y_prev + u) & mask)) \
-            ^ ((x_prev + u) & mask)
-        out.append(y_prev)
-        x_prev = x
-    return out
 
 
 @pytest.mark.parametrize("name", ["fp62", "f64"])
@@ -449,12 +326,13 @@ def test_session_matches_references(name):
                           rng.randrange(1 << (4 * n)))
         t, r = rng.randrange(1, 10 ** 9), 12
         s = cipher.init_session(key, t, n, r, be, table=table)
-        U, F, Finv = _session_reference(key, t, n, r, be, table)
+        U, F = spec.session(key.alpha, key.beta, key.gamma, key.K, t, n, r,
+                            spec.Grid(name), table.entries)
         assert s.U == U
-        assert [f.dest for f in s.F] == [f.dest for f in F]
-        assert [f.dest for f in s.Finv] == [f.dest for f in Finv]
+        assert [f.dest for f in s.F] == F
+        assert [f.dest for f in s.Finv] == [spec.invert(f) for f in F]
         plain = [rng.randrange(1 << (4 * n)) for _ in range(r)]
-        want = _chain_reference(F, U[1], U[0], U, plain, n)
+        want = spec.encrypt(F, U, plain, n)
         assert cipher.encrypt(s, Message(plain, t)).blocks == want
         assert cipher.decrypt(s, Message(want, t)).blocks == \
-            _chain_reference(Finv, U[0], U[1], U, want, n) == plain
+            spec.decrypt(F, U, want, n) == plain

@@ -1,11 +1,18 @@
-"""Every function, class and method in src/tentbreak has a caller.
+"""Every function, class and method in src/tentbreak has a caller, and
+every helper in tests/ is read by some test.
 
-A definition counts as used when its bare name is read somewhere in src/ or
-bench/ (as a name or an attribute), or appears in one of the dotted paths of
-bench/tracer.py's WRAPPED table, which the tracer resolves with getattr.
-Dunder methods are called by Python itself and are skipped.  Code that only
-the tests call lives under tests/ (for example rank_reference.py), so
-ALLOWED is empty; a name added to it needs its reason.
+A definition in src/ counts as used when its bare name is read somewhere in
+src/ or bench/ (as a name or an attribute), or appears in one of the dotted
+paths of bench/tracer.py's WRAPPED table, which the tracer resolves with
+getattr.  Dunder methods are called by Python itself and are skipped.  Code
+that only the tests call lives under tests/ (for example rank_reference.py),
+so ALLOWED is empty; a name added to it needs its reason.
+
+A top-level name in tests/ other than a test_ function (a helper, strategy,
+constant or fixture) counts as read when its own module reads it, or another
+tests/ module reads it by attribute or from-import.  A parameter counts as
+a read, since pytest passes fixtures by parameter name.  So a reference copy
+that no test calls any more fails here.
 """
 
 import ast
@@ -13,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tentbreak"
+TESTS = ROOT / "tests"
 
 # definitions that only the tests call, each mapped to the reason it stays
 ALLOWED = {}
@@ -64,3 +72,38 @@ def test_allowlist_is_current():
     stale = sorted(qual for qual in ALLOWED
                    if qual not in defined or defined[qual] in refs)
     assert not stale, f"allowlisted but missing or now used: {stale}"
+
+
+def _test_names():
+    """The top-level names in tests/ other than test_ functions, and the
+    names read, each as (module, name) as the module docstring counts
+    reads."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(TESTS.glob("*.py"))}
+    defined, reads = set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module, node.name))
+            elif isinstance(node, ast.Assign):
+                defined.update((module, t.id) for t in node.targets
+                               if isinstance(t, ast.Name))
+        origin = {a.asname or a.name: (node.module, a.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module in trees
+                  for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    getattr(node.value, "id", None) in trees:
+                reads.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(origin.get(node.id, (module, node.id)))
+            elif isinstance(node, ast.arg):
+                reads.add((module, node.arg))
+    return {d for d in defined if not d[1].startswith("test_")}, reads
+
+
+def test_every_test_helper_is_read():
+    defined, reads = _test_names()
+    unread = sorted(f"{module}.{name}" for module, name in defined - reads)
+    assert not unread, f"defined in tests/ but never read: {unread}"

@@ -1,17 +1,16 @@
 """Map iteration, initial-condition derivation and orbit analysis."""
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spec
 from tentbreak import tentmap
 from tentbreak.backend import (DomainError, FixedPointBackend, ParameterError,
                                get_backend, parse_value)
-from tent_reference import derive_x0 as derive_x0_parent, reference_backend
 
 FP = get_backend("fp62")
 F64 = get_backend("f64")
@@ -50,12 +49,14 @@ def test_skew_tent_peak():
 
 def test_skew_tent_domain():
     p = tentmap.TentParams(fp(1, 2), fp(7, 10))
-    with pytest.raises(DomainError):
+    inside = r" must lie strictly inside \(0, 1\)$"
+    with pytest.raises(DomainError, match=r"^x outside \[0, 1\]$"):
         tentmap.iterate_orbit(FP.one + 1, p, 1, FP)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^alpha" + inside):
         tentmap.iterate_orbit(fp(1, 2), tentmap.TentParams(FP.zero, p.beta), 1, FP)
-    with pytest.raises(ParameterError):
-        tentmap.derive_x0(1234, FP.zero, 2, FP)
+    # 1/2 -> 1 at alpha = 1/2, where the restart checks beta
+    with pytest.raises(ParameterError, match="^beta" + inside):
+        tentmap.iterate_orbit(fp(1, 2), tentmap.TentParams(fp(1, 2), FP.one), 2, FP)
 
 
 def test_extended_redirects_boundary():
@@ -107,8 +108,9 @@ def test_derive_x0_power_of_ten_is_degenerate():
 
 @pytest.mark.parametrize("name", ["fp1", "fp2", "fp8", "fp62", "fp64", "f64"])
 def test_derive_x0_matches_parent(name):
-    be = get_backend(name)
-    ref = reference_backend(be)
+    # against the spec's F_gamma^{4n}(s): equal values, and an error where
+    # the spec has one
+    be, g = get_backend(name), spec.Grid(name)
     rng = random.Random(name)
     gammas = [be.zero, be.one, be.half]
     gammas += [be.from_float(rng.uniform(0.001, 0.999)) for _ in range(6)]
@@ -117,22 +119,26 @@ def test_derive_x0_matches_parent(name):
     outcomes = set()
     for gamma in gammas:
         for t in ts:
-            for n in range(1, 17):
-                try:
-                    got = tentmap.derive_x0(t, gamma, n, be)
-                except ValueError as exc:
-                    got = type(exc), str(exc)
-                try:
-                    want = derive_x0_parent(t, gamma, n, ref)
-                except ValueError as exc:
-                    want = type(exc), str(exc)
-                assert got == want, (t, gamma, n)
-                outcomes.add(got if isinstance(got, tuple) else got == be.zero)
-    # the degenerate chain, interior results and both kinds of error occur;
-    # at fp1 the one interior gamma, 1/2, sends every x0 to 0
-    assert {True, (DomainError, "timestamp must be a positive integer, got 0"),
-            (ParameterError, "gamma must lie strictly inside (0, 1)")} <= outcomes
+            n = rng.randint(1, 16)
+            try:
+                want = spec.derive_x0(t, gamma, n, g)
+            except ValueError:
+                want = ValueError
+                with pytest.raises(ValueError):
+                    tentmap.derive_x0(t, gamma, n, be)
+            else:
+                assert tentmap.derive_x0(t, gamma, n, be) == want, (t, gamma, n)
+            outcomes.add(want if want is ValueError else want == be.zero)
+    # the degenerate chain, interior results and errors occur; at fp1 the
+    # one interior gamma, 1/2, sends every x0 to 0
+    assert {True, ValueError} <= outcomes
     assert False in outcomes or name == "fp1"
+    with pytest.raises(DomainError,
+                       match="^timestamp must be a positive integer, got 0$"):
+        tentmap.derive_x0(0, be.half, 1, be)
+    with pytest.raises(ParameterError,
+                       match=r"^gamma must lie strictly inside \(0, 1\)$"):
+        tentmap.derive_x0(1234, be.one, 1, be)
 
 
 def test_derive_x0_rejects_bad_t():
@@ -181,48 +187,22 @@ def test_analyze_orbit_inconclusive_cap():
     assert not rep.conclusive  # 62-bit orbits do not close in 20 steps
 
 
-_check_open_unit = tentmap.check_open_unit
-
-
-def _orbit_stream_parent(x0, p, backend):
-    """orbit_stream as it was before it stepped through
-    backend.tent_branches; kept verbatim apart from its name and
-    annotation.  backend must come from reference_backend."""
-    zero, one, div, complement = (backend.zero, backend.one, backend.div,
-                                  backend.complement)
-    alpha, beta = p.alpha, p.beta
-    x = x0
-    yield x
-    while x == zero or x == one:
-        _check_open_unit(beta, backend, "beta")
-        x = beta
-        yield x
-    _check_open_unit(alpha, backend, "alpha")
-    alpha_c = complement(alpha)
-    while True:
-        if zero < x < one:
-            x = div(x, alpha) if x <= alpha else div(complement(x), alpha_c)
-        elif x == zero or x == one:
-            _check_open_unit(beta, backend, "beta")
-            x = beta
-        else:
-            raise DomainError("x outside [0, 1]")
-        yield x
-
-
-def _states(stream, x0, p, backend, count):
-    """The first `count` states of stream(x0, p, backend), or the type and
-    message of what it raised."""
+def _prefix(states, count):
+    """The first `count` states, or those before the map failed, and
+    whether it failed."""
+    out = []
     try:
-        return list(islice(stream(x0, p, backend), count))
-    except ValueError as exc:
-        return type(exc), str(exc)
+        out.extend(islice(states, count))
+    except ValueError:
+        return out, True
+    return out, False
 
 
 @pytest.mark.parametrize("name", ["fp2", "fp8", "fp62", "fp64", "f64"])
 def test_orbit_stream_matches_parent(name):
-    be = get_backend(name)
-    ref = reference_backend(be)
+    # against the spec's orbit of G: equal states, and a failure at the
+    # step where the spec has one
+    be, g = get_backend(name), spec.Grid(name)
     rng = random.Random(name)
     boundary = [be.zero, be.one]
     outside = [be.zero - be.one, be.one + be.one]
@@ -231,16 +211,22 @@ def test_orbit_stream_matches_parent(name):
         return be.from_float(rng.uniform(0.01, 0.99))
 
     cases = [(be.half, interior(), x0) for x0 in boundary + [interior()]]
+    # alpha = 1/2 reaches 1 from inside, so beta is checked mid-orbit
+    cases += [(be.half, bad, interior()) for bad in boundary]
     cases += [(interior(), interior(), x0)
               for x0 in boundary + outside + [interior() for _ in range(6)]]
     cases += [(interior(), bad, x0) for bad in boundary for x0 in boundary]
     cases += [(bad, interior(), x0) for bad in boundary
               for x0 in boundary + outside + [interior()]]
+    failures = 0
     for alpha, beta, x0 in cases:
         p = tentmap.TentParams(alpha, beta)
-        for count in (1, 2, 3, 300):
-            assert _states(tentmap.orbit_stream, x0, p, be, count) == \
-                _states(_orbit_stream_parent, x0, p, ref, count)
+        want, failed = _prefix(spec.orbit(x0, alpha, beta, g), 100)
+        failures += failed
+        for count in (1, 2, 3, 100):
+            assert _prefix(tentmap.orbit_stream(x0, p, be), count) == \
+                (want[:count], failed and len(want) < count)
+    assert 0 < failures < len(cases)
 
 
 @pytest.mark.parametrize("name", ["fp2", "fp8", "fp16", "fp62", "fp64", "f64"])
@@ -257,50 +243,28 @@ def test_tent_branches_match_div(name, data):
         left_x = st.integers(0, alpha)
         right_x = st.integers(alpha + 1, be.one)
     left, right = be.tent_branches(alpha)
-    ref = reference_backend(be)
+    g = spec.Grid(name)
     x = data.draw(left_x)
-    assert left(x) == ref.div(x, alpha)
+    assert left(x) == spec.tent(x, alpha, g)
     x = data.draw(right_x)
-    assert right(x) == ref.div(ref.complement(x), ref.complement(alpha))
+    assert right(x) == spec.tent(x, alpha, g)
 
 
-@dataclass
-class _ParentOrbitReport:
-    transient_len: int
-    period: int
-    hit_boundary_at: int | None
-    samples: list = field(default_factory=list)
-    conclusive: bool = True
-
-
-def _analyze_orbit_parent(x0, p, max_iter, backend, sample_limit=64):
-    """analyze_orbit as it was before its unread sample and boundary-hit
-    bookkeeping was removed; kept verbatim apart from its name, that of its
-    report class and the parent orbit_stream it iterates.  backend must
-    come from reference_backend."""
+def _first_repeat(states, cap):
+    """(first, i) for the first state x_i, i <= cap, equal to an earlier
+    x_first, or None."""
     seen = {}
-    samples = []
-    hit = None
-    zero, one = backend.zero, backend.one
-    for i, x in enumerate(_orbit_stream_parent(x0, p, backend)):
-        if i > max_iter:  # x_{max_iter+1} is computed but not examined
-            break
+    for i, x in enumerate(islice(states, cap + 1)):
         if x in seen:
-            first = seen[x]
-            return _ParentOrbitReport(transient_len=first, period=i - first,
-                                      hit_boundary_at=hit, samples=samples)
+            return seen[x], i
         seen[x] = i
-        if len(samples) < sample_limit:
-            samples.append(x)
-        if hit is None and i > 0 and (x == zero or x == one):
-            hit = i
-    return _ParentOrbitReport(transient_len=0, period=1, hit_boundary_at=hit,
-                              samples=samples, conclusive=False)
+    return None
 
 
 @pytest.mark.parametrize("name", ["fp8", "fp12", "fp16", "fp62", "f64"])
 def test_analyze_orbit_matches_parent(name):
-    be = get_backend(name)
+    # the transient and period of the first repeat in the spec's orbit
+    be, g = get_backend(name), spec.Grid(name)
     rng = random.Random(name)
 
     def draw(lo, hi):          # a backend value in [lo, hi] of the unit range
@@ -308,17 +272,20 @@ def test_analyze_orbit_matches_parent(name):
             return lo + (hi - lo) * rng.random()
         return rng.randint(round(lo * be.one), round(hi * be.one))
 
-    full = (1 << be.bits) + 2 if be.bits <= 16 else 200
+    full = (1 << be.bits) + 2 if be.bits <= 16 else 100
     outcomes = set()
-    for k in range(60):
+    for k in range(30):
         alpha = be.half if k % 3 == 0 else draw(0.01, 0.99)  # 1/2: boundary orbits
         p = tentmap.TentParams(alpha, draw(0.01, 0.99))
         x0 = (be.zero, be.one)[k % 2] if k % 10 < 2 else draw(0, 1)
+        repeat = _first_repeat(spec.orbit(x0, p.alpha, p.beta, g), full)
         for cap in (0, 1, 5, full):
             got = tentmap.analyze_orbit(x0, p, cap, be)
-            ref = _analyze_orbit_parent(x0, p, cap, reference_backend(be))
-            assert (got.transient_len, got.period, got.conclusive) == \
-                (ref.transient_len, ref.period, ref.conclusive)
+            if repeat is None or repeat[1] > cap:
+                want = (0, 1, False)
+            else:
+                want = (repeat[0], repeat[1] - repeat[0], True)
+            assert (got.transient_len, got.period, got.conclusive) == want
             outcomes.add((alpha == be.half, got.conclusive))
     # both kinds of orbit are exercised, conclusive and capped
     assert {(True, True), (True, False), (False, False)} <= outcomes
