@@ -313,12 +313,24 @@ SHARED_FLAGS = {
 }
 
 
+class _FlagBeforeSubcommand(argparse.Action):
+    """A shared flag given before the subcommand, where the top-level parser
+    would otherwise read its value as the subcommand's name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        flag = self.option_strings[0]
+        parser.error(f"{flag} must follow the subcommand "
+                     f"(tentbreak SUBCOMMAND {flag} ...)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    ap = argparse.ArgumentParser(prog="tentbreak")
     for flag, kwargs in SHARED_FLAGS.items():
         common.add_argument(flag, **kwargs)
+        ap.add_argument(flag, action=_FlagBeforeSubcommand,
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    ap = argparse.ArgumentParser(prog="tentbreak")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("keygen", help="write a key file", parents=[common])
@@ -372,21 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    # before the subcommand the top-level parser would read the flag's
-    # value as the subcommand's name
-    flag = argv[0].partition("=")[0] if argv else None
-    if flag in SHARED_FLAGS:
-        parser.error(f"{flag} must follow the subcommand "
-                     f"(tentbreak SUBCOMMAND {flag} ...)")
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

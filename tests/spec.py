@@ -2,13 +2,15 @@
 
 The one reference that the tests check every fast path in src/tentbreak
 against; a new fast path gets a check here, not a copy of the code it
-replaces.  It favours the equations over speed: map values are exact
-Fractions rounded once per operation, blocks are bit lists.  It takes and
-returns backend values, so a test compares the two directly.  Where a map is
-undefined it raises ValueError; the tests match the fast paths' messages.
+replaces.  It favours the equations over speed: each map operation is
+exact (a quotient is a Fraction) and then rounded to the backend's grid,
+blocks are bit lists.  It takes and returns backend values, so a test compares the two
+directly.  Where a map is undefined it raises ValueError; the tests match
+the fast paths' messages.
 """
 
 from fractions import Fraction
+from functools import cache
 
 
 class Grid:
@@ -21,74 +23,89 @@ class Grid:
 
     def __init__(self, name: str):
         self.bits = None if name == "f64" else int(name[2:])
+        self.one = 1.0 if self.bits is None else 1 << self.bits
 
-    def exact(self, v) -> Fraction:
-        return Fraction(v) if self.bits is None else Fraction(v, 1 << self.bits)
+    def complement(self, x):
+        """The grid value nearest 1 - x."""
+        if self.bits is not None:
+            return self.one - x         # exact on the grid
+        n, d = x.as_integer_ratio()
+        return (d - n) / d              # int / int is correctly rounded
 
-    def native(self, q: Fraction):
-        """q, a grid value, in the backend's form."""
-        return float(q) if self.bits is None else int(q * (1 << self.bits))
+    def ratio(self, x, y) -> Fraction:
+        """x / y exactly, for grid values x and y."""
+        if self.bits is not None:
+            return Fraction(x, y)       # the scale 2^-L cancels
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        return Fraction(xn * yd, xd * yn)
 
-    def round(self, q: Fraction) -> Fraction:
+    def nearest(self, q: Fraction):
+        """The grid value nearest q."""
         if self.bits is None:
-            return Fraction(float(q))   # int / int is correctly rounded
-        one = 1 << self.bits            # floor(q * 2^L + 1/2)
-        return Fraction((2 * q.numerator * one + q.denominator)
-                        // (2 * q.denominator), one)
+            return float(q)             # int / int is correctly rounded
+        return (2 * q.numerator * self.one + q.denominator) \
+            // (2 * q.denominator)      # floor(q * 2^L + 1/2)
 
 
 # ---------------------------------------------------------------------------
 # the skew tent map F, its extended form G and the initial condition
 
-def _inside(v: Fraction, name: str) -> None:
-    if not 0 < v < 1:
+def _inside(v, g: Grid, name: str) -> None:
+    if not 0 < v < g.one:
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
 
 
-def _F(x: Fraction, a: Fraction, g: Grid) -> Fraction:
-    if x <= a:
-        return g.round(x / a)
-    return g.round(g.round(1 - x) / g.round(1 - a))
+def tent_map(alpha, g: Grid):
+    """F_alpha on grid values: x / alpha for x <= alpha, else
+    (1 - x) / (1 - alpha), each operation exact, then rounded to the grid.
+    Each value is computed once, which on a small grid ends in a lookup."""
+    alpha_c = g.complement(alpha)
 
+    @cache
+    def F(x):
+        if x <= alpha:
+            return g.nearest(g.ratio(x, alpha))
+        return g.nearest(g.ratio(g.complement(x), alpha_c))
 
-def _G(x: Fraction, a: Fraction, b: Fraction, g: Grid) -> Fraction:
-    if 0 < x < 1:
-        _inside(a, "alpha")
-        return _F(x, a, g)
-    if x == 0 or x == 1:
-        _inside(b, "beta")
-        return b
-    raise ValueError("x outside [0, 1]")
-
-
-def tent(x, alpha, g: Grid):
-    """F_alpha(x) = x / alpha for x <= alpha, (1 - x) / (1 - alpha) above."""
-    return g.native(_F(g.exact(x), g.exact(alpha), g))
+    return F
 
 
 def orbit(x0, alpha, beta, g: Grid):
     """x0, x1, ... with x_{i+1} = G(x_i): F_alpha inside (0, 1), and the
-    boundary states 0 and 1 restart at beta."""
-    a, b, x = g.exact(alpha), g.exact(beta), g.exact(x0)
-    yield x0
+    boundary states 0 and 1 restart at beta.  alpha is checked at the first
+    interior state, beta at the first boundary state."""
+    x, F = x0, None
+    yield x
     while True:
-        x = _G(x, a, b, g)
-        yield g.native(x)
+        if 0 < x < g.one:
+            if F is None:
+                _inside(alpha, g, "alpha")
+                F = tent_map(alpha, g)
+            x = F(x)
+        elif x == 0 or x == g.one:
+            _inside(beta, g, "beta")
+            x = beta
+        else:
+            raise ValueError("x outside [0, 1]")
+        yield x
 
 
-def derive_x0(t: int, gamma, n: int, g: Grid):
-    """x0 = F_gamma^{4n}(s) with s = 10^floor(log10 t) / t."""
+def derive_x0s(t: int, gamma, n_max: int, g: Grid) -> list:
+    """derive_x0 for n = 1 .. n_max: x0 = F_gamma^{4n}(s) with
+    s = 10^floor(log10 t) / t, one orbit of F_gamma read every 4 steps."""
     if t < 1:
         raise ValueError("the timestamp must be a positive integer")
-    c = g.exact(gamma)
-    _inside(c, "gamma")
+    _inside(gamma, g, "gamma")
+    F = tent_map(gamma, g)
     k = 0
     while 10 ** (k + 1) <= t:
         k += 1
-    x = g.round(Fraction(10 ** k, t))
-    for _ in range(4 * n):
-        x = _F(x, c, g)
-    return g.native(x)
+    x, out = g.nearest(Fraction(10 ** k, t)), []
+    for _ in range(n_max):
+        for _ in range(4):
+            x = F(x)
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +183,7 @@ def session(alpha, beta, gamma, K: int, t: int, n: int, r: int, g: Grid,
             entries) -> tuple:
     """(U_0 .. U_{r+1}, f_0 .. f_{r-1}) of a key at timestamp t: the orbit
     of G from x0 thresholded at alpha, and f_j from V_j = U_j xor K."""
-    x0 = derive_x0(t, gamma, n, g)
+    x0 = derive_x0s(t, gamma, n, g)[-1]
     states = orbit(x0, alpha, beta, g)
     U = extract([next(states) for _ in range(4 * n * (r + 2))], alpha, n)
     return U, [fj(U[j] ^ K, entries, n) for j in range(r)]
@@ -245,17 +262,23 @@ def recover(query, j: int, n: int) -> tuple:
     return tuple(dest)
 
 
-def consistent(x: int, dest, pair, n: int) -> bool:
+def consistent(x: int, f, pair, n: int) -> bool:
     """x = U_{j+1} satisfies C_j xor (P_{j-1} [+] x) = f_{j-1}(P_j xor
-    (C_{j-1} [+] x)) for pair = (P_{j-1}, P_j, C_{j-1}, C_j)."""
+    (C_{j-1} [+] x)) for pair = (P_{j-1}, P_j, C_{j-1}, C_j); f maps a
+    block to its image under f_{j-1}."""
     p_prev, p_j, c_prev, c_j = pair
-    left, right = c_j ^ _add(p_prev, x, n), p_j ^ _add(c_prev, x, n)
-    # f(right) == left, bit by bit
-    return all((left >> d) & 1 == (right >> i) & 1 for i, d in enumerate(dest))
+    return c_j ^ _add(p_prev, x, n) == f(p_j ^ _add(c_prev, x, n))
 
 
 def solve_uj(pairs, dest, n: int) -> list:
     """Every x in 0 .. 2^{4n} - 1, ascending, that satisfies every pair;
-    exhaustive, so meant for n <= 3."""
-    return [x for x in range(1 << (4 * n))
-            if all(consistent(x, dest, pair, n) for pair in pairs)]
+    exhaustive, so meant for n <= 3.  f_{j-1} is tabulated once: the image
+    of v is that of v less its lowest set bit i, plus bit dest[i]."""
+    image = [0] * (1 << (4 * n))
+    for v in range(1, len(image)):
+        low = v & -v
+        image[v] = image[v ^ low] | 1 << dest[low.bit_length() - 1]
+    sols = list(range(len(image)))
+    for pair in pairs:
+        sols = [x for x in sols if consistent(x, image.__getitem__, pair, n)]
+    return sols

@@ -15,6 +15,7 @@ from tentbreak import analysis, attack, cipher, keystream, tentmap
 from tentbreak.backend import get_backend
 from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
 from rank_reference import mean_rank_monte_carlo
+from sessions import encrypt_random, random_session
 
 FP = get_backend("fp62")
 F64 = get_backend("f64")
@@ -25,23 +26,10 @@ def report(name, ok, detail=""):
     assert ok, detail
 
 
-def make_sessions(count, rng, n=2, r=8):
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakKeyWarning)
-        for _ in range(count):
-            key = KeyMaterial(FP.from_float(rng.uniform(0.02, 0.98)),
-                              FP.from_float(rng.uniform(0.02, 0.98)),
-                              FP.from_float(rng.uniform(0.02, 0.98)),
-                              rng.randrange(1 << (4 * n)))
-            out.append(cipher.init_session(key, rng.randrange(1, 10 ** 9),
-                                           n, r, FP))
-    return out
-
-
 @pytest.fixture(scope="module")
 def sessions100():
-    return make_sessions(100, random.Random(1001))
+    rng = random.Random(1001)
+    return [random_session(rng) for _ in range(100)]
 
 
 def test_criterion_01_cpa_exactness(sessions100):
@@ -77,15 +65,9 @@ def test_criterion_03_keyless_decryption(sessions100):
     rng = random.Random(1003)
     good = 0
     for i, s in enumerate(sessions100):
-        oracle = attack.EncryptionOracle(s)
-        known = []
-        for _ in range(2):
-            p = [rng.randrange(256) for _ in range(8)]
-            c = cipher.encrypt(s, Message(p, s.t)).blocks
-            known.append((p, c))
-        state = attack.full_attack(oracle, known, 8, 2, seed=i).state
-        fresh = [rng.randrange(256) for _ in range(8)]
-        fresh_c = cipher.encrypt(s, Message(fresh, s.t)).blocks
+        state = attack.full_attack(attack.EncryptionOracle(s),
+                                   encrypt_random(rng, s, 2), 8, 2, seed=i).state
+        [(fresh, fresh_c)] = encrypt_random(rng, s, 1)
         if attack.keyless_decrypt(state, fresh_c) == fresh:
             good += 1
     report("criterion 03 keyless decryption", good == 100, f"{good}/100")

@@ -15,18 +15,9 @@ from tentbreak.keystream import BitPermutation
 from tentbreak.backend import ParameterError, get_backend
 from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
 from rank_reference import prioritized_candidates
+from sessions import encrypt_random, random_session
 
 FP = get_backend("fp62")
-
-
-def random_session(rng, n=2, r=8):
-    key = KeyMaterial(FP.from_float(rng.uniform(0.02, 0.98)),
-                      FP.from_float(rng.uniform(0.02, 0.98)),
-                      FP.from_float(rng.uniform(0.02, 0.98)),
-                      rng.randrange(1 << (4 * n)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakKeyWarning)
-        return cipher.init_session(key, rng.randrange(1, 10 ** 9), n, r, FP)
 
 
 def test_battery_shape():
@@ -91,13 +82,9 @@ def test_single_bit_check():
 def test_solve_uj_matches_exhaustive(n, r):
     rng = random.Random(100 + n)
     unsolvable = 0
-    # the spec walks all 2^{4n} candidates, 4,096 per call at n = 3
-    for _ in range(100 if n < 3 else 30):
+    for _ in range(100):
         s = random_session(rng, n=n, r=r)
-        msgs = []
-        for _ in range(rng.randint(1, 3)):
-            p = [rng.randrange(1 << (4 * n)) for _ in range(r)]
-            msgs.append((p, cipher.encrypt(s, Message(p, s.t)).blocks))
+        msgs = encrypt_random(rng, s, rng.randint(1, 3))
         for j in range(2, r + 1):
             pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1]) for p, c in msgs]
             sols = attack.solve_uj(pairs, s.F[j - 1], n)
@@ -121,8 +108,7 @@ def test_solve_uj_order_matches_exhaustive(alpha):
     for n in (1, 2):
         for _ in range(10):
             s = random_session(rng, n=n)
-            p = [rng.randrange(1 << (4 * n)) for _ in range(8)]
-            c = cipher.encrypt(s, Message(p, s.t)).blocks
+            [(p, c)] = encrypt_random(rng, s, 1)
             for j in range(2, 9):
                 pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])]
                 fast = attack.rank_candidates(
@@ -169,16 +155,10 @@ def test_solve_uj_contains_truth_and_shrinks():
     rng = random.Random(5)
     for _ in range(20):
         s = random_session(rng)
-        msgs = []
-        for _ in range(2):
-            p = [rng.randrange(256) for _ in range(8)]
-            c = cipher.encrypt(s, Message(p, s.t)).blocks
-            msgs.append((p, c))
         j = 4
-        one_pair = [(msgs[0][0][j - 2], msgs[0][0][j - 1],
-                     msgs[0][1][j - 2], msgs[0][1][j - 1])]
-        both = one_pair + [(msgs[1][0][j - 2], msgs[1][0][j - 1],
-                            msgs[1][1][j - 2], msgs[1][1][j - 1])]
+        both = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
+                for p, c in encrypt_random(rng, s, 2)]
+        one_pair = both[:1]
         sols1 = attack.solve_uj(one_pair, s.F[j - 1], 2)
         sols2 = attack.solve_uj(both, s.F[j - 1], 2)
         assert s.U[j + 1] in sols1
@@ -192,8 +172,7 @@ def test_solve_uj_single_equation_is_degenerate():
     sizes = []
     for _ in range(30):
         s = random_session(rng)
-        p = [rng.randrange(256) for _ in range(8)]
-        c = cipher.encrypt(s, Message(p, s.t)).blocks
+        [(p, c)] = encrypt_random(rng, s, 1)
         sols = attack.solve_uj([(p[2], p[3], c[2], c[3])], s.F[3], 2)
         sizes.append(len(sols))
     assert all(k >= 1 for k in sizes)
@@ -212,11 +191,7 @@ def test_solve_uj_inconsistent_inputs():
 def test_block1_registers_reproduce_pairs():
     rng = random.Random(7)
     s = random_session(rng)
-    pairs = []
-    for _ in range(3):
-        p = [rng.randrange(256) for _ in range(8)]
-        c = cipher.encrypt(s, Message(p, s.t)).blocks
-        pairs.append((p[0], c[0]))
+    pairs = [(p[0], c[0]) for p, c in encrypt_random(rng, s, 3)]
     y, z = attack.solve_block1_registers(pairs, s.F[0], 2)
     for p1, c1 in pairs:
         assert spec.keyless_decrypt({0: s.F[0].dest}, {}, (y, z), [c1], 2) == [p1]
@@ -245,14 +220,9 @@ def test_full_attack_end_to_end():
     for trial in range(20):
         s = random_session(rng)
         oracle = attack.EncryptionOracle(s)
-        known = []
-        for _ in range(2):
-            p = [rng.randrange(256) for _ in range(8)]
-            c = cipher.encrypt(s, Message(p, s.t)).blocks
-            known.append((p, c))
+        known = encrypt_random(rng, s, 2)
         report = attack.full_attack(oracle, known, 8, 2, seed=trial)
-        fresh = [rng.randrange(256) for _ in range(8)]
-        fresh_c = cipher.encrypt(s, Message(fresh, s.t)).blocks
+        [(fresh, fresh_c)] = encrypt_random(rng, s, 1)
         assert attack.keyless_decrypt(report.state, fresh_c) == fresh
         assert report.recovery_queries == 72
 
@@ -262,24 +232,19 @@ def test_full_attack_n8():
     n, r = 8, 16
     s = random_session(rng, n=n, r=r)
     oracle = attack.EncryptionOracle(s)
-    known = []
-    for _ in range(2):
-        p = [rng.randrange(1 << 32) for _ in range(r)]
-        known.append((p, cipher.encrypt(s, Message(p, s.t)).blocks))
+    known = encrypt_random(rng, s, 2)
     report = attack.full_attack(oracle, known, r, n, seed=1)
     assert report.recovery_queries == 33 * 16
     assert report.stopped == "settled"
-    fresh = [rng.randrange(1 << 32) for _ in range(r)]
-    fresh_c = cipher.encrypt(s, Message(fresh, s.t)).blocks
+    [(fresh, fresh_c)] = encrypt_random(rng, s, 1)
     assert attack.keyless_decrypt(report.state, fresh_c) == fresh
 
 
 def test_full_attack_reports_budget_stop():
     rng = random.Random(8)
     s = random_session(rng)
-    p = [rng.randrange(256) for _ in range(8)]
-    known = [(p, cipher.encrypt(s, Message(p, s.t)).blocks)]
-    report = attack.full_attack(attack.EncryptionOracle(s), known, 8, 2,
+    report = attack.full_attack(attack.EncryptionOracle(s),
+                                encrypt_random(rng, s, 1), 8, 2,
                                 max_extra_queries=0)
     assert report.extra_queries == 0
     assert report.stopped == "budget"
@@ -297,15 +262,12 @@ def test_cipher_and_attack_leave_no_reference_cycles():
     gc.disable()
     try:
         s = cipher.init_session(key, 123457, 4, 8, FP)
-        known = []
-        for _ in range(2):
-            p = [rng.randrange(1 << 16) for _ in range(8)]
-            known.append((p, cipher.encrypt(s, Message(p, s.t)).blocks))
+        known = encrypt_random(rng, s, 2)
         back = cipher.decrypt(s, Message(known[0][1], s.t)).blocks
         report = attack.full_attack(attack.EncryptionOracle(s), known, 8, 4)
         plain = attack.keyless_decrypt(report.state, known[1][1])
         assert back == known[0][0] and plain == known[1][0]
-        del s, known, back, report, plain, p
+        del s, known, back, report, plain
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -314,18 +276,11 @@ def test_cipher_and_attack_leave_no_reference_cycles():
 def test_keyless_decrypt_gap_case():
     rng = random.Random(9)
     s = random_session(rng)
-    oracle = attack.EncryptionOracle(s)
-    known = []
-    for _ in range(2):
-        p = [rng.randrange(256) for _ in range(8)]
-        c = cipher.encrypt(s, Message(p, s.t)).blocks
-        known.append((p, c))
-    report = attack.full_attack(oracle, known, 8, 2)
-    state = report.state
+    state = attack.full_attack(attack.EncryptionOracle(s),
+                               encrypt_random(rng, s, 2), 8, 2).state
     for j in (4, 5, 6, 7):                       # keep only f_0..f_3
         del state.perms[j]
-    fresh = [rng.randrange(256) for _ in range(8)]
-    fresh_c = cipher.encrypt(s, Message(fresh, s.t)).blocks
+    [(fresh, fresh_c)] = encrypt_random(rng, s, 1)
     out = attack.keyless_decrypt(state, fresh_c)
     assert out[:4] == fresh[:4]
     assert out[4:] == [None] * 4
@@ -334,13 +289,8 @@ def test_keyless_decrypt_gap_case():
 def test_state_file_roundtrip(tmp_path):
     rng = random.Random(10)
     s = random_session(rng)
-    oracle = attack.EncryptionOracle(s)
-    known = []
-    for _ in range(2):
-        p = [rng.randrange(256) for _ in range(8)]
-        c = cipher.encrypt(s, Message(p, s.t)).blocks
-        known.append((p, c))
-    state = attack.full_attack(oracle, known, 8, 2).state
+    state = attack.full_attack(attack.EncryptionOracle(s),
+                               encrypt_random(rng, s, 2), 8, 2).state
     path = tmp_path / "state.txt"
     attack.save_state(state, path)
     loaded = attack.load_state(path)
@@ -351,8 +301,7 @@ def test_state_file_roundtrip(tmp_path):
     assert loaded.reg1 == state.reg1
     assert loaded.provenance == state.provenance
     # decrypts the same traffic
-    fresh = [rng.randrange(256) for _ in range(8)]
-    fresh_c = cipher.encrypt(s, Message(fresh, s.t)).blocks
+    [(fresh, fresh_c)] = encrypt_random(rng, s, 1)
     assert attack.keyless_decrypt(loaded, fresh_c) == fresh
 
 

@@ -10,6 +10,7 @@ the spec, so that a faster solver keeps it.
 
 import random
 import warnings
+from functools import partial
 
 import pytest
 
@@ -17,8 +18,9 @@ import spec
 from tentbreak import attack, cipher
 from tentbreak.attack import OracleModelViolation, RecoveredState
 from tentbreak.backend import ParameterError, get_backend
-from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
+from tentbreak.cipher import Message, WeakKeyWarning
 from tentbreak.keystream import BitPermutation
+from sessions import encrypt_random, random_session
 
 # each name is the test id and the seed string of its random data
 BACKENDS = {"fixed-point": get_backend("fp62"), "binary64": get_backend("f64")}
@@ -63,7 +65,8 @@ def _ref_full_attack(oracle, known_messages, r, n, seed=0, max_extra_queries=512
         for j in sets:
             if not settled(j):
                 pair = (p[j - 2], p[j - 1], c[j - 2], c[j - 1])
-                sets[j] = [x for x in sets[j] if spec.consistent(x, F[j - 1], pair, n)]
+                f = partial(spec.apply, F[j - 1])
+                sets[j] = [x for x in sets[j] if spec.consistent(x, f, pair, n)]
     for j, sols in sets.items():
         state.noise[j + 1] = sols[0]
         state.provenance[f"U{j + 1}"] = "solved" if settled(j) else "ambiguous"
@@ -74,16 +77,6 @@ def _ref_full_attack(oracle, known_messages, r, n, seed=0, max_extra_queries=512
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def _session(rng, n, r, backend):
-    key = KeyMaterial(backend.from_float(rng.uniform(0.02, 0.98)),
-                      backend.from_float(rng.uniform(0.02, 0.98)),
-                      backend.from_float(rng.uniform(0.02, 0.98)),
-                      rng.randrange(1 << (4 * n)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakKeyWarning)
-        return cipher.init_session(key, rng.randrange(1, 10 ** 9), n, r, backend)
-
 
 def _spec_keyless(state, blocks):
     return spec.keyless_decrypt({j: f.dest for j, f in state.perms.items()},
@@ -123,7 +116,7 @@ def test_chain_matches_reference_encrypt_decrypt(kind):
     rng = random.Random(f"chain:{kind}")
     for n in range(1, 17):
         r = rng.randint(1, 6)
-        s = _session(rng, n, r, backend)
+        s = random_session(rng, n, r, backend)
         F = [f.dest for f in s.F]
         top = 1 << (4 * n)
         for length in (0, 1, r):
@@ -155,10 +148,9 @@ def test_keyless_chain_matches_reference(kind):
     rng = random.Random(f"keyless:{kind}")
     for n in range(1, 17):
         r = rng.randint(2, 6)
-        s = _session(rng, n, r, backend)
+        s = random_session(rng, n, r, backend)
         top = 1 << (4 * n)
-        p = [rng.randrange(top) for _ in range(r)]
-        c = cipher.encrypt(s, Message(p, s.t)).blocks
+        [(p, c)] = encrypt_random(rng, s, 1)
         longer = c + [rng.randrange(top) for _ in range(2)]
         states = [_exact_state(s) for _ in range(5)]
         states[1].reg1 = None
@@ -195,7 +187,7 @@ def test_recovery_matches_reference(kind):
     rng = random.Random(f"recover:{kind}")
     for n in range(1, 17):
         r = rng.randint(1, 3)
-        s = _session(rng, n, r, backend)
+        s = random_session(rng, n, r, backend)
         F = {j: f.dest for j, f in enumerate(s.F)}
         battery = [m for j in range(1, r + 1) for m in spec.battery(j, n)]
         for recover, oracle, method, tag in (
@@ -222,7 +214,7 @@ def test_recovery_drift_matches_reference():
     rng = random.Random("drift")
     violations = 0
     for n in (1, 2, 4):
-        s = _session(rng, n, 4, BACKENDS["fixed-point"])
+        s = random_session(rng, n, 4, BACKENDS["fixed-point"])
         got, want = attack.DriftingClockOracle(s), attack.DriftingClockOracle(s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakKeyWarning)
@@ -246,11 +238,9 @@ def test_full_attack_matches_reference(n, r):
     rng = random.Random(f"full:{n}")
     top = 1 << (4 * n)
     for trial in range(6):
-        s = _session(rng, n, r, BACKENDS["fixed-point"])
-        known = []
-        for length in (r, rng.randint(1, r))[:rng.randint(1, 2)]:
-            p = [rng.randrange(top) for _ in range(length)]
-            known.append((p, cipher.encrypt(s, Message(p, s.t)).blocks))
+        s = random_session(rng, n, r, BACKENDS["fixed-point"])
+        known = [m for length in (r, rng.randint(1, r))[:rng.randint(1, 2)]
+                 for m in encrypt_random(rng, s, 1, length)]
         for budget in (0, 512):
             got, want = attack.EncryptionOracle(s), attack.EncryptionOracle(s)
             a = attack.full_attack(got, known, r, n, seed=trial,

@@ -4,7 +4,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spec
 from tentbreak import cipher
@@ -130,17 +130,27 @@ def test_bad_parameters_rejected():
         cipher.init_session(wide, 1234, 2, 4, FP)
 
 
-@FILES
-@given(data=st.data())
-def test_key_file_roundtrip(tmp_path, data):
-    # any key in range on any backend, f64 and fp1..fp64 included
-    name = data.draw(st.sampled_from(("fp62", "f64"))
-                     | st.integers(1, 64).map("fp{}".format))
-    backend, n = get_backend(name), data.draw(st.integers(1, 16))
+@st.composite
+def key_files(draw):
+    """(key, n, backend name) for any key in range, f64 and fp1..fp64."""
+    name = draw(st.sampled_from(("fp62", "f64"))
+                | st.integers(1, 64).map("fp{}".format))
+    n = draw(st.integers(1, 16))
     unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) \
-        if name == "f64" else st.integers(1, backend.one - 1)
-    key = KeyMaterial(data.draw(unit), data.draw(unit), data.draw(unit),
-                      data.draw(st.integers(0, (1 << (4 * n)) - 1)))
+        if name == "f64" else st.integers(1, get_backend(name).one - 1)
+    key = KeyMaterial(draw(unit), draw(unit), draw(unit),
+                      draw(st.integers(0, (1 << (4 * n)) - 1)))
+    return key, n, name
+
+
+@FILES
+@given(key_files())
+@example((KeyMaterial(FP.from_float(0.43), FP.from_float(0.7),
+                      FP.from_float(0.37), 0xA5), 2, "fp62"))
+@example((KeyMaterial(0.43, 0.7, 0.37, 0xA5), 2, "f64"))
+def test_key_file_roundtrip(tmp_path, case):
+    key, n, name = case
+    backend = get_backend(name)
     cipher.save_key(key, n, backend, tmp_path / "key.txt")
     assert cipher.load_key(tmp_path / "key.txt") == (key, n, backend)
 

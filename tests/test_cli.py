@@ -58,12 +58,14 @@ def test_keygen_seed_env_fallback(tmp_path, monkeypatch):
 
 def test_shared_flags_before_the_subcommand_are_usage_errors(tmp_path, capsys):
     out = tmp_path / "key.txt"
-    for flag in (["--seed", 5], ["--n", 3], ["--backend", "f64"], ["--r", 4],
-                 ["--table", tmp_path / "table.txt"], ["--seed=5"]):
+    for name, flag in (("--seed", ["--seed", 5]), ("--n", ["--n", 3]),
+                       ("--backend", ["--backend", "f64"]), ("--r", ["--r", 4]),
+                       ("--table", ["--table", tmp_path / "table.txt"]),
+                       ("--seed", ["--seed=5"]), ("--seed", ["--se", 5]),
+                       ("--table", ["--tab=t"])):
         with pytest.raises(SystemExit) as exc:
             run([*flag, "keygen", "--out", out])
         assert exc.value.code == 2
-        name = flag[0].partition("=")[0]
         assert f"error: {name} must follow the subcommand " \
                f"(tentbreak SUBCOMMAND {name} ...)" in capsys.readouterr().err
         assert not out.exists()

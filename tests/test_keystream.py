@@ -210,7 +210,7 @@ def test_noise_vectors_match_reference(name):
     cases += [(bad, interior(), x0) for bad in boundary
               for x0 in [interior()] + outside]
     cases += [(be.zero, be.one, x0) for x0 in boundary]   # alpha and beta bad
-    sizes = ((1, 40), (2, 9), (5, 3), (16, 2), (16, 12))
+    sizes = ((1, 40), (2, 9), (5, 3), (16, 2), (16, 70))
     longest = max(4 * n * (j_max + 1) for n, j_max in sizes)
     for alpha, beta, x0 in cases:
         p = TentParams(alpha, beta)
@@ -248,7 +248,7 @@ def test_noise_vectors_invalid_beta_error_matches_reference():
 
 TABLES = st.lists(st.sampled_from(ORDERS), min_size=16, max_size=16).map(
     QuarterPermTable)
-CHECKS = settings(max_examples=200, deadline=None, derandomize=True,
+CHECKS = settings(max_examples=300, deadline=None, derandomize=True,
                   database=None)
 
 

@@ -9,10 +9,12 @@ that only the tests call lives under tests/ (for example rank_reference.py),
 so ALLOWED is empty; a name added to it needs its reason.
 
 A top-level name in tests/ other than a test_ function (a helper, strategy,
-constant or fixture) counts as read when its own module reads it, or another
-tests/ module reads it by attribute or from-import.  A parameter counts as
-a read, since pytest passes fixtures by parameter name.  So a reference copy
-that no test calls any more fails here.
+constant or fixture) counts as read when a test_ function reaches it: reads
+it, or reads a name that reads it, and so on, as a global of its module or
+from another tests/ module by attribute or from-import.  A parameter counts
+only where it names a fixture of its module, since pytest passes fixtures by
+parameter name.  So a reference copy that no test calls any more fails
+here, and so does one that only another unreached helper calls.
 """
 
 import ast
@@ -74,36 +76,61 @@ def test_allowlist_is_current():
     assert not stale, f"allowlisted but missing or now used: {stale}"
 
 
+def _is_fixture(node) -> bool:
+    decorators = getattr(node, "decorator_list", ())
+    return any(getattr(getattr(d, "func", d), "attr", None) == "fixture"
+               for d in decorators)
+
+
 def _test_names():
-    """The top-level names in tests/ other than test_ functions, and the
-    names read, each as (module, name) as the module docstring counts
-    reads."""
+    """The top-level names in tests/ other than test_ functions, and those
+    the test_ functions reach, each as (module, name)."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(TESTS.glob("*.py"))}
-    defined, reads = set(), set()
+    defs = {}
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add((module, node.name))
+                defs[module, node.name] = node
             elif isinstance(node, ast.Assign):
-                defined.update((module, t.id) for t in node.targets
-                               if isinstance(t, ast.Name))
-        origin = {a.asname or a.name: (node.module, a.name)
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.module in trees
-                  for a in node.names}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and \
-                    getattr(node.value, "id", None) in trees:
-                reads.add((node.value.id, node.attr))
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.add(origin.get(node.id, (module, node.id)))
-            elif isinstance(node, ast.arg):
-                reads.add((module, node.arg))
-    return {d for d in defined if not d[1].startswith("test_")}, reads
+                defs.update(((module, t.id), node) for t in node.targets
+                            if isinstance(t, ast.Name))
+    origins = {module: {a.asname or a.name: (node.module, a.name)
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        and node.module in trees for a in node.names}
+               for module, tree in trees.items()}
+
+    def reads(module, node):
+        nodes = list(ast.walk(node))
+        # a function's parameters, assigned names and inner functions are
+        # its own
+        local = {n.arg for n in nodes if isinstance(n, ast.arg)} | \
+            {n.id for n in nodes
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)} | \
+            {n.name for n in nodes[1:] if isinstance(n, ast.FunctionDef)} \
+            if isinstance(node, ast.FunctionDef) else set()
+        for n in nodes:
+            if isinstance(n, ast.Attribute) and \
+                    getattr(n.value, "id", None) in trees:
+                yield n.value.id, n.attr
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
+                    and n.id not in local:
+                yield origins[module].get(n.id, (module, n.id))
+            elif isinstance(n, ast.arg) and _is_fixture(defs.get((module, n.arg))):
+                yield module, n.arg
+
+    todo = [key for key in defs if key[1].startswith("test_")]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo.extend(r for r in reads(key[0], defs[key]) if r in defs)
+    return {d for d in defs if not d[1].startswith("test_")}, reached
 
 
 def test_every_test_helper_is_read():
-    defined, reads = _test_names()
-    unread = sorted(f"{module}.{name}" for module, name in defined - reads)
+    defined, reached = _test_names()
+    unread = sorted(f"{module}.{name}" for module, name in defined - reached)
     assert not unread, f"defined in tests/ but never read: {unread}"
