@@ -11,10 +11,14 @@ Two backends are supported:
 A "value" is therefore either an int (fixed point raw) or a float, depending
 on the backend in use.  Both compare naturally with ``<=``, which is all the
 tent-map code needs besides the backend methods below.
+
+The module also holds what every other module shares: the error types and
+open_text, the reader of the key, ciphertext, state, table and pairs files.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from fractions import Fraction
 
@@ -25,6 +29,19 @@ class DomainError(ValueError):
 
 class ParameterError(ValueError):
     """Map or key parameter outside its allowed open interval."""
+
+
+def open_text(path) -> io.StringIO:
+    """The text of file `path`, read as open(path) reads it; bytes that are
+    not UTF-8 are an error naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode(), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParameterError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} "
+                             f"is not UTF-8 text ({exc.reason})") from None
 
 
 class FixedPointBackend:
@@ -108,7 +125,6 @@ class Binary64Backend:
     one = 1.0
     zero = 0.0
     half = 0.5
-    bits = 62  # conventional precision label for this backend
 
     def __repr__(self):
         return "Binary64Backend()"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import keystream, tentmap
-from .backend import ParameterError, parse_value
+from .backend import ParameterError, open_text, parse_value
 from .keystream import DEFAULT_TABLE, QuarterPermTable
 
 
@@ -146,42 +146,48 @@ def save_key(key: KeyMaterial, n: int, backend, path) -> None:
 
 
 def load_key(path):
-    """Returns (KeyMaterial, n, backend).  alpha, beta and gamma must lie
-    strictly inside (0, 1) on one backend, n in 1..16 and K below 2^{4n};
-    an error names the file and the field."""
-    fields = {}
-    with open(path) as fh:
-        for line in fh:
+    """Returns (KeyMaterial, n, backend).  The file holds one name=value line
+    each for alpha, beta, gamma, K and n: alpha, beta and gamma strictly
+    inside (0, 1) on one backend, n in 1..16 and K below 2^{4n}.  An error
+    names the file, and the line and field where there is one."""
+    parsers = {"alpha": parse_value, "beta": parse_value, "gamma": parse_value,
+               "n": int, "K": lambda text: int(text, 16)}
+    values, lines = {}, {}
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k, _, v = line.partition("=")
-            fields[k.strip()] = v.strip()
-    parsers = {"alpha": parse_value, "beta": parse_value, "gamma": parse_value,
-               "n": int, "K": lambda text: int(text, 16)}
-    values = {}
-    try:
-        for name, parse in parsers.items():
-            values[name] = parse(fields[name])
-    except KeyError as exc:
-        raise ParameterError(f"key file {path} is missing field {exc}") from None
-    except ValueError as exc:
-        raise ParameterError(f"key file {path}: {name}: {exc}") from None
+            name, eq, text = (part.strip() for part in line.partition("="))
+            where = f"key file {path}: line {lineno}"
+            if not eq or name not in parsers:
+                raise ParameterError(f"{where}: expected name=value with name "
+                                     f"one of {', '.join(parsers)}, got {line!r}")
+            if name in values:
+                raise ParameterError(f"{where}: {name}: repeats line {lines[name]}")
+            try:
+                values[name], lines[name] = parsers[name](text), lineno
+            except ValueError as exc:
+                raise ParameterError(f"{where}: {name}: {exc}") from None
+    missing = [name for name in parsers if name not in values]
+    if missing:
+        raise ParameterError(f"key file {path} is missing field {missing[0]!r}")
     (alpha, backend), (beta, b2), (gamma, b3) = (
         values["alpha"], values["beta"], values["gamma"])
     if not backend == b2 == b3:
         raise ParameterError(f"key file {path} mixes arithmetic backends")
     n, k = values["n"], values["K"]
+    name = "n"                           # the field each check is about
     try:
         if not 1 <= n <= 16:
             raise ParameterError(f"n must be in 1..16, got {n}")
-        for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-            tentmap.check_open_unit(v, backend, name)
+        for name in ("alpha", "beta", "gamma"):
+            tentmap.check_open_unit(values[name][0], backend, name)
+        name = "K"
         if not 0 <= k < 1 << (4 * n):
-            raise ParameterError(f"K must be below 2^{4 * n} at n={n}, "
-                                 f"got {fields['K']}")
+            raise ParameterError(f"K must be below 2^{4 * n} at n={n}, got {k:#x}")
     except ParameterError as exc:
-        raise ParameterError(f"key file {path}: {exc}") from None
+        raise ParameterError(f"key file {path}: line {lines[name]}: {exc}") from None
     return KeyMaterial(alpha, beta, gamma, k), n, backend
 
 
@@ -214,9 +220,12 @@ def read_header(fh, path, magic: str, kind: str, names) -> list[int]:
 def load_ciphertext(path):
     """Returns (Message, n).  The file holds exactly `len` blocks; only blank
     lines may follow them."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         t, n, length = read_header(fh, path, "YTS1", "ciphertext",
                                    ("t", "n", "len"))
+        if t < 1:
+            raise ParameterError(f"{path}: line 1: t must be a positive "
+                                 f"integer, got {t}")
         if length < 0:
             raise ParameterError(f"{path}: line 1: len must be >= 0, got {length}")
         blocks = []

@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 
 from . import analysis, attack, cipher, keystream, tentmap
-from .backend import ParameterError, get_backend
+from .backend import ParameterError, get_backend, open_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,12 +29,16 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _n(args, default: int = 2) -> int:
-    """--n if it was given, else the command's own default."""
-    n = args.n if args.n is not None else default
-    if not 1 <= n <= 16:
-        raise ParameterError(f"--n must be in 1..16, got {n}")
-    return n
+def _n(args) -> int:
+    if not 1 <= args.n <= 16:
+        raise ParameterError(f"--n must be in 1..16, got {args.n}")
+    return args.n
+
+
+def _t(args) -> int:
+    if args.t < 1:
+        raise ParameterError(f"--t must be a positive integer, got {args.t}")
+    return args.t
 
 
 def _load_table(args):
@@ -109,15 +113,20 @@ def _warn_degenerate(session) -> None:
 
 
 def cmd_encrypt(args) -> int:
+    t = _t(args)
     key, n, backend = cipher.load_key(args.key)
     with open(args.infile, "rb") as fh:
-        blocks = blocks_from_bytes(fh.read(), n)
-    session = cipher.init_session(key, args.t, n, max(len(blocks), 1),
+        data = fh.read()
+    try:
+        blocks = blocks_from_bytes(data, n)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.infile}: {exc} (n={n} in {args.key})") from None
+    session = cipher.init_session(key, t, n, max(len(blocks), 1),
                                   backend, table=_load_table(args))
     _warn_degenerate(session)
-    out = cipher.encrypt(session, cipher.Message(blocks, args.t))
+    out = cipher.encrypt(session, cipher.Message(blocks, t))
     cipher.save_ciphertext(out, n, args.out)
-    print(f"encrypted {len(blocks)} blocks -> {args.out} (t={args.t})")
+    print(f"encrypted {len(blocks)} blocks -> {args.out} (t={t})")
     return EXIT_OK
 
 
@@ -125,9 +134,8 @@ def cmd_decrypt(args) -> int:
     key, n, backend = cipher.load_key(args.key)
     msg, n_file = cipher.load_ciphertext(args.infile)
     if n_file != n:
-        print(f"error: ciphertext n={n_file} does not match key n={n}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"{args.infile}: ciphertext n={n_file} does not "
+                             f"match key n={n} of {args.key}")
     session = cipher.init_session(key, msg.t, n, max(len(msg.blocks), 1),
                                   backend, table=_load_table(args))
     _warn_degenerate(session)
@@ -139,11 +147,16 @@ def cmd_decrypt(args) -> int:
 
 
 def _victim_session(args):
-    """The hidden session the attack commands break, hosted locally."""
-    backend = get_backend(args.backend)
+    """The hidden session the attack commands break, hosted locally: the key
+    file's, or one drawn from the seed at --n on --backend."""
     if args.key:
+        given = getattr(args, "given", ())
+        if given:
+            raise ParameterError(f"--key and {given[0]} exclude each other: "
+                                 "the key file sets n and the backend")
         key, n, backend = cipher.load_key(args.key)
     else:
+        backend = get_backend(args.backend)
         rng = random.Random(f"victim:{_seed(args)}")
         n = _n(args)
         key = cipher.KeyMaterial(
@@ -154,24 +167,21 @@ def _victim_session(args):
         )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cipher.WeakKeyWarning)
-        return cipher.init_session(key, args.t, n, args.r, backend,
+        return cipher.init_session(key, _t(args), n, args.r, backend,
                                    table=_load_table(args))
 
 
 def cmd_attack(args) -> int:
     session = _victim_session(args)
     n, r = session.n, session.r
+    oracle = attack.Oracle(session, drift=args.drift)
     try:
         if args.mode == "cpa":
-            oracle = (attack.DriftingClockOracle(session) if args.drift
-                      else attack.EncryptionOracle(session))
             state = attack.recover_all_f(oracle, r, n)
         elif args.mode == "cca":
-            oracle = attack.DecryptionOracle(session)
             state = attack.recover_all_finv(oracle, r, n)
         else:  # full
             rng = random.Random(f"known:{_seed(args)}")
-            oracle = attack.EncryptionOracle(session)
             known = []
             for _ in range(2):
                 p = [rng.randrange(1 << (4 * n)) for _ in range(r)]
@@ -203,56 +213,53 @@ def cmd_attack(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    backend = get_backend(args.backend)
-    seed = _seed(args)
-    if args.samples is not None and args.samples < 1:
+    if args.figure in ("fig1", "fig3"):
+        backend = get_backend(args.backend)
+    if args.figure in ("fig1", "census") and args.samples < 1:
         raise ParameterError(f"--samples must be >= 1, got {args.samples}")
-    if args.alpha is not None and not 0 < args.alpha < 1:
-        raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
     if args.figure == "fig1":
         p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
         hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
-                                         args.samples or 1000, backend,
-                                         mended=args.mended)
-        analysis.emit_csv(args.out, ("value", "count", "frequency", "theoretical"),
-                          ((a, c, c / hist.samples,
-                            analysis.theoretical_prob(a, Fraction(1, 10), hist.n))
-                           for a, c in enumerate(hist.counts)))
+                                         args.samples, backend, mended=args.mended)
+        header = ("value", "count", "frequency", "theoretical")
+        rows = ((a, c, c / hist.samples,
+                 analysis.theoretical_prob(a, Fraction(1, 10), hist.n))
+                for a, c in enumerate(hist.counts))
     elif args.figure == "fig2":
-        analysis.emit_csv(args.out, ("alpha", "log2_com"),
-                          analysis.complexity_curve(_n(args, 16)))
+        header, rows = ("alpha", "log2_com"), analysis.complexity_curve(_n(args))
     elif args.figure == "fig3":
         p = tentmap.TentParams(backend.from_float(0.5), backend.from_float(0.4))
         orbit = tentmap.iterate_orbit(backend.from_float(0.123), p, 200, backend)
-        analysis.emit_csv(args.out, ("i", "x"),
-                          ((i, backend.to_float(x))
-                           for i, x in enumerate(orbit, start=1)))
+        header, rows = ("i", "x"), ((i, backend.to_float(x))
+                                    for i, x in enumerate(orbit, start=1))
     elif args.figure == "beta":
-        L = backend.bits if args.precision is None else args.precision
+        L = args.precision
         if not 2 <= L <= 64:
             raise ParameterError(f"--precision must be in 2..64 for beta, got {L}")
         p, expected, dec_bytes = analysis.beta_impact(L)
-        model_mean = analysis.first_hit_model_trials(L, 200, seed=seed)
-        analysis.emit_csv(args.out, ("key", "value"), {
+        header, rows = ("key", "value"), {
             "precision_bits": L,
             "hit_probability": p,
             "expected_first_hit": expected,
             "decryptable_bytes": dec_bytes,
-            "model_trial_mean": model_mean,
-        }.items())
+            "model_trial_mean": analysis.first_hit_model_trials(L, 200,
+                                                                seed=_seed(args)),
+        }.items()
     else:  # census
-        L = 16 if args.precision is None else args.precision
+        L = args.precision
+        if not 0 < args.alpha < 1:
+            raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
         if not 1 <= L <= 24:
             raise ParameterError(f"--precision must be in 1..24 for census, got {L}")
-        mean, lengths = analysis.orbit_length_census(
-            L, 0.37 if args.alpha is None else args.alpha, args.samples or 500,
-            seed=seed)
-        analysis.emit_csv(args.out, ("key", "value"), {
+        mean, lengths = analysis.orbit_length_census(L, args.alpha, args.samples,
+                                                     seed=_seed(args))
+        header, rows = ("key", "value"), {
             "precision_bits": L,
             "samples": len(lengths),
             "mean_orbit_length": mean,
             "sqrt_scale_reference": 2 ** (L / 2),
-        }.items())
+        }.items()
+    analysis.emit_csv(args.out, header, rows)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -261,7 +268,7 @@ def cmd_solve_u(args) -> int:
     state = attack.load_state(args.state)
     width = 4 * state.n
     pairs = []
-    with open(args.pairs) as fh:
+    with open_text(args.pairs) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -275,7 +282,8 @@ def cmd_solve_u(args) -> int:
                                      f"four hex values, got {line!r}")
             if any(not 0 <= v < 1 << width for v in pair):
                 raise ParameterError(f"{args.pairs}: line {lineno}: pair value "
-                                     f"outside the {width}-bit block range")
+                                     f"outside the {width}-bit block range "
+                                     f"of {args.state}")
             pairs.append(pair)
     f = state.perms.get(args.j - 1)
     if not 2 <= args.j <= state.r or f is None:
@@ -299,87 +307,107 @@ def cmd_solve_u(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-# the flags every subcommand takes; they follow the subcommand
-SHARED_FLAGS = {
+# Every flag, once.  A command lists the flags it reads, and may change
+# their entries here for its own default or required.
+FLAGS = {
     "--backend": dict(default="fp62",
                       help="arithmetic backend: fpNN or f64 (default fp62)"),
-    "--n": dict(type=int, help="block parameter (4n-bit blocks; default 2, "
-                               "16 for analyze fig2)"),
-    "--r": dict(type=int, default=16,
-                help="precomputation bound r of the attack's victim session "
-                     "(encrypt and decrypt size the session from the message)"),
+    "--n": dict(type=int, default=2, help="block parameter (4n-bit blocks; "
+                                          "default %(default)s)"),
+    "--r": dict(type=int, default=16, help="precomputation bound r of the "
+                                           "victim session (default 16)"),
     "--seed": dict(type=int, help="RNG seed (fallback: TENTBREAK_SEED)"),
     "--table": dict(help="quarter-permutation table file"),
+    "--key": dict(required=True),
+    "--t": dict(type=int, required=True, help="timestamp"),
+    "infile": dict(),
+    "--out": dict(required=True),
+    "--alpha": dict(type=float, help="alpha in (0, 1)"),
+    "--allow-weak": dict(action="store_true"),
+    "--mode": dict(choices=("cpa", "cca", "full"), default="full"),
+    "--drift": dict(action="store_true",
+                    help="negative test: victim clock drifts between queries"),
+    "--samples": dict(type=int),
+    "--precision": dict(type=int, help="precision L in bits (default %(default)s)"),
+    "--mended": dict(action="store_true"),
+    "--state": dict(required=True, help="recovered-state file"),
+    "--pairs": dict(required=True, help="file of hex lines: Pprev Pj Cprev Cj"),
+    "--j": dict(type=int, required=True, help="block index (>= 2)"),
+    "--alpha-est": dict(type=float,
+                        help="list the solved candidates in prioritized "
+                             "order (only ranks them; does not change which "
+                             "are found)"),
+}
+
+
+class _Given(argparse.Action):
+    """Stores the value as the default action does, and notes the flag in
+    `given` for a command that refuses it next to another flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
+# command -> (handler, the flags it reads, its changes to their entries);
+# analyze takes a figure, and each figure is a command of its own
+COMMANDS = {
+    "keygen": (cmd_keygen, "--backend --n --seed --alpha --allow-weak --out", {}),
+    "encrypt": (cmd_encrypt, "--table --key --t infile --out", {}),
+    "decrypt": (cmd_decrypt, "--table --key infile --out", {}),
+    "attack": (cmd_attack,
+               "--backend --n --r --seed --table --mode --key --t --drift --out",
+               {"--backend": dict(action=_Given), "--n": dict(action=_Given),
+                "--key": dict(required=False,
+                              help="victim key file (default: random from seed)"),
+                "--t": dict(required=False, default=123456789)}),
+    "analyze": {
+        "fig1": (cmd_analyze, "--backend --samples --mended --out",
+                 {"--samples": dict(default=1000)}),
+        "fig2": (cmd_analyze, "--n --out", {"--n": dict(default=16)}),
+        "fig3": (cmd_analyze, "--backend --out", {}),
+        "beta": (cmd_analyze, "--seed --precision --out",
+                 {"--precision": dict(default=62)}),
+        "census": (cmd_analyze, "--seed --samples --alpha --precision --out",
+                   {"--samples": dict(default=500), "--alpha": dict(default=0.37),
+                    "--precision": dict(default=16)}),
+    },
+    "solve-u": (cmd_solve_u, "--state --pairs --j --alpha-est", {}),
 }
 
 
 class _FlagBeforeSubcommand(argparse.Action):
-    """A shared flag given before the subcommand, where the top-level parser
-    would otherwise read its value as the subcommand's name."""
+    """A flag given before the subcommand (or figure), where the parser would
+    otherwise read its value as the subcommand's name."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        flag = self.option_strings[0]
-        parser.error(f"{flag} must follow the subcommand "
-                     f"(tentbreak SUBCOMMAND {flag} ...)")
+        flag, where = self.option_strings[0], self.const
+        parser.error(f"{flag} must follow the {where.lower()} "
+                     f"({parser.prog} {where} {flag} ...)")
+
+
+def _add_commands(parser, commands, dest: str, where: str) -> None:
+    """A subparser per command, with the flags the command reads; a flag
+    given before the command's name is a usage error that says so."""
+    for flag in FLAGS:
+        if flag.startswith("--"):
+            parser.add_argument(flag, action=_FlagBeforeSubcommand, const=where,
+                                default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, spec in commands.items():
+        s = sub.add_parser(name)
+        if isinstance(spec, dict):
+            _add_commands(s, spec, "figure", "FIGURE")
+        else:
+            func, flags, changes = spec
+            for flag in flags.split():
+                s.add_argument(flag, **{**FLAGS[flag], **changes.get(flag, {})})
+            s.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
     ap = argparse.ArgumentParser(prog="tentbreak")
-    for flag, kwargs in SHARED_FLAGS.items():
-        common.add_argument(flag, **kwargs)
-        ap.add_argument(flag, action=_FlagBeforeSubcommand,
-                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    s = sub.add_parser("keygen", help="write a key file", parents=[common])
-    s.add_argument("--alpha", type=float, help="explicit alpha (may be weak)")
-    s.add_argument("--allow-weak", action="store_true")
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_keygen)
-
-    s = sub.add_parser("encrypt", parents=[common])
-    s.add_argument("--key", required=True)
-    s.add_argument("--t", type=int, required=True, help="timestamp")
-    s.add_argument("infile")
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_encrypt)
-
-    s = sub.add_parser("decrypt", parents=[common])
-    s.add_argument("--key", required=True)
-    s.add_argument("infile")
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_decrypt)
-
-    s = sub.add_parser("attack", parents=[common])
-    s.add_argument("--mode", choices=("cpa", "cca", "full"), default="full")
-    s.add_argument("--key", help="victim key file (default: random from seed)")
-    s.add_argument("--t", type=int, default=123456789)
-    s.add_argument("--drift", action="store_true",
-                   help="negative test: victim clock drifts between queries")
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_attack)
-
-    s = sub.add_parser("analyze", parents=[common])
-    s.add_argument("figure", choices=("fig1", "fig2", "fig3", "beta", "census"))
-    s.add_argument("--samples", type=int)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--precision", type=int, help="L for beta/census")
-    s.add_argument("--mended", action="store_true")
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_analyze)
-
-    s = sub.add_parser("solve-u", parents=[common])
-    s.add_argument("--state", required=True, help="recovered-state file")
-    s.add_argument("--pairs", required=True,
-                   help="file of hex lines: Pprev Pj Cprev Cj")
-    s.add_argument("--j", type=int, required=True, help="block index (>= 2)")
-    s.add_argument("--alpha-est", type=float,
-                   help="list the solved candidates in prioritized "
-                        "order (only ranks them; does not change which "
-                        "are found)")
-    s.set_defaults(func=cmd_solve_u)
+    _add_commands(ap, COMMANDS, "cmd", "SUBCOMMAND")
     return ap
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .backend import ParameterError
+from .backend import ParameterError, open_text
 from .tentmap import TentParams, check_open_unit, restart
 
 
@@ -117,7 +117,7 @@ class QuarterPermTable:
     @classmethod
     def load(cls, path) -> "QuarterPermTable":
         entries = [None] * 16
-        with open(path) as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

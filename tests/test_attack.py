@@ -63,7 +63,7 @@ def test_cca_recovery_matches_cpa():
 
 def test_drifting_clock_detected():
     s = random_session(random.Random(4))
-    oracle = attack.DriftingClockOracle(s)
+    oracle = attack.Oracle(s, drift=True)
     with pytest.raises(OracleModelViolation):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakKeyWarning)
@@ -99,6 +99,29 @@ def test_solve_uj_matches_exhaustive(n, r):
             with pytest.raises(ValueError, match="^no candidate satisfies the pairs"):
                 attack.solve_uj(pairs, s.F[0], n)
     assert unsolvable > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_top_bit_families_need_a_fixed_top_bit(data):
+    # x and x [+] 2^{4n-1} solve the same pairs exactly when f fixes the top
+    # bit, so full_attack's _settled need not look at f
+    n = data.draw(st.integers(1, 4))
+    width, value = 4 * n, st.integers(0, (1 << (4 * n)) - 1)
+    dest = data.draw(st.permutations(range(width)))
+    if data.draw(st.booleans()):                   # fix the top bit
+        i = dest.index(width - 1)
+        dest[i], dest[-1] = dest[-1], dest[i]
+    x, mask = data.draw(value), (1 << width) - 1
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        p_prev, p_j, c_prev = data.draw(value), data.draw(value), data.draw(value)
+        c_j = spec.apply(dest, p_j ^ ((c_prev + x) & mask)) ^ ((p_prev + x) & mask)
+        pairs.append((p_prev, p_j, c_prev, c_j))
+    sols = attack.solve_uj(pairs, BitPermutation(dest, n), n)
+    top = 1 << (width - 1)
+    assert x in sols
+    assert ({y ^ top for y in sols} == set(sols)) == (dest[-1] == width - 1)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
@@ -337,10 +360,16 @@ def test_state_file_rejects_garbage(tmp_path):
     with pytest.raises(ParameterError):
         attack.load_state(path)
     identity = " ".join(str(i) for i in range(8))
-    for bad in ("garbage", "hello there", "V3: 0x12"):
+    head = "line 3: expected f<j>, U<j> or reg1, got "
+    for bad, error in (("garbage", head), ("hello there", head),
+                       ("V3: 0x12", head), (f"f 1: {identity}", head),
+                       ("U +3: 0x12", head), (f"f01: {identity}", head),
+                       (f"f0: {identity}", "line 3: f0 given twice"),
+                       ("U3: 0x12\nU3: 0x13", "line 4: U3 given twice"),
+                       ("reg1: 0x1 0x2\n\nreg1: 0x1 0x2",
+                        "line 5: reg1 given twice")):
         path.write_text(f"YTSREC n=2 r=4\nf0: {identity}\n{bad}\n")
-        with pytest.raises(ParameterError, match=re.escape(
-                f"{path}: line 3: expected f<j>, U<j> or reg1, got ")):
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: {error}")):
             attack.load_state(path)
 
 

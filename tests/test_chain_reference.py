@@ -215,7 +215,7 @@ def test_recovery_drift_matches_reference():
     violations = 0
     for n in (1, 2, 4):
         s = random_session(rng, n, 4, BACKENDS["fixed-point"])
-        got, want = attack.DriftingClockOracle(s), attack.DriftingClockOracle(s)
+        got, want = attack.Oracle(s, drift=True), attack.Oracle(s, drift=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakKeyWarning)
             try:

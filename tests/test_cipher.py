@@ -180,6 +180,8 @@ def test_ciphertext_file_rejects_garbage(tmp_path):
     for text, error in (
             ("not a ciphertext\n", " is not a ciphertext file"),
             ("YTS1 t=5 n=2 len=-3\n", ": line 1: len must be >= 0, got -3"),
+            ("YTS1 t=0 n=2 len=1\n0a\n", ": line 1: t must be a positive integer"),
+            ("YTS1 t=-5 n=2 len=1\n0a\n", ": line 1: t must be a positive integer"),
             ("YTS1 t=5 n=2 len=1\n0a\nzzzz\n", ": line 3: expected the end"),
             ("YTS1 t=5 n=2 len=1\n0a\n\n0b\n", ": line 4: expected the end")):
         path.write_text(text)

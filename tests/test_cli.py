@@ -189,8 +189,24 @@ def test_attack_cpa_and_cca(tmp_path, capsys):
 
 def test_attack_drift_exit_code(tmp_path):
     out = tmp_path / "rec.txt"
-    assert run(["attack", "--mode", "cpa", "--r", 4, "--drift",
-                "--out", out]) == 3
+    for mode in ("cpa", "cca", "full"):
+        assert run(["attack", "--mode", mode, "--r", 4, "--drift",
+                    "--out", out]) == 3
+        assert not out.exists()
+
+
+def test_attack_key_excludes_n_and_backend(tmp_path, capsys):
+    key, out = tmp_path / "key.txt", tmp_path / "rec.txt"
+    assert run(["keygen", "--seed", 3, "--out", key]) == 0
+    for flags in (["--n", 2], ["--backend", "fp62"], ["--backend=f64"]):
+        capsys.readouterr()
+        assert run(["attack", "--mode", "cpa", "--r", 2, "--key", key,
+                    *flags, "--out", out]) == 2
+        flag = str(flags[0]).partition("=")[0]
+        assert f"--key and {flag} exclude each other" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(["attack", "--mode", "cpa", "--r", 2, "--key", key,
+                "--out", out]) == 0
 
 
 def test_analyze_fig1(tmp_path):
@@ -207,7 +223,7 @@ def test_analyze_beta(tmp_path):
     assert rows["expected_first_hit"] == str(2 ** 11)
 
 
-def test_analyze_beta_defaults_to_backend_precision(tmp_path):
+def test_analyze_beta_defaults_to_62_bits(tmp_path):
     out = tmp_path / "b.csv"
     assert run(["analyze", "beta", "--out", out]) == 0
     rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
@@ -352,13 +368,13 @@ def test_malformed_f64_key_value_names_the_file(tmp_path, capsys):
     assert str(key) in capsys.readouterr().err
 
 
-def _encrypt_with_key_field(tmp_path, capsys, field, value):
+def _encrypt_with_key_field(tmp_path, capsys, field, value, line=None):
     """encrypt's exit code and stderr under a key file whose `field` line
-    is replaced by `field=value`."""
+    is replaced by `line`, or else by `field=value`."""
     key, msg = tmp_path / "key.txt", tmp_path / "m.bin"
     assert run(["keygen", "--seed", 3, "--out", key]) == 0
-    lines = [f"{field}={value}" if line.startswith(f"{field}=") else line
-             for line in key.read_text().splitlines()]
+    lines = [(line or f"{field}={value}") if text.startswith(f"{field}=") else text
+             for text in key.read_text().splitlines()]
     key.write_text("\n".join(lines) + "\n")
     msg.write_bytes(bytes(range(6)))
     capsys.readouterr()
@@ -389,6 +405,16 @@ def test_key_file_bad_values_name_the_file_and_field(tmp_path, capsys):
         code, err = _encrypt_with_key_field(tmp_path, capsys, field, value)
         assert code == 2
         assert str(tmp_path / "key.txt") in err and f": {field}" in err, err
+    # the alpha line is line 1, K line 4; lines that are no field, or repeat one
+    for field, line, error in (
+            ("alpha", "garbage", "line 1: expected name=value"),
+            ("alpha", "alpah=3", "line 1: expected name=value"),
+            ("K", "K=0x5a\nK=0x00", "line 5: K: repeats line 4"),
+            ("n", "n=2\n\nalpha=fp62:0x1", "line 7: alpha: repeats line 1")):
+        code, err = _encrypt_with_key_field(tmp_path, capsys, field, None, line)
+        assert code == 2
+        assert f"{tmp_path / 'key.txt'}: {error}" in err, err
+        assert not (tmp_path / "ct.txt").exists()
 
 
 def test_keygen_rejects_alpha_out_of_range(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Each command that reads a key, ciphertext, recovered-state, table or pairs
 file is fed arbitrary bytes, or a valid file with bytes replaced, deleted,
-inserted or cut off.  cli.main must return 0, 2 or 4 and raise nothing.
+inserted or cut off.  cli.main must return 0, 2 or 4 and raise nothing,
+and a usage error (2) must name the file.
 """
 
 import warnings
@@ -76,12 +77,17 @@ def workdir(tmp_path_factory):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_malformed_file_exits_cleanly(workdir, monkeypatch, kind, data):
+def test_malformed_file_exits_cleanly(workdir, monkeypatch, capsys, kind, data):
     monkeypatch.chdir(workdir)
     content = data.draw(st.one_of(
         st.binary(max_size=200), mutated((workdir / kind).read_bytes())))
     (workdir / "hostile").write_bytes(content)
     argv = [a.replace("{}", "hostile") for a in COMMANDS[kind]]
+    capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert cli.main(argv) in (0, 2, 4)
+        code = cli.main(argv)
+    assert code in (0, 2, 4)
+    if code == 2:       # a usage error names the file at fault
+        err = capsys.readouterr().err
+        assert "hostile" in err, err
