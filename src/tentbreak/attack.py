@@ -18,7 +18,9 @@ over known plaintext/ciphertext pairs.  Bit k of each modular sum depends
 only on bits 0..k of x (the carry-propagation view of addition of Lipmaa and
 Moriai, FSE 2001), so a bit-serial search from the least significant bit
 checks every bit constraint as soon as it is decided and never enumerates
-the 2^{4n} candidates.
+the 2^{4n} candidates.  The search is bit-sliced across the pairs (Biham,
+FSE 1997): bit k of all m pairs' values is one m-bit integer, so a node
+costs a few integer operations per constraint however many pairs there are.
 
 For the first block the unknown registers P_0, C_0 only ever appear inside
 (P_0 [+] U_2) and (C_0 [+] U_2), and the permutation is XOR-linear, so any
@@ -156,14 +158,16 @@ def recover_all_finv(oracle: Oracle, r: int, n: int) -> RecoveredState:
 def solve_uj(pairs, f: BitPermutation, n: int) -> list:
     """All x = U_{j+1} consistent with every (P_{j-1}, P_j, C_{j-1}, C_j).
 
-    The block equation holds iff, for every input bit i, bit f.dest[i] of
-    C_j xor (P_{j-1} [+] x) equals bit i of P_j xor (C_{j-1} [+] x), and that
-    constraint is decided by the low max(i, f.dest[i]) + 1 bits of x.  A
-    depth-first search fixes x one bit at a time from the least significant
-    end and drops a branch at the first constraint any pair violates.  The
-    solutions come back ascending (rank_candidates reorders them by
-    probability).  No solution means the inputs are inconsistent with the
-    supplied permutation.
+    The block equation holds iff, for every input bit i, bit d = f.dest[i]
+    of L = C_j xor (P_{j-1} [+] x) equals bit i of R = P_j xor (C_{j-1} [+] x),
+    which the low max(i, d) + 1 bits of x decide.  A depth-first search fixes
+    x from the least significant bit on slices: slice k packs bit k of every
+    pair, so x's bit k is 0 or all ones.  A node carries the carries into bit
+    k of P_{j-1} [+] x and C_{j-1} [+] x (out: p & c for a 0 bit, p | c for
+    a 1), and its path the slices of L and R so far; each constraint is one
+    slice comparison, which pins x's bit k or ends the branch.  The solutions
+    come back ascending (rank_candidates reorders them by probability).  No
+    solution means the inputs are inconsistent with the supplied permutation.
     """
     if not pairs:
         raise ParameterError("at least one plaintext/ciphertext pair is needed")
@@ -174,17 +178,46 @@ def solve_uj(pairs, f: BitPermutation, n: int) -> list:
     levels = [[] for _ in range(width)]
     for i, d in enumerate(f.dest):
         levels[max(i, d)].append((i, d))
+    ones = (1 << len(pairs)) - 1
+    # slice b of each value packs bit b of every pair (pair t at bit m-1-t):
+    # P_{j-1}, C_{j-1}, and L and R with x = 0, transposed in one pass
+    rows = [format(((p_prev << width | c_prev) << width | c_j ^ p_prev) << width
+                   | p_j ^ c_prev, f"0{4 * width}b")
+            for p_prev, p_j, c_prev, c_j in pairs]
+    sliced = [int("".join(col), 2) for col in zip(*rows)][::-1]
+    r0s, l0s, cp, pp = (sliced[q:q + width] for q in range(0, 4 * width, width))
+    L, R = [0] * width, [0] * width     # sliced bits of L and R on the path
     sols = []
-    stack = [(0, 0)]                 # (next bit to fix, x's fixed low bits)
+    # (next bit k, x's fixed low bits, carries into bit k, L and R at k - 1)
+    stack = [(0, 0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        k, low = stack.pop()
-        if k == width:
-            sols.append(low)
-            continue
-        for x in (low, low | (1 << k)):
-            if all((c_j ^ (p_prev + x)) >> d & 1 == (p_j ^ (c_prev + x)) >> i & 1
-                   for p_prev, p_j, c_prev, c_j in pairs for i, d in levels[k]):
-                stack.append((k + 1, x))
+        k, low, ca, cb, lk, rk = pop()
+        if k:
+            L[k - 1], R[k - 1] = lk, rk
+            if k == width:
+                sols.append(low)
+                continue
+        L[k] = l0 = l0s[k] ^ ca          # with x's bit k = 0; 1 flips both
+        R[k] = r0 = r0s[k] ^ cb
+        allowed = 3                      # bit 0: x's bit k may be 0; bit 1: 1
+        for i, d in levels[k]:
+            v = L[d] ^ R[i]
+            if i == d:                   # both sides flip together
+                if v:
+                    break
+            elif v == 0:
+                allowed &= 1
+            elif v == ones:
+                allowed &= 2
+            else:
+                break
+        else:
+            if allowed & 1:
+                push((k + 1, low, pp[k] & ca, cp[k] & cb, l0, r0))
+            if allowed & 2:
+                push((k + 1, low | 1 << k, pp[k] | ca, cp[k] | cb,
+                      l0 ^ ones, r0 ^ ones))
     sols.sort()
     if not sols:
         raise ValueError("no candidate satisfies the pairs; wrong permutation "
@@ -301,10 +334,12 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     to one equivalence family; members of a family decrypt identically, so
     any of them completes the key.  The report's `stopped` says whether that
     happened ("settled") or the max_extra_queries budget ran out first
-    ("budget").
+    ("budget").  `recovery_queries` counts the permutation battery's own
+    queries, not any the oracle answered before the call.
     """
+    before = oracle.query_count
     state = recover_all_f(oracle, r, n)
-    recovery_queries = oracle.query_count
+    recovery_queries = oracle.query_count - before
     if not known_messages:
         raise ParameterError("at least one known message is needed")
     first_pairs = [(p[0], c[0]) for p, c in known_messages if p]

@@ -21,6 +21,10 @@ EXIT_USAGE = 2
 EXIT_ORACLE = 3
 EXIT_VERIFY = 4
 
+# pairs per block that attack --mode full solves: its known messages topped
+# up with chosen plaintexts
+FULL_PAIRS = 32
+
 
 def _seed(args) -> int:
     if args.seed is not None:
@@ -187,14 +191,27 @@ def cmd_attack(args) -> int:
                 p = [rng.randrange(1 << (4 * n)) for _ in range(r)]
                 c = cipher.encrypt(session, cipher.Message(p, session.t)).blocks
                 known.append((p, c))
+            # top every block up to FULL_PAIRS pairs with chosen plaintexts
+            chosen_rng = random.Random(f"chosen:{_seed(args)}")
+            for _ in range(FULL_PAIRS - len(known)):
+                p = [chosen_rng.randrange(1 << (4 * n)) for _ in range(r)]
+                known.append((p, oracle.encrypt_blocks(p)))
+            chosen = oracle.query_count
             report = attack.full_attack(oracle, known, r, n, seed=_seed(args))
             state = report.state
+            if report.stopped == "budget":
+                ambiguous = [k for k, tag in state.provenance.items()
+                             if tag == "ambiguous"]
+                print(f"warning: disambiguation stopped after "
+                      f"{report.extra_queries} queries; still ambiguous: "
+                      + " ".join(ambiguous), file=sys.stderr)
             fresh = [rng.randrange(1 << (4 * n)) for _ in range(r)]
             fresh_c = cipher.encrypt(session, cipher.Message(fresh, session.t)).blocks
             ok = attack.keyless_decrypt(state, fresh_c) == fresh
         exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
         if args.mode == "full":
             print(f"full: {report.recovery_queries} recovery queries "
+                  f"+ {chosen} chosen-pair queries "
                   f"+ {report.extra_queries} disambiguation queries; "
                   f"permutations exact={exact}; keyless decryption "
                   f"verified={ok}")

@@ -20,6 +20,7 @@ mask-and-shift per class.
 
 from __future__ import annotations
 
+import re
 from itertools import permutations
 
 from .backend import ParameterError, open_text
@@ -124,7 +125,8 @@ class QuarterPermTable:
                     continue
                 head, _, tail = line.partition(":")
                 try:
-                    v = int(head)
+                    # v without sign, space or leading zero, as load_state reads j
+                    v = int(head) if re.fullmatch(r"0|[1-9][0-9]?", head) else -1
                     entry = tuple(int(x) for x in tail.split())
                 except ValueError:
                     v = -1
@@ -134,6 +136,9 @@ class QuarterPermTable:
                 if sorted(entry) != [1, 2, 3, 4]:
                     raise ParameterError(f"{path}: line {lineno}: entry "
                                          f"{entry} is not a permutation of 1..4")
+                if entries[v] is not None:
+                    raise ParameterError(f"{path}: line {lineno}: entry {v} "
+                                         "given twice")
                 entries[v] = entry
         if any(e is None for e in entries):
             raise ParameterError(f"table file {path} does not define all 16 entries")

@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -46,6 +47,17 @@ def test_recover_all_f_exact_with_query_budget():
         for j in range(8):
             assert state.perms[j].dest == s.F[j].dest
             assert state.provenance[f"f{j}"] == "cpa"
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_recovery_exact_at_every_block_size(n):
+    s = random_session(random.Random(f"recover:{n}"), n=n, r=3)
+    for recover, oracle in ((attack.recover_all_f, attack.EncryptionOracle(s)),
+                            (attack.recover_all_finv, attack.DecryptionOracle(s))):
+        state = recover(oracle, 3, n)
+        assert [state.perms[j].dest for j in range(3)] == \
+            [s.F[j].dest for j in range(3)]
+        assert oracle.query_count == (4 * n + 1) * 3
 
 
 def test_cca_recovery_matches_cpa():
@@ -99,6 +111,46 @@ def test_solve_uj_matches_exhaustive(n, r):
             with pytest.raises(ValueError, match="^no candidate satisfies the pairs"):
                 attack.solve_uj(pairs, s.F[0], n)
     assert unsolvable > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_solve_uj_matches_spec_on_any_permutation(data):
+    # any bit permutation, not only an f_j; the pairs satisfy the block
+    # equation for a hidden x, except that half the time one of them is
+    # drawn at random (then there is usually no solution)
+    n = data.draw(st.integers(1, 3))
+    width, value = 4 * n, st.integers(0, (1 << (4 * n)) - 1)
+    dest = data.draw(st.permutations(range(width)))
+    x, mask = data.draw(value), (1 << width) - 1
+    count = data.draw(st.integers(1, 8))
+    noisy = data.draw(st.integers(-count, count - 1))
+    pairs = []
+    for k in range(count):
+        p_prev, p_j, c_prev, c_j = (data.draw(value) for _ in range(4))
+        if k != noisy:
+            c_j = spec.apply(dest, p_j ^ ((c_prev + x) & mask)) ^ \
+                ((p_prev + x) & mask)
+        pairs.append((p_prev, p_j, c_prev, c_j))
+    want = spec.solve_uj(pairs, dest, n)
+    if want:
+        assert attack.solve_uj(pairs, BitPermutation(dest, n), n) == want
+    else:
+        with pytest.raises(ValueError, match="^no candidate satisfies the pairs"):
+            attack.solve_uj(pairs, BitPermutation(dest, n), n)
+
+
+def test_solve_uj_n16_candidates_satisfy_every_pair():
+    rng = random.Random(16)
+    s = random_session(rng, n=16, r=16)
+    msgs = encrypt_random(rng, s, 32)
+    for j in range(2, 17):
+        pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1]) for p, c in msgs]
+        sols = attack.solve_uj(pairs, s.F[j - 1], 16)
+        image = partial(spec.apply, s.F[j - 1].dest)
+        assert s.U[j + 1] in sols
+        assert all(spec.consistent(x, image, pair, 16)
+                   for x in sols for pair in pairs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -261,6 +313,17 @@ def test_full_attack_n8():
     assert report.stopped == "settled"
     [(fresh, fresh_c)] = encrypt_random(rng, s, 1)
     assert attack.keyless_decrypt(report.state, fresh_c) == fresh
+
+
+def test_full_attack_counts_only_its_recovery_queries():
+    rng = random.Random(13)
+    s = random_session(rng)
+    oracle = attack.EncryptionOracle(s)
+    for _ in range(5):
+        oracle.encrypt_blocks([0] * 8)
+    report = attack.full_attack(oracle, encrypt_random(rng, s, 2), 8, 2)
+    assert report.recovery_queries == 72
+    assert oracle.query_count == 5 + 72 + report.extra_queries
 
 
 def test_full_attack_reports_budget_stop():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tentbreak import cipher, cli
+from tentbreak import attack, cipher, cli
 from tentbreak.backend import ParameterError, get_backend
 
 
@@ -177,6 +177,35 @@ def test_attack_full_n8(tmp_path, capsys):
                 "--out", out]) == 0
     assert "528 recovery queries" in capsys.readouterr().out
     assert out.read_text().startswith("YTSREC n=8 r=16")
+
+
+def test_attack_full_n16(tmp_path, capsys):
+    out = tmp_path / "rec.txt"
+    assert run(["attack", "--mode", "full", "--n", 16, "--r", 16, "--seed", 1,
+                "--out", out]) == 0
+    text = capsys.readouterr().out
+    assert "1040 recovery queries + 30 chosen-pair queries" in text
+    assert "verified=True" in text
+
+
+def test_attack_full_names_blocks_left_ambiguous(tmp_path, capsys, monkeypatch):
+    # one pair per block and no disambiguation queries leave blocks ambiguous
+    full_attack = attack.full_attack
+    monkeypatch.setattr(attack, "full_attack", lambda oracle, known, r, n, seed:
+                        full_attack(oracle, known[:1], r, n, seed,
+                                    max_extra_queries=0))
+    out = tmp_path / "rec.txt"
+    # an ambiguous block may decrypt wrongly (exit 4); the state is written
+    assert run(["attack", "--mode", "full", "--r", 6, "--seed", 4,
+                "--out", out]) in (0, 4)
+    ambiguous = [line.partition(":")[0] for line in out.read_text().splitlines()
+                 if line.endswith("# ambiguous")]
+    captured = capsys.readouterr()
+    assert ambiguous
+    assert captured.err == ("warning: disambiguation stopped after 0 queries; "
+                            "still ambiguous: " + " ".join(ambiguous) + "\n")
+    assert captured.out.startswith("full: 54 recovery queries + 30 chosen-pair "
+                                   "queries + 0 disambiguation queries;")
 
 
 def test_attack_cpa_and_cca(tmp_path, capsys):
@@ -436,6 +465,26 @@ def test_malformed_table_file_names_the_line(tmp_path, capsys):
                     "--out", tmp_path / "rec.txt"]) == 2
         err = capsys.readouterr().err
         assert str(table) in err and "line 17" in err
+
+
+def test_table_file_rejects_repeated_and_signed_selectors(tmp_path, capsys):
+    from tentbreak import keystream
+    table = tmp_path / "table.txt"
+    # entries 1..15 on lines 1..15; entry 0 is the case under test
+    rest = "".join(f"{v}: {a} {b} {c} {d}\n" for v, (a, b, c, d)
+                   in enumerate(keystream.DEFAULT_TABLE.entries) if v)
+    bad_head = "line 16: expected 'v: a b c d' with v in 0..15"
+    for bad, error in ((" +0: 1 2 3 4", bad_head), ("-0: 1 2 3 4", bad_head),
+                       ("0 : 1 2 3 4", bad_head), ("00: 1 2 3 4", bad_head),
+                       ("0: 1 2 3 4\n0: 4 3 2 1", "line 17: entry 0 given twice"),
+                       ("0: 1 2 3 4\n 3: 1 2 3 4", "line 17: entry 3 given twice")):
+        table.write_text(rest + bad + "\n")
+        assert run(["attack", "--mode", "cpa", "--r", 2, "--table", table,
+                    "--out", tmp_path / "rec.txt"]) == 2
+        assert f"{table}: {error}" in capsys.readouterr().err
+    table.write_text(rest + "0: 1 2 3 4\n")
+    assert run(["attack", "--mode", "cpa", "--r", 2, "--table", table,
+                "--out", tmp_path / "rec.txt"]) == 0
 
 
 def test_solve_u_rejects_out_of_range_state(tmp_path, capsys):
