@@ -33,12 +33,11 @@ the blocks the recovered material covers.
 from __future__ import annotations
 
 import random
-import re
 import warnings
 from dataclasses import dataclass, field
 
 from . import cipher, keystream
-from .backend import ParameterError, open_text
+from .backend import ParameterError, number, open_text, read_lines
 from .keystream import BitPermutation
 
 
@@ -406,37 +405,34 @@ def _bounded(value: int, lo: int, hi: int, what: str) -> int:
 
 
 def load_state(path) -> RecoveredState:
-    with open_text(path) as fh:
-        n, r = cipher.read_header(fh, path, "YTSREC", "recovered-state",
-                                  ("n", "r"))
-        state = RecoveredState(n=n, r=r)
-        top = (1 << (4 * n)) - 1
-        for lineno, line in enumerate(fh, start=2):
-            body, _, comment = line.partition("#")
-            body = body.strip()
-            if not body:
-                continue
-            head, _, tail = body.partition(":")
-            tag = comment.strip() or "assumed"
-            try:
-                key = head.strip()
-                item = re.fullmatch(r"reg1|([fU])(0|[1-9][0-9]*)", key)
-                if item is None:
-                    raise ValueError(f"expected f<j>, U<j> or reg1, got {head!r}")
-                if key in state.provenance:
-                    raise ValueError(f"{key} given twice")
-                if key == "reg1":
-                    y, z = (_bounded(int(x, 16), 0, top, "reg1 value")
-                            for x in tail.split())
-                    state.reg1 = (y, z)
-                elif item[1] == "f":
-                    j = _bounded(int(item[2]), 0, r - 1, "f index")
-                    state.perms[j] = BitPermutation(
-                        tuple(int(x) for x in tail.split()), state.n)
-                else:
-                    j = _bounded(int(item[2]), 3, r + 1, "U index")
-                    state.noise[j] = _bounded(int(tail, 16), 0, top, f"{key} value")
-                state.provenance[key] = tag
-            except ValueError as exc:
-                raise ParameterError(f"{path}: line {lineno}: {exc}") from None
+    fh = open_text(path)        # read_lines closes it
+    n, r = cipher.read_header(fh, path, "YTSREC", "recovered-state", ("n", "r"))
+    state = RecoveredState(n=n, r=r)
+    top = (1 << (4 * n)) - 1
+
+    def item(lineno, line):
+        body, _, comment = line.partition("#")
+        head, _, tail = body.partition(":")
+        key = head.strip()
+        try:
+            j = number(key[1:], 10) if key[:1] in ("f", "U") else None
+        except ValueError:
+            j = None
+        if j is None and key != "reg1":
+            raise ValueError(f"expected f<j>, U<j> or reg1, got {head!r}")
+        if key in state.provenance:
+            raise ValueError(f"{key} given twice")
+        if key == "reg1":
+            y, z = (_bounded(number(x, 16), 0, top, "reg1 value")
+                    for x in tail.split())
+            state.reg1 = (y, z)
+        elif key[0] == "f":
+            j = _bounded(j, 0, r - 1, "f index")
+            state.perms[j] = BitPermutation([number(x, 10) for x in tail.split()], n)
+        else:
+            j = _bounded(j, 3, r + 1, "U index")
+            state.noise[j] = _bounded(number(tail.strip(), 16), 0, top, f"{key} value")
+        state.provenance[key] = comment.strip() or "assumed"
+
+    read_lines(path, item, fh, start=2)
     return state

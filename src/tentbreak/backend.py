@@ -13,14 +13,17 @@ on the backend in use.  Both compare naturally with ``<=``, which is all the
 tent-map code needs besides the backend methods below.
 
 The module also holds what every other module shares: the error types and
-open_text, the reader of the key, ciphertext, state, table and pairs files.
+the grammar of the input files (key, ciphertext, state, table and pairs).
 """
 
 from __future__ import annotations
 
 import io
+import re
 import struct
 from fractions import Fraction
+
+_NUMBER = {10: re.compile("0|[1-9][0-9]*"), 16: re.compile("(0x)?[0-9a-fA-F]+")}
 
 
 class DomainError(ValueError):
@@ -42,6 +45,27 @@ def open_text(path) -> io.StringIO:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParameterError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} "
                              f"is not UTF-8 text ({exc.reason})") from None
+
+
+def read_lines(path, parse, fh=None, start=1) -> None:
+    """Calls parse(k, text) with each line k of input file `path` (or of its
+    open text fh, from line start on), stripped, that is not blank or a '#'
+    comment; a ValueError from parse is an error naming the file and line."""
+    with fh or open_text(path) as lines:
+        for k, line in enumerate(map(str.strip, lines), start):
+            if line and not line.startswith("#"):
+                try:
+                    parse(k, line)
+                except ValueError as exc:
+                    raise ParameterError(f"{path}: line {k}: {exc}") from None
+
+
+def number(text: str, base: int) -> int:
+    """The number `text` of an input file in base 10 or 16, spelled as the
+    writers spell it (_NUMBER); any other spelling is a ValueError."""
+    if not _NUMBER[base].fullmatch(text):
+        raise ValueError(f"expected an unsigned base-{base} number, got {text!r}")
+    return int(text, base)
 
 
 class FixedPointBackend:
@@ -178,25 +202,23 @@ def get_backend(name: str):
     key = name.strip().lower()
     if key == "f64":
         return Binary64Backend()
-    if key.startswith("fp") and key[2:].isdecimal():
-        return FixedPointBackend(int(key[2:]))
+    if key.startswith("fp") and _NUMBER[10].fullmatch(key[2:]):
+        return FixedPointBackend(number(key[2:], 10))
     raise ParameterError(f"unknown backend {name!r}: use fpNN (e.g. fp62) or f64")
 
 
 def parse_value(s: str):
     """Parse a serialized value; returns (value, backend)."""
-    s = s.strip()
     if s.startswith("f64:"):
-        payload = bytes.fromhex(s[4:])
-        if len(payload) != 8:
+        bits = number(s[4:], 16)
+        if len(s[4:].removeprefix("0x")) != 16:
             raise ParameterError(f"f64 value {s!r} is not 8 bytes")
-        (v,) = struct.unpack(">d", payload)
-        return v, Binary64Backend()
+        return struct.unpack(">d", bits.to_bytes(8, "big"))[0], Binary64Backend()
     if s.startswith("fp"):
         prefix, _, payload = s.partition(":")
-        backend = FixedPointBackend(int(prefix[2:]))
-        raw = int(payload, 16)
-        if not 0 <= raw <= backend.one:
+        backend = FixedPointBackend(number(prefix[2:], 10))
+        raw = number(payload, 16)
+        if raw > backend.one:
             raise DomainError(f"raw value {s!r} outside [0, 1]")
         return raw, backend
     raise ParameterError(f"unparseable value {s!r}")

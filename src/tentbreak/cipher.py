@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import keystream, tentmap
-from .backend import ParameterError, open_text, parse_value
+from .backend import ParameterError, number, open_text, parse_value, read_lines
 from .keystream import DEFAULT_TABLE, QuarterPermTable
 
 
@@ -151,24 +151,26 @@ def load_key(path):
     inside (0, 1) on one backend, n in 1..16 and K below 2^{4n}.  An error
     names the file, and the line and field where there is one."""
     parsers = {"alpha": parse_value, "beta": parse_value, "gamma": parse_value,
-               "n": int, "K": lambda text: int(text, 16)}
+               "n": lambda text: number(text, 10), "K": lambda text: number(text, 16)}
     values, lines = {}, {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, eq, text = (part.strip() for part in line.partition("="))
-            where = f"key file {path}: line {lineno}"
-            if not eq or name not in parsers:
-                raise ParameterError(f"{where}: expected name=value with name "
-                                     f"one of {', '.join(parsers)}, got {line!r}")
-            if name in values:
-                raise ParameterError(f"{where}: {name}: repeats line {lines[name]}")
-            try:
-                values[name], lines[name] = parsers[name](text), lineno
-            except ValueError as exc:
-                raise ParameterError(f"{where}: {name}: {exc}") from None
+
+    def field(lineno, line):
+        name, eq, text = (part.strip() for part in line.partition("="))
+        if not eq or name not in parsers:
+            raise ValueError(f"expected name=value with name one of "
+                             f"{', '.join(parsers)}, got {line!r}")
+        if name in values:
+            raise ValueError(f"{name}: repeats line {lines[name]}")
+        try:
+            values[name], lines[name] = parsers[name](text), lineno
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if name == "n" and not 1 <= values["n"] <= 16:
+            raise ValueError(f"n must be in 1..16, got {values['n']}")
+        if name in ("alpha", "beta", "gamma"):
+            tentmap.check_open_unit(*values[name], name)
+
+    read_lines(path, field)
     missing = [name for name in parsers if name not in values]
     if missing:
         raise ParameterError(f"key file {path} is missing field {missing[0]!r}")
@@ -177,17 +179,9 @@ def load_key(path):
     if not backend == b2 == b3:
         raise ParameterError(f"key file {path} mixes arithmetic backends")
     n, k = values["n"], values["K"]
-    name = "n"                           # the field each check is about
-    try:
-        if not 1 <= n <= 16:
-            raise ParameterError(f"n must be in 1..16, got {n}")
-        for name in ("alpha", "beta", "gamma"):
-            tentmap.check_open_unit(values[name][0], backend, name)
-        name = "K"
-        if not 0 <= k < 1 << (4 * n):
-            raise ParameterError(f"K must be below 2^{4 * n} at n={n}, got {k:#x}")
-    except ParameterError as exc:
-        raise ParameterError(f"key file {path}: line {lines[name]}: {exc}") from None
+    if k >> (4 * n):
+        raise ParameterError(f"{path}: line {lines['K']}: K must be below "
+                             f"2^{4 * n} at n={n}, got {k:#x}")
     return KeyMaterial(alpha, beta, gamma, k), n, backend
 
 
@@ -199,22 +193,26 @@ def save_ciphertext(msg: Message, n: int, path) -> None:
 
 
 def read_header(fh, path, magic: str, kind: str, names) -> list[int]:
-    """The integer fields `names` of a 'MAGIC name=value ...' first line;
-    `names` includes n, which must be a block parameter in 1..16."""
+    """The integer fields `names`, each given once and no other, of a
+    'MAGIC name=value ...' first line; `names` includes n, which must be a
+    block parameter in 1..16."""
     header = fh.readline().split()
     if not header or header[0] != magic:
         raise ParameterError(f"{path} is not a {kind} file")
-    meta = dict(item.partition("=")[::2] for item in header[1:])
-    try:
-        values = [int(meta[name]) for name in names]
-    except KeyError as exc:
-        raise ParameterError(
-            f"{path}: line 1: header has no {exc.args[0]}= field") from None
-    except ValueError as exc:
-        raise ParameterError(f"{path}: line 1: {exc}") from None
-    if not 1 <= values[names.index("n")] <= 16:
+    meta = {}
+    for name, _, text in (item.partition("=") for item in header[1:]):
+        try:
+            if name not in names or name in meta:
+                raise ValueError("given twice" if name in meta else "unknown field")
+            meta[name] = number(text, 10)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: line 1: {name}: {exc}") from None
+    missing = [name for name in names if name not in meta]
+    if missing:
+        raise ParameterError(f"{path}: line 1: header has no {missing[0]}= field")
+    if not 1 <= meta["n"] <= 16:
         raise ParameterError(f"{path}: line 1: n must be in 1..16")
-    return values
+    return [meta[name] for name in names]
 
 
 def load_ciphertext(path):
@@ -226,16 +224,14 @@ def load_ciphertext(path):
         if t < 1:
             raise ParameterError(f"{path}: line 1: t must be a positive "
                                  f"integer, got {t}")
-        if length < 0:
-            raise ParameterError(f"{path}: line 1: len must be >= 0, got {length}")
         blocks = []
         for lineno in range(2, length + 2):
             line = fh.readline()
             try:
-                block = int(line, 16)
+                block = number(line.strip(), 16)
             except ValueError:
-                block = -1
-            if not 0 <= block < 1 << (4 * n):
+                block = None
+            if block is None or block >> (4 * n):
                 got = f"got {line.strip()!r}" if line else "the file ends"
                 raise ParameterError(
                     f"{path}: line {lineno}: expected {4 * n}-bit block "

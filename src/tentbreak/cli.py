@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 
 from . import analysis, attack, cipher, keystream, tentmap
-from .backend import ParameterError, get_backend, open_text
+from .backend import ParameterError, get_backend, number, read_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,8 +29,11 @@ FULL_PAIRS = 32
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("TENTBREAK_SEED")
-    return int(env) if env else 0
+    env = os.environ.get("TENTBREAK_SEED") or "0"
+    try:
+        return int(env)     # as argparse reads --seed
+    except ValueError:
+        raise ParameterError(f"TENTBREAK_SEED={env!r} is not an integer") from None
 
 
 def _n(args) -> int:
@@ -285,23 +288,20 @@ def cmd_solve_u(args) -> int:
     state = attack.load_state(args.state)
     width = 4 * state.n
     pairs = []
-    with open_text(args.pairs) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                pair = tuple(int(x, 16) for x in line.split())
-            except ValueError:
-                pair = ()
-            if len(pair) != 4:
-                raise ParameterError(f"{args.pairs}: line {lineno}: expected "
-                                     f"four hex values, got {line!r}")
-            if any(not 0 <= v < 1 << width for v in pair):
-                raise ParameterError(f"{args.pairs}: line {lineno}: pair value "
-                                     f"outside the {width}-bit block range "
-                                     f"of {args.state}")
-            pairs.append(pair)
+
+    def pair(lineno, line):
+        try:
+            values = tuple(number(x, 16) for x in line.split())
+        except ValueError:
+            values = ()
+        if len(values) != 4:
+            raise ValueError(f"expected four hex values, got {line!r}")
+        if any(v >> width for v in values):
+            raise ValueError(f"pair value outside the {width}-bit block range "
+                             f"of {args.state}")
+        pairs.append(values)
+
+    read_lines(args.pairs, pair)
     f = state.perms.get(args.j - 1)
     if not 2 <= args.j <= state.r or f is None:
         raise ParameterError(f"--j {args.j} must name a block 2..{state.r} "

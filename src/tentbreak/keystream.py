@@ -20,10 +20,9 @@ mask-and-shift per class.
 
 from __future__ import annotations
 
-import re
 from itertools import permutations
 
-from .backend import ParameterError, open_text
+from .backend import ParameterError, number, read_lines
 from .tentmap import TentParams, check_open_unit, restart
 
 
@@ -118,28 +117,22 @@ class QuarterPermTable:
     @classmethod
     def load(cls, path) -> "QuarterPermTable":
         entries = [None] * 16
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                head, _, tail = line.partition(":")
-                try:
-                    # v without sign, space or leading zero, as load_state reads j
-                    v = int(head) if re.fullmatch(r"0|[1-9][0-9]?", head) else -1
-                    entry = tuple(int(x) for x in tail.split())
-                except ValueError:
-                    v = -1
-                if not 0 <= v < 16:
-                    raise ParameterError(f"{path}: line {lineno}: expected "
-                                         f"'v: a b c d' with v in 0..15")
-                if sorted(entry) != [1, 2, 3, 4]:
-                    raise ParameterError(f"{path}: line {lineno}: entry "
-                                         f"{entry} is not a permutation of 1..4")
-                if entries[v] is not None:
-                    raise ParameterError(f"{path}: line {lineno}: entry {v} "
-                                         "given twice")
-                entries[v] = entry
+
+        def entry(lineno, line):
+            head, _, tail = line.partition(":")
+            try:
+                v, e = number(head, 10), tuple(number(x, 10) for x in tail.split())
+            except ValueError:
+                v = 16
+            if v > 15:
+                raise ValueError("expected 'v: a b c d' with v in 0..15")
+            if sorted(e) != [1, 2, 3, 4]:
+                raise ValueError(f"entry {e} is not a permutation of 1..4")
+            if entries[v] is not None:
+                raise ValueError(f"entry {v} given twice")
+            entries[v] = e
+
+        read_lines(path, entry)
         if any(e is None for e in entries):
             raise ParameterError(f"table file {path} does not define all 16 entries")
         return cls(entries)

@@ -179,9 +179,14 @@ def test_ciphertext_file_rejects_garbage(tmp_path):
     path = tmp_path / "ct.txt"
     for text, error in (
             ("not a ciphertext\n", " is not a ciphertext file"),
-            ("YTS1 t=5 n=2 len=-3\n", ": line 1: len must be >= 0, got -3"),
+            ("YTS1 t=5 n=2 len=-3\n",
+             ": line 1: len: expected an unsigned base-10 number, got '-3'"),
             ("YTS1 t=0 n=2 len=1\n0a\n", ": line 1: t must be a positive integer"),
-            ("YTS1 t=-5 n=2 len=1\n0a\n", ": line 1: t must be a positive integer"),
+            ("YTS1 t=-5 n=2 len=1\n0a\n",
+             ": line 1: t: expected an unsigned base-10 number, got '-5'"),
+            ("YTS1 t=77 n=2 n=3 len=1\n0a\n", ": line 1: n: given twice"),
+            ("YTS1 t=77 n=2 len=1 zz=9\n0a\n", ": line 1: zz: unknown field"),
+            ("YTS1 t=77 n=2 len=1 junk\n0a\n", ": line 1: junk: unknown field"),
             ("YTS1 t=5 n=2 len=1\n0a\nzzzz\n", ": line 3: expected the end"),
             ("YTS1 t=5 n=2 len=1\n0a\n\n0b\n", ": line 4: expected the end")):
         path.write_text(text)

@@ -48,12 +48,20 @@ def test_keygen_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_keygen_seed_env_fallback(tmp_path, monkeypatch):
+def test_keygen_seed_env_fallback(tmp_path, monkeypatch, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    monkeypatch.setenv("TENTBREAK_SEED", "9")
-    run(["keygen", "--out", a])
-    run(["keygen", "--seed", 9, "--out", b])
-    assert a.read_text() == b.read_text()
+    for seed in ("9", "-7"):
+        monkeypatch.setenv("TENTBREAK_SEED", seed)
+        run(["keygen", "--out", a])
+        run(["keygen", "--seed", seed, "--out", b])
+        assert a.read_text() == b.read_text()
+    # a value --seed would refuse names the variable
+    monkeypatch.setenv("TENTBREAK_SEED", "abc")
+    capsys.readouterr()
+    assert run(["keygen", "--out", tmp_path / "c.txt"]) == 2
+    assert "error: TENTBREAK_SEED='abc' is not an integer" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_shared_flags_before_the_subcommand_are_usage_errors(tmp_path, capsys):
@@ -367,7 +375,8 @@ def test_solve_u_empty_pairs_file_is_usage_error(tmp_path, capsys):
                         ("12 34 56\n", "line 1: expected four hex values"),
                         ("12 34 56 zz\n", "line 1: expected four hex values"),
                         ("12 34 56 78\n00 1ff 02 03\n", wide),
-                        ("12 34 56 78\n00 01 -1 03\n", wide)):
+                        ("12 34 56 78\n00 01 -1 03\n",
+                         "line 2: expected four hex values")):
         pairs.write_text(text)
         assert run(["solve-u", "--state", state_file, "--pairs", pairs,
                     "--j", 2]) == 2
@@ -413,10 +422,11 @@ def _encrypt_with_key_field(tmp_path, capsys, field, value, line=None):
 
 
 def test_key_file_block_parameter_out_of_range(tmp_path, capsys):
-    for n in ("0", "17", "-1"):
+    for n, error in (("0", "n must be in 1..16"), ("17", "n must be in 1..16"),
+                     ("-1", "line 5: n: expected an unsigned base-10 number")):
         code, err = _encrypt_with_key_field(tmp_path, capsys, "n", n)
         assert code == 2
-        assert str(tmp_path / "key.txt") in err and "n must be in 1..16" in err
+        assert str(tmp_path / "key.txt") in err and error in err
 
 
 def test_key_file_beta_on_the_boundary(tmp_path, capsys):

@@ -15,6 +15,10 @@ from another tests/ module by attribute or from-import.  A parameter counts
 only where it names a fixture of its module, since pytest passes fixtures by
 parameter name.  So a reference copy that no test calls any more fails
 here, and so does one that only another unreached helper calls.
+
+backend.number is the one reader of a number in an input file, so no other
+function in src/tentbreak calls int() but those in INT_CALLERS, whose
+arguments are no file's text.
 """
 
 import ast
@@ -26,6 +30,15 @@ TESTS = ROOT / "tests"
 
 # definitions that only the tests call, each mapped to the reason it stays
 ALLOWED = {}
+
+# the functions besides backend.number that call int(), each with what it reads
+INT_CALLERS = {
+    "attack.solve_uj": "the bit columns of its transpose",
+    "cli.blocks_from_bytes": "the hex digits of bytes.hex()",
+    "cli._seed": "TENTBREAK_SEED, as argparse reads --seed",
+    "analysis._fmt": "a bool",
+    "keystream.build_noise_vectors": "a comparison",
+}
 
 
 def _definitions():
@@ -41,6 +54,26 @@ def _definitions():
                     if isinstance(item, ast.FunctionDef) and not (
                             item.name.startswith("__") and item.name.endswith("__")):
                         yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _int_callers() -> set:
+    """module.qualified_name of every function and method that calls int();
+    a call in a nested function counts for the one that holds it, and a
+    call outside any function for <module> or <class>."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                scopes = [(f"{node.name}.{getattr(item, 'name', '<class>')}", item)
+                          for item in node.body]
+            else:
+                scopes = [(getattr(node, "name", "<module>"), node)]
+            for name, scope in scopes:
+                if any(isinstance(call, ast.Call)
+                       and getattr(call.func, "id", None) == "int"
+                       for call in ast.walk(scope)):
+                    callers.add(f"{path.stem}.{name}")
+    return callers
 
 
 def _references() -> set:
@@ -74,6 +107,10 @@ def test_allowlist_is_current():
     stale = sorted(qual for qual in ALLOWED
                    if qual not in defined or defined[qual] in refs)
     assert not stale, f"allowlisted but missing or now used: {stale}"
+
+
+def test_one_reader_of_input_numbers():
+    assert _int_callers() == {"backend.number", *INT_CALLERS}
 
 
 def _is_fixture(node) -> bool:
