@@ -61,19 +61,28 @@ def guess_complexity(alpha, n: int):
     """Exact expected number of candidates examined before the true noise
     vector, under the prioritized enumeration; returns (Com, log2(Com)).
 
-    Computed in exact rational arithmetic: per class of c equally likely
-    values starting after `off` earlier candidates, the rank contribution is
-    p * (c*off + c*(c+1)/2).
+    With alpha = a/b exactly, each of the c_k = C(4n, k) values with k
+    one-bits has probability a^{4n-k} (b-a)^k / b^{4n}, and its class holds
+    ranks off_k + 1 .. off_k + c_k, so
+
+        Com = sum_k a^{4n-k} (b-a)^k c_k (2 off_k + c_k + 1) / (2 b^{4n})
+
+    over k in class_order.  The sum is taken in integers, from power tables
+    built once, and reduced to one Fraction at the end.
     """
     al = _as_fraction(alpha)
+    a, b = al.numerator, al.denominator
     width = 4 * n
-    com = Fraction(0)
-    off = 0
-    for ones in attack.class_order(al, n):
-        c = math.comb(width, ones)
-        p = al ** (width - ones) * (1 - al) ** ones  # per-element probability
-        com += p * (c * off + Fraction(c * (c + 1), 2))
+    zeros, ones = [1], [1]  # a^i and (b - a)^i
+    for _ in range(width):
+        zeros.append(zeros[-1] * a)
+        ones.append(ones[-1] * (b - a))
+    total = off = 0
+    for k in attack.class_order(al, n):
+        c = math.comb(width, k)
+        total += zeros[width - k] * ones[k] * c * (2 * off + c + 1)
         off += c
+    com = Fraction(total, 2 * b ** width)
     return com, log2_fraction(com)
 
 
@@ -149,7 +158,16 @@ def degradation_report(beta, x0, backend):
 def orbit_length_census(L: int, alpha, sample_count: int, seed: int = 0,
                         workers: int = 1):
     """Mean rho length (transient + period) of random orbits at L-bit fixed
-    precision.  Returns (mean, lengths)."""
+    precision.  Returns (mean, lengths).
+
+    Orbits of one map merge into shared tails, so one table of rho lengths
+    serves every sample of every worker substream.  A walk from x0 stops at
+    the first state already in the table or already on its own path; each
+    new state on the path then gets its rho length, one more than its
+    successor's off the cycle and the period on it.  Every state in the
+    table has its whole forward orbit there, so each length equals
+    tentmap.analyze_orbit's transient + period.
+    """
     if L > 24:
         raise ParameterError("census is desk-scale only: L <= 24")
     backend = FixedPointBackend(L)
@@ -157,13 +175,24 @@ def orbit_length_census(L: int, alpha, sample_count: int, seed: int = 0,
     params = tentmap.TentParams(
         backend.from_ratio(a.numerator, a.denominator),
         backend.from_ratio(7, 10))
+    rho = {}
     lengths = []
     for chunk in _worker_chunks(sample_count, workers):
         rng = random.Random(f"{seed}:{chunk['worker']}")
         for _ in range(chunk["count"]):
             x0 = rng.randrange(1, backend.one)
-            report = tentmap.analyze_orbit(x0, params, (1 << L) + 2, backend)
-            lengths.append(report.transient_len + report.period)
+            path = {}  # new state -> its index on this walk
+            for x in tentmap.orbit_stream(x0, params, backend):
+                if x in rho or x in path:
+                    break
+                path[x] = len(path)
+            if x in path:  # the walk closed its own cycle at path[x]
+                stop, end = path[x], len(path) - path[x]
+            else:          # the walk joined a known orbit at x
+                stop, end = len(path), rho[x]
+            for s, i in path.items():
+                rho[s] = end + max(stop - i, 0)
+            lengths.append(rho[x0])
     return sum(lengths) / len(lengths), lengths
 
 

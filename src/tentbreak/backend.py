@@ -68,6 +68,22 @@ def number(text: str, base: int) -> int:
     return int(text, base)
 
 
+def hex_blocks(text: str, n: int, count: int):
+    """The first `count` lines of `text` as blocks, when each is one as
+    save_ciphertext writes it, n lower-case hex digits and a newline;
+    otherwise None, and the caller reads the lines with number() to name
+    the first bad one.  One fullmatch per 256 lines checks the run instead
+    of one per line (a repeated group keeps a backtracking mark of about
+    130 bytes per line until its match ends); number accepts every such
+    line, with the same value."""
+    end, step = count * (n + 1), 256 * (n + 1)
+    run = re.compile(f"(?:[0-9a-f]{{{n}}}\n)*")
+    if end > len(text) or not all(run.fullmatch(text, i, min(i + step, end))
+                                  for i in range(0, end, step)):
+        return None
+    return [int(text[i:i + n], 16) for i in range(0, end, n + 1)]
+
+
 class FixedPointBackend:
     """Binary fixed-point arithmetic on [0, 1] with L fractional bits."""
 

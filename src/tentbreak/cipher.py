@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import keystream, tentmap
-from .backend import ParameterError, number, open_text, parse_value, read_lines
+from .backend import (ParameterError, hex_blocks, number, open_text, parse_value,
+                      read_lines)
 from .keystream import DEFAULT_TABLE, QuarterPermTable
 
 
@@ -224,19 +225,23 @@ def load_ciphertext(path):
         if t < 1:
             raise ParameterError(f"{path}: line 1: t must be a positive "
                                  f"integer, got {t}")
-        blocks = []
-        for lineno in range(2, length + 2):
-            line = fh.readline()
-            try:
-                block = number(line.strip(), 16)
-            except ValueError:
-                block = None
-            if block is None or block >> (4 * n):
-                got = f"got {line.strip()!r}" if line else "the file ends"
-                raise ParameterError(
-                    f"{path}: line {lineno}: expected {4 * n}-bit block "
-                    f"{lineno - 1} of {length}, {got}")
-            blocks.append(block)
+        start = fh.tell()
+        blocks = hex_blocks(fh.read(), n, length)
+        fh.seek(start if blocks is None else start + length * (n + 1))
+        if blocks is None:  # read line by line, to name the first bad line
+            blocks = []
+            for lineno in range(2, length + 2):
+                line = fh.readline()
+                try:
+                    block = number(line.strip(), 16)
+                except ValueError:
+                    block = None
+                if block is None or block >> (4 * n):
+                    got = f"got {line.strip()!r}" if line else "the file ends"
+                    raise ParameterError(
+                        f"{path}: line {lineno}: expected {4 * n}-bit block "
+                        f"{lineno - 1} of {length}, {got}")
+                blocks.append(block)
         for lineno, line in enumerate(fh, start=length + 2):
             if line.strip():
                 raise ParameterError(

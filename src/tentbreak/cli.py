@@ -12,6 +12,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from functools import partial
 
 from . import analysis, attack, cipher, keystream, tentmap
 from .backend import ParameterError, get_backend, number, read_lines
@@ -232,56 +233,71 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    if args.figure in ("fig1", "fig3"):
-        backend = get_backend(args.backend)
-    if args.figure in ("fig1", "census") and args.samples < 1:
-        raise ParameterError(f"--samples must be >= 1, got {args.samples}")
-    if args.figure == "fig1":
-        p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
-        hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
-                                         args.samples, backend, mended=args.mended)
-        header = ("value", "count", "frequency", "theoretical")
-        rows = ((a, c, c / hist.samples,
-                 analysis.theoretical_prob(a, Fraction(1, 10), hist.n))
-                for a, c in enumerate(hist.counts))
-    elif args.figure == "fig2":
-        header, rows = ("alpha", "log2_com"), analysis.complexity_curve(_n(args))
-    elif args.figure == "fig3":
-        p = tentmap.TentParams(backend.from_float(0.5), backend.from_float(0.4))
-        orbit = tentmap.iterate_orbit(backend.from_float(0.123), p, 200, backend)
-        header, rows = ("i", "x"), ((i, backend.to_float(x))
-                                    for i, x in enumerate(orbit, start=1))
-    elif args.figure == "beta":
-        L = args.precision
-        if not 2 <= L <= 64:
-            raise ParameterError(f"--precision must be in 2..64 for beta, got {L}")
-        p, expected, dec_bytes = analysis.beta_impact(L)
-        header, rows = ("key", "value"), {
-            "precision_bits": L,
-            "hit_probability": p,
-            "expected_first_hit": expected,
-            "decryptable_bytes": dec_bytes,
-            "model_trial_mean": analysis.first_hit_model_trials(L, 200,
-                                                                seed=_seed(args)),
-        }.items()
-    else:  # census
-        L = args.precision
-        if not 0 < args.alpha < 1:
-            raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
-        if not 1 <= L <= 24:
-            raise ParameterError(f"--precision must be in 1..24 for census, got {L}")
-        mean, lengths = analysis.orbit_length_census(L, args.alpha, args.samples,
-                                                     seed=_seed(args))
-        header, rows = ("key", "value"), {
-            "precision_bits": L,
-            "samples": len(lengths),
-            "mean_orbit_length": mean,
-            "sqrt_scale_reference": 2 ** (L / 2),
-        }.items()
-    analysis.emit_csv(args.out, header, rows)
+def cmd_analyze(figure, args) -> int:
+    """Writes the CSV that the figure's handler returns as (header, rows)."""
+    analysis.emit_csv(args.out, *figure(args))
     print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def _samples(args) -> int:
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be >= 1, got {args.samples}")
+    return args.samples
+
+
+def analyze_fig1(args):
+    backend = get_backend(args.backend)
+    p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
+    hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
+                                     _samples(args), backend, mended=args.mended)
+    return (("value", "count", "frequency", "theoretical"),
+            ((a, c, c / hist.samples,
+              analysis.theoretical_prob(a, Fraction(1, 10), hist.n))
+             for a, c in enumerate(hist.counts)))
+
+
+def analyze_fig2(args):
+    return ("alpha", "log2_com"), analysis.complexity_curve(_n(args))
+
+
+def analyze_fig3(args):
+    backend = get_backend(args.backend)
+    p = tentmap.TentParams(backend.from_float(0.5), backend.from_float(0.4))
+    orbit = tentmap.iterate_orbit(backend.from_float(0.123), p, 200, backend)
+    return ("i", "x"), ((i, backend.to_float(x))
+                        for i, x in enumerate(orbit, start=1))
+
+
+def analyze_beta(args):
+    L = args.precision
+    if not 2 <= L <= 64:
+        raise ParameterError(f"--precision must be in 2..64 for beta, got {L}")
+    p, expected, dec_bytes = analysis.beta_impact(L)
+    return ("key", "value"), {
+        "precision_bits": L,
+        "hit_probability": p,
+        "expected_first_hit": expected,
+        "decryptable_bytes": dec_bytes,
+        "model_trial_mean": analysis.first_hit_model_trials(L, 200,
+                                                            seed=_seed(args)),
+    }.items()
+
+
+def analyze_census(args):
+    samples, L = _samples(args), args.precision
+    if not 0 < args.alpha < 1:
+        raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if not 1 <= L <= 24:
+        raise ParameterError(f"--precision must be in 1..24 for census, got {L}")
+    mean, lengths = analysis.orbit_length_census(L, args.alpha, samples,
+                                                 seed=_seed(args))
+    return ("key", "value"), {
+        "precision_bits": L,
+        "samples": len(lengths),
+        "mean_orbit_length": mean,
+        "sqrt_scale_reference": 2 ** (L / 2),
+    }.items()
 
 
 def cmd_solve_u(args) -> int:
@@ -367,7 +383,8 @@ class _Given(argparse.Action):
 
 
 # command -> (handler, the flags it reads, its changes to their entries);
-# analyze takes a figure, and each figure is a command of its own
+# analyze takes a figure, and each figure is a command of its own whose
+# handler returns the (header, rows) of its CSV
 COMMANDS = {
     "keygen": (cmd_keygen, "--backend --n --seed --alpha --allow-weak --out", {}),
     "encrypt": (cmd_encrypt, "--table --key --t infile --out", {}),
@@ -379,13 +396,13 @@ COMMANDS = {
                               help="victim key file (default: random from seed)"),
                 "--t": dict(required=False, default=123456789)}),
     "analyze": {
-        "fig1": (cmd_analyze, "--backend --samples --mended --out",
+        "fig1": (analyze_fig1, "--backend --samples --mended --out",
                  {"--samples": dict(default=1000)}),
-        "fig2": (cmd_analyze, "--n --out", {"--n": dict(default=16)}),
-        "fig3": (cmd_analyze, "--backend --out", {}),
-        "beta": (cmd_analyze, "--seed --precision --out",
+        "fig2": (analyze_fig2, "--n --out", {"--n": dict(default=16)}),
+        "fig3": (analyze_fig3, "--backend --out", {}),
+        "beta": (analyze_beta, "--seed --precision --out",
                  {"--precision": dict(default=62)}),
-        "census": (cmd_analyze, "--seed --samples --alpha --precision --out",
+        "census": (analyze_census, "--seed --samples --alpha --precision --out",
                    {"--samples": dict(default=500), "--alpha": dict(default=0.37),
                     "--precision": dict(default=16)}),
     },
@@ -419,7 +436,8 @@ def _add_commands(parser, commands, dest: str, where: str) -> None:
             func, flags, changes = spec
             for flag in flags.split():
                 s.add_argument(flag, **{**FLAGS[flag], **changes.get(flag, {})})
-            s.set_defaults(func=func)
+            s.set_defaults(func=partial(cmd_analyze, func) if dest == "figure"
+                           else func)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -184,10 +184,6 @@ class BitPermutation:
         return p
 
     @property
-    def width(self) -> int:
-        return 4 * self.n
-
-    @property
     def dest(self) -> tuple:
         if self._dest is None:
             width = 4 * self.n

@@ -9,6 +9,7 @@ directly.  Where a map is undefined it raises ValueError; the tests match
 the fast paths' messages.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -282,3 +283,21 @@ def solve_uj(pairs, dest, n: int) -> list:
     for pair in pairs:
         sols = [x for x in sols if consistent(x, image.__getitem__, pair, n)]
     return sols
+
+
+# ---------------------------------------------------------------------------
+# the guess complexity of the prioritized enumeration
+
+def guess_complexity(alpha: Fraction, n: int, order) -> Fraction:
+    """Com(alpha) = sum of rank * Prob over the prioritized enumeration,
+    class by class in `order` (one-bit counts): each of a class's c values
+    has Prob alpha^{zeros} (1 - alpha)^{ones}, and the class holds ranks
+    off + 1 .. off + c, which add up to c*off + c(c+1)/2."""
+    width = 4 * n
+    com, off = Fraction(0), 0
+    for ones in order:
+        c = math.comb(width, ones)
+        prob = alpha ** (width - ones) * (1 - alpha) ** ones
+        com += prob * (c * off + Fraction(c * (c + 1), 2))
+        off += c
+    return com

@@ -1,13 +1,18 @@
 """Histograms, guess complexity, boundary impact and degradation checks."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tentbreak import analysis, tentmap
-from tentbreak.backend import ParameterError, get_backend
-from rank_reference import class_offset_h, mean_rank_monte_carlo
+import spec
+from tentbreak import analysis, attack, tentmap
+from tentbreak.backend import FixedPointBackend, ParameterError, get_backend
+from rank_reference import (class_offset_h, mean_rank_monte_carlo,
+                            prioritized_candidates)
 
 FP = get_backend("fp62")
 F64 = get_backend("f64")
@@ -60,6 +65,35 @@ def test_com_nondecreasing_to_half():
         if prev is not None:
             assert lc >= prev - 1e-9
         prev = lc
+
+
+# complexity_curve's alpha grid, and float alphas whose exact binary value
+# has a large denominator
+GRID = [Fraction(i, 100) for i in range(1, 100)]
+FLOATS = [0.37, 0.5, 0.503, 1e-9]
+
+
+def test_com_matches_spec():
+    for n in (1, 2, 3, 4, 8, 16):
+        for alpha in GRID + FLOATS:
+            want = spec.guess_complexity(Fraction(alpha), n,
+                                         attack.class_order(alpha, n))
+            com, log2_com = analysis.guess_complexity(alpha, n)
+            assert com == want, (alpha, n)
+            assert log2_com == analysis.log2_fraction(want)
+
+
+def test_com_is_mean_rank_over_enumeration():
+    # sum of rank * Prob over every block value in the attacker's order
+    for n in (1, 2):
+        width = 4 * n
+        for alpha in GRID + FLOATS:
+            al = Fraction(alpha)
+            want = sum(rank * al ** (width - bin(v).count("1"))
+                       * (1 - al) ** bin(v).count("1")
+                       for rank, v in enumerate(prioritized_candidates(alpha, n),
+                                                start=1))
+            assert analysis.guess_complexity(alpha, n)[0] == want, (alpha, n)
 
 
 def test_com_matches_monte_carlo():
@@ -121,6 +155,47 @@ def test_orbit_length_census_scales():
     assert mean16 > mean12
     with pytest.raises(ParameterError):
         analysis.orbit_length_census(30, 0.37, 10)
+
+
+def _census_reference(L, alpha, samples, seed, workers):
+    """The census lengths orbit by orbit: analyze_orbit's transient + period
+    from each x0, drawn as the census draws them."""
+    be = FixedPointBackend(L)
+    a = Fraction(alpha)
+    p = tentmap.TentParams(be.from_ratio(a.numerator, a.denominator),
+                           be.from_ratio(7, 10))
+    lengths = []
+    for w in range(workers):
+        rng = random.Random(f"{seed}:{w}")
+        for _ in range(samples // workers + (w < samples % workers)):
+            rep = tentmap.analyze_orbit(rng.randrange(1, be.one), p,
+                                        (1 << L) + 2, be)
+            assert rep.conclusive
+            lengths.append(rep.transient_len + rep.period)
+    return lengths
+
+
+@settings(max_examples=80, deadline=None)
+@given(L=st.integers(1, 16), alpha=st.floats(0.001, 0.999),
+       seed=st.integers(0, 1 << 32), samples=st.integers(1, 40),
+       workers=st.integers(1, 4))
+def test_census_lengths_match_analyze_orbit(L, alpha, seed, samples, workers):
+    try:
+        want = _census_reference(L, alpha, samples, seed, workers)
+    except ParameterError as exc:   # alpha rounds to 0 or 1 at L bits
+        with pytest.raises(ParameterError, match=re.escape(str(exc))):
+            analysis.orbit_length_census(L, alpha, samples, seed, workers)
+        return
+    mean, lengths = analysis.orbit_length_census(L, alpha, samples, seed, workers)
+    assert lengths == want
+    assert mean == sum(want) / len(want)
+
+
+@pytest.mark.parametrize("L", [20, 24])
+def test_census_lengths_match_analyze_orbit_wide(L):
+    for seed in (0, 1, 2):
+        _, lengths = analysis.orbit_length_census(L, 0.37, 12, seed, workers=2)
+        assert lengths == _census_reference(L, 0.37, 12, seed, 2)
 
 
 def test_csv_emitters(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spec
-from tentbreak import cipher
+from tentbreak import backend, cipher
 from tentbreak.backend import ParameterError, get_backend
 from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
 
@@ -188,9 +188,77 @@ def test_ciphertext_file_rejects_garbage(tmp_path):
             ("YTS1 t=77 n=2 len=1 zz=9\n0a\n", ": line 1: zz: unknown field"),
             ("YTS1 t=77 n=2 len=1 junk\n0a\n", ": line 1: junk: unknown field"),
             ("YTS1 t=5 n=2 len=1\n0a\nzzzz\n", ": line 3: expected the end"),
+            (f"YTS1 t=5 n=2 len={10 ** 30}\n0a\n",
+             f": line 3: expected 8-bit block 2 of {10 ** 30}, the file ends"),
             ("YTS1 t=5 n=2 len=1\n0a\n\n0b\n", ": line 4: expected the end")):
         path.write_text(text)
         with pytest.raises(ParameterError, match=re.escape(f"{path}{error}")):
             cipher.load_ciphertext(path)
     path.write_text("YTS1 t=5 n=2 len=1\n0a\n\n  \n")   # blank lines may follow
     assert cipher.load_ciphertext(path)[0].blocks == [0x0A]
+
+
+# block lines as the writer spells them, and as it does not: an 0X or
+# doubled 0x prefix, a sign, '_', inner or outer spaces, upper case, more
+# than n digits, non-ASCII digits
+BLOCK_LINES = st.one_of(
+    st.text("0123456789abcdefABCDEFxX+-_ \t\u0663\uff11", max_size=20),
+    st.sampled_from(["0X1", "0x0x1", "0x1", "+1", "-0", "1_0", "1 0", "\u0663",
+                     "0x", "", " 0a ", "00000000000000000a"]))
+
+
+def test_block_run_is_checked_to_its_end(tmp_path):
+    # the run is checked in steps of 256 lines; respell a line in each step
+    path = tmp_path / "ct.txt"
+    blocks = [k % 256 for k in range(600)]
+    cipher.save_ciphertext(Message(blocks, 5), 2, path)
+    assert cipher.load_ciphertext(path)[0].blocks == blocks
+    lines = path.read_text().splitlines(keepends=True)
+    for k in (1, 255, 256, 257, 511, 512, 600):
+        for text, want in (("0x0a\n", blocks[:k - 1] + [10] + blocks[k:]),
+                           ("zz\n", f": line {k + 1}: expected 8-bit block {k} "
+                                    "of 600, got 'zz'")):
+            path.write_text("".join(lines[:k] + [text] + lines[k + 1:]))
+            if isinstance(want, list):
+                assert cipher.load_ciphertext(path)[0].blocks == want
+            else:
+                with pytest.raises(ParameterError, match=re.escape(f"{path}{want}")):
+                    cipher.load_ciphertext(path)
+
+
+@settings(FILES, max_examples=100)
+@given(data=st.data())
+def test_block_run_reads_as_the_grammar(tmp_path, data):
+    n = data.draw(st.integers(1, 16))
+    canonical = st.integers(0, (1 << (4 * n)) - 1).map(lambda v: f"{v:0{n}x}")
+    respelled = st.builds(lambda respell, line: respell(line), st.sampled_from(
+        [str.upper, "0x{}".format, "0{}".format, " {}".format, lambda s: s[1:]]),
+        canonical)
+    lines = data.draw(st.lists(st.one_of(canonical, BLOCK_LINES, respelled),
+                               max_size=12))
+    length = len(lines) + data.draw(st.integers(0, 2))  # blocks the file lacks
+    path = tmp_path / "ct.txt"
+    path.write_text(f"YTS1 t=5 n={n} len={length}\n"
+                    + "".join(line + "\n" for line in lines))
+    want = []
+    for k, line in enumerate(lines, start=1):
+        text = line.strip()
+        if backend._NUMBER[16].fullmatch(text) and int(text, 16) >> (4 * n) == 0:
+            want.append(int(text, 16))
+        fast = backend.hex_blocks(line + "\n", n, 1)
+        if re.fullmatch(f"[0-9a-f]{{{n}}}", line):  # the writer's spelling
+            assert len(want) == k and fast == want[-1:], line
+        else:
+            assert fast is None, line
+        if len(want) < k:
+            got = f"got {text!r}"
+            break
+    else:
+        if length == len(want):
+            assert cipher.load_ciphertext(path)[0].blocks == want
+            return
+        got = "the file ends"
+    k = len(want) + 1
+    error = f"{path}: line {k + 1}: expected {4 * n}-bit block {k} of {length}, {got}"
+    with pytest.raises(ParameterError, match=re.escape(error)):
+        cipher.load_ciphertext(path)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file flows and exit codes."""
 
+import hashlib
 import os
 import random
 
@@ -288,6 +289,25 @@ def test_analyze_census(tmp_path):
                 "--seed", 2, "--out", out]) == 0
     rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
     assert float(rows["mean_orbit_length"]) > 1
+
+
+# sha256 of the CSV that `tentbreak analyze FIGURE [--n N] --out F` wrote at
+# commit 1c587b0, with TENTBREAK_SEED unset; a changed float in the curve or
+# the census changes the digest
+GOLDEN_DIGESTS = {
+    "fig2 --n 1": "45f2634ae852a2703a6d8100b7c8b26b0c4499b108268ee61627b9edd8470224",
+    "fig2 --n 2": "48c1b80117b3d63799aec1de5f819710edee531c576c4afe4fdf3706e2474be6",
+    "fig2 --n 16": "ef69c728cdd4657841dbe97a5e7efe17ac75c7e0f819c9bb987222a8b04ce944",
+    "census": "05714e9035cb64dd1c801ec506175304c8a79c862ccd3ec8e0c73b49a39ca87e",
+}
+
+
+@pytest.mark.parametrize("figure", GOLDEN_DIGESTS)
+def test_analyze_figures_match_golden_digests(tmp_path, monkeypatch, figure):
+    monkeypatch.delenv("TENTBREAK_SEED", raising=False)
+    out = tmp_path / "f.csv"
+    assert run(["analyze", *figure.split(), "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[figure]
 
 
 def test_solve_u_subcommand(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Every function, class and method in src/tentbreak has a caller, and
 every helper in tests/ is read by some test.
 
-A definition in src/ counts as used when its bare name is read somewhere in
-src/ or bench/ (as a name or an attribute), or appears in one of the dotted
-paths of bench/tracer.py's WRAPPED table, which the tracer resolves with
-getattr.  Dunder methods are called by Python itself and are skipped.  Code
-that only the tests call lives under tests/ (for example rank_reference.py),
-so ALLOWED is empty; a name added to it needs its reason.
+A top-level function or class in src/ counts as used when its bare name is
+read somewhere in src/ or bench/ (as a name or an attribute), and a method
+or property only when it is read as an attribute (obj.name): a local
+variable of the same name calls no method.  A name that appears in one of
+the dotted paths of bench/tracer.py's WRAPPED table counts for both, since
+the tracer resolves those paths with getattr.  Dunder methods are called by
+Python itself and are skipped.  Code that only the tests call lives under
+tests/ (for example rank_reference.py), so ALLOWED is empty; a name added
+to it needs its reason.
 
 A top-level name in tests/ other than a test_ function (a helper, strategy,
 constant or fixture) counts as read when a test_ function reaches it: reads
@@ -16,9 +19,12 @@ only where it names a fixture of its module, since pytest passes fixtures by
 parameter name.  So a reference copy that no test calls any more fails
 here, and so does one that only another unreached helper calls.
 
-backend.number is the one reader of a number in an input file, so no other
-function in src/tentbreak calls int() but those in INT_CALLERS, whose
-arguments are no file's text.
+backend.number is the one reader of a number in an input file.  Its one
+fast path is backend.hex_blocks: it reads a ciphertext's block run after
+checking the whole run at once in the writer's spelling, which number
+accepts line by line with the same values (tests/test_cipher.py checks
+that).  No other function in src/tentbreak calls int() but those in
+INT_CALLERS, whose arguments are no file's text.
 """
 
 import ast
@@ -42,18 +48,18 @@ INT_CALLERS = {
 
 
 def _definitions():
-    """(module.qualified_name, bare name) of every top-level function and
-    class and every method of a top-level class."""
+    """(module.qualified_name, bare name, is a method) of every top-level
+    function and class and every method of a top-level class."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield f"{module}.{node.name}", node.name
+                yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not (
                             item.name.startswith("__") and item.name.endswith("__")):
-                        yield f"{module}.{node.name}.{item.name}", item.name
+                        yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
 def _int_callers() -> set:
@@ -76,41 +82,47 @@ def _int_callers() -> set:
     return callers
 
 
-def _references() -> set:
-    names = set()
+def _references() -> tuple:
+    """(names read as a bare name or an attribute, names read as an
+    attribute) in src/ and bench/; WRAPPED's path parts are in both."""
+    names, attrs = set(), set()
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attrs.add(node.attr)
             elif path.name == "tracer.py" and isinstance(node, ast.Assign) and \
                     any(getattr(t, "id", None) == "WRAPPED" for t in node.targets):
-                names.update(part for const in ast.walk(node.value)
+                attrs.update(part for const in ast.walk(node.value)
                              if isinstance(const, ast.Constant)
                              and isinstance(const.value, str)
                              for part in const.value.split("."))
-    return names
+    return names | attrs, attrs
+
+
+def _unused() -> set:
+    """module.qualified_name of every definition that nothing uses."""
+    names, attrs = _references()
+    return {qual for qual, name, method in _definitions()
+            if name not in (attrs if method else names)}
 
 
 def test_every_definition_has_a_caller():
-    refs = _references()
-    unused = sorted(qual for qual, name in _definitions()
-                    if name not in refs and qual not in ALLOWED)
+    unused = sorted(_unused() - ALLOWED.keys())
     assert not unused, f"defined in src/tentbreak but never used: {unused}"
 
 
 def test_allowlist_is_current():
-    defined = {qual: name for qual, name in _definitions()}
-    refs = _references()
+    defined = {qual for qual, _, _ in _definitions()}
     stale = sorted(qual for qual in ALLOWED
-                   if qual not in defined or defined[qual] in refs)
+                   if qual not in defined or qual not in _unused())
     assert not stale, f"allowlisted but missing or now used: {stale}"
 
 
 def test_one_reader_of_input_numbers():
-    assert _int_callers() == {"backend.number", *INT_CALLERS}
+    assert _int_callers() == {"backend.number", "backend.hex_blocks", *INT_CALLERS}
 
 
 def _is_fixture(node) -> bool:
