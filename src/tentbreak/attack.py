@@ -33,7 +33,6 @@ the blocks the recovered material covers.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 
 from . import cipher, keystream
@@ -65,11 +64,8 @@ class Oracle:
         s = self._session
         if not self._drift:
             return s
-        with warnings.catch_warnings():
-            # the key was already vetted when the session was built
-            warnings.simplefilter("ignore", cipher.WeakKeyWarning)
-            return cipher.init_session(s.key, s.t + self.query_count, s.n,
-                                       s.r, s.backend, table=s.table)
+        return cipher.init_session(s.key, s.t + self.query_count, s.n, s.r,
+                                   s.backend, table=s.table)
 
     def encrypt_blocks(self, blocks) -> list:
         s = self._query_session()
@@ -256,12 +252,13 @@ def class_order(alpha_est: float, n: int) -> list:
     alpha is extreme.  alpha = 0.5: every value is equally likely and the
     classes come by ascending one-bit count.
     """
-    if not 0.0 < alpha_est < 1.0:
+    if not 0 < alpha_est < 1:
         raise ParameterError("alpha estimate must be in (0, 1)")
     width = 4 * n
-    if alpha_est < 0.5:
+    # doubling is exact for a float, and a Fraction meets no float here
+    if 2 * alpha_est < 1:
         return list(range(width, -1, -1))  # i 0-bits == width - i 1-bits
-    if alpha_est == 0.5:
+    if 2 * alpha_est == 1:
         return list(range(width + 1))
     ones = []
     for i in range(2 * n):

@@ -16,7 +16,6 @@ maps x = C to y = P with perms = f^{-1} and starts from (C_0, P_0) =
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,7 +26,8 @@ from .keystream import DEFAULT_TABLE, QuarterPermTable
 
 
 class WeakKeyWarning(UserWarning):
-    """Key parameters fall in a range the analyses show to be breakable."""
+    """Key parameters fall in a range the analyses show to be breakable.
+    Nothing raises it: check_key_strength returns the notes instead."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,6 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
     if key.K >> (4 * n):
         raise ParameterError("sub-key K wider than 4n bits")
     table = table if table is not None else DEFAULT_TABLE
-    for note in check_key_strength(key, backend):
-        warnings.warn(note, WeakKeyWarning, stacklevel=2)
     x0 = tentmap.derive_x0(t, key.gamma, n, backend)
     params = tentmap.TentParams(key.alpha, key.beta)
     U = keystream.build_noise_vectors(x0, params, n, r + 1, backend)

@@ -10,7 +10,6 @@ import argparse
 import os
 import random
 import sys
-import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -105,19 +104,24 @@ def cmd_keygen(args) -> int:
         except ParameterError as exc:
             raise ParameterError(f"drawn {exc} at {args.backend} precision; "
                                  "try another --seed") from None
-    notes = cipher.check_key_strength(key, backend)
-    if notes and not args.allow_weak and args.alpha is not None:
-        print("warning: " + "; ".join(notes), file=sys.stderr)
+    if not args.allow_weak and args.alpha is not None:
+        _warn(*cipher.check_key_strength(key, backend))
     cipher.save_key(key, n, backend, args.out)
     print(f"wrote key file {args.out}")
     return EXIT_OK
 
 
-def _warn_degenerate(session) -> None:
+def _warn(*notes) -> None:
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+
+
+def _warn_session(session) -> None:
+    """The weak-key notes of the session's key, then whether t is degenerate."""
+    _warn(*cipher.check_key_strength(session.key, session.backend))
     if session.degenerate:
-        print(f"warning: timestamp t={session.t} gives a degenerate initial "
-              "condition (x0 is 0 or 1), so the keystream does not depend "
-              "on t or gamma", file=sys.stderr)
+        _warn(f"timestamp t={session.t} gives a degenerate initial condition "
+              "(x0 is 0 or 1), so the keystream does not depend on t or gamma")
 
 
 def cmd_encrypt(args) -> int:
@@ -131,7 +135,7 @@ def cmd_encrypt(args) -> int:
         raise ParameterError(f"{args.infile}: {exc} (n={n} in {args.key})") from None
     session = cipher.init_session(key, t, n, max(len(blocks), 1),
                                   backend, table=_load_table(args))
-    _warn_degenerate(session)
+    _warn_session(session)
     out = cipher.encrypt(session, cipher.Message(blocks, t))
     cipher.save_ciphertext(out, n, args.out)
     print(f"encrypted {len(blocks)} blocks -> {args.out} (t={t})")
@@ -146,7 +150,7 @@ def cmd_decrypt(args) -> int:
                              f"match key n={n} of {args.key}")
     session = cipher.init_session(key, msg.t, n, max(len(msg.blocks), 1),
                                   backend, table=_load_table(args))
-    _warn_degenerate(session)
+    _warn_session(session)
     out = cipher.decrypt(session, msg)
     with open(args.out, "wb") as fh:
         fh.write(blocks_to_bytes(out.blocks, n))
@@ -173,61 +177,54 @@ def _victim_session(args):
             backend.from_float(rng.uniform(0.02, 0.98)),
             rng.randrange(1 << (4 * n)),
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cipher.WeakKeyWarning)
-        return cipher.init_session(key, _t(args), n, args.r, backend,
-                                   table=_load_table(args))
+    return cipher.init_session(key, _t(args), n, args.r, backend,
+                               table=_load_table(args))
 
 
 def cmd_attack(args) -> int:
     session = _victim_session(args)
     n, r = session.n, session.r
     oracle = attack.Oracle(session, drift=args.drift)
-    try:
-        if args.mode == "cpa":
-            state = attack.recover_all_f(oracle, r, n)
-        elif args.mode == "cca":
-            state = attack.recover_all_finv(oracle, r, n)
-        else:  # full
-            rng = random.Random(f"known:{_seed(args)}")
-            known = []
-            for _ in range(2):
-                p = [rng.randrange(1 << (4 * n)) for _ in range(r)]
-                c = cipher.encrypt(session, cipher.Message(p, session.t)).blocks
-                known.append((p, c))
-            # top every block up to FULL_PAIRS pairs with chosen plaintexts
-            chosen_rng = random.Random(f"chosen:{_seed(args)}")
-            for _ in range(FULL_PAIRS - len(known)):
-                p = [chosen_rng.randrange(1 << (4 * n)) for _ in range(r)]
-                known.append((p, oracle.encrypt_blocks(p)))
-            chosen = oracle.query_count
-            report = attack.full_attack(oracle, known, r, n, seed=_seed(args))
-            state = report.state
-            if report.stopped == "budget":
-                ambiguous = [k for k, tag in state.provenance.items()
-                             if tag == "ambiguous"]
-                print(f"warning: disambiguation stopped after "
-                      f"{report.extra_queries} queries; still ambiguous: "
-                      + " ".join(ambiguous), file=sys.stderr)
-            fresh = [rng.randrange(1 << (4 * n)) for _ in range(r)]
-            fresh_c = cipher.encrypt(session, cipher.Message(fresh, session.t)).blocks
-            ok = attack.keyless_decrypt(state, fresh_c) == fresh
-        exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
-        if args.mode == "full":
-            print(f"full: {report.recovery_queries} recovery queries "
-                  f"+ {chosen} chosen-pair queries "
-                  f"+ {report.extra_queries} disambiguation queries; "
-                  f"permutations exact={exact}; keyless decryption "
-                  f"verified={ok}")
-            if not ok:
-                attack.save_state(state, args.out)
-                return EXIT_VERIFY
-        else:
-            print(f"{args.mode}: {oracle.query_count} queries, "
-                  f"recovered f_0..f_{r - 1} exact={exact}")
-    except attack.OracleModelViolation as exc:
-        print(f"oracle-model violation: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+    if args.mode == "cpa":
+        state = attack.recover_all_f(oracle, r, n)
+    elif args.mode == "cca":
+        state = attack.recover_all_finv(oracle, r, n)
+    else:  # full
+        rng = random.Random(f"known:{_seed(args)}")
+        known = []
+        for _ in range(2):
+            p = [rng.randrange(1 << (4 * n)) for _ in range(r)]
+            c = cipher.encrypt(session, cipher.Message(p, session.t)).blocks
+            known.append((p, c))
+        # top every block up to FULL_PAIRS pairs with chosen plaintexts
+        chosen_rng = random.Random(f"chosen:{_seed(args)}")
+        for _ in range(FULL_PAIRS - len(known)):
+            p = [chosen_rng.randrange(1 << (4 * n)) for _ in range(r)]
+            known.append((p, oracle.encrypt_blocks(p)))
+        chosen = oracle.query_count
+        report = attack.full_attack(oracle, known, r, n, seed=_seed(args))
+        state = report.state
+        if report.stopped == "budget":
+            ambiguous = [k for k, tag in state.provenance.items()
+                         if tag == "ambiguous"]
+            _warn(f"disambiguation stopped after {report.extra_queries} "
+                  "queries; still ambiguous: " + " ".join(ambiguous))
+        fresh = [rng.randrange(1 << (4 * n)) for _ in range(r)]
+        fresh_c = cipher.encrypt(session, cipher.Message(fresh, session.t)).blocks
+        ok = attack.keyless_decrypt(state, fresh_c) == fresh
+    exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
+    if args.mode == "full":
+        print(f"full: {report.recovery_queries} recovery queries "
+              f"+ {chosen} chosen-pair queries "
+              f"+ {report.extra_queries} disambiguation queries; "
+              f"permutations exact={exact}; keyless decryption "
+              f"verified={ok}")
+        if not ok:
+            attack.save_state(state, args.out)
+            return EXIT_VERIFY
+    else:
+        print(f"{args.mode}: {oracle.query_count} queries, "
+              f"recovered f_0..f_{r - 1} exact={exact}")
     attack.save_state(state, args.out)
     print(f"wrote recovered state {args.out}")
     return EXIT_OK
@@ -450,9 +447,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:     # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except attack.OracleModelViolation as exc:
+        print(f"oracle-model violation: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
 
 if __name__ == "__main__":
     sys.exit(main())

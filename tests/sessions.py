@@ -1,10 +1,8 @@
 """Seeded random sessions and the traffic they encrypt, for the tests."""
 
-import warnings
-
 from tentbreak import cipher
 from tentbreak.backend import get_backend
-from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
+from tentbreak.cipher import KeyMaterial, Message
 
 
 def random_session(rng, n=2, r=8, backend=get_backend("fp62")):
@@ -14,9 +12,7 @@ def random_session(rng, n=2, r=8, backend=get_backend("fp62")):
                       backend.from_float(rng.uniform(0.02, 0.98)),
                       backend.from_float(rng.uniform(0.02, 0.98)),
                       rng.randrange(1 << (4 * n)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakKeyWarning)
-        return cipher.init_session(key, rng.randrange(1, 10 ** 9), n, r, backend)
+    return cipher.init_session(key, rng.randrange(1, 10 ** 9), n, r, backend)
 
 
 def encrypt_random(rng, s, count, length=None):

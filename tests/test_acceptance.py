@@ -6,14 +6,13 @@ and asserts the stated tolerance.
 
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import pytest
 
 from tentbreak import analysis, attack, cipher, keystream, tentmap
 from tentbreak.backend import get_backend
-from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
+from tentbreak.cipher import KeyMaterial, Message
 from rank_reference import mean_rank_monte_carlo
 from sessions import encrypt_random, random_session
 
@@ -76,21 +75,19 @@ def test_criterion_03_keyless_decryption(sessions100):
 def test_criterion_04_roundtrip():
     rng = random.Random(1004)
     good = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakKeyWarning)
-        for i in range(500):
-            backend = (FP, F64)[i % 2]
-            n = rng.choice((1, 2))
-            key = KeyMaterial(backend.from_float(rng.uniform(0.02, 0.98)),
-                              backend.from_float(rng.uniform(0.02, 0.98)),
-                              backend.from_float(rng.uniform(0.02, 0.98)),
-                              rng.randrange(1 << (4 * n)))
-            t = rng.randrange(1, 10 ** 9)
-            r = rng.randrange(1, 33)
-            s = cipher.init_session(key, t, n, r, backend)
-            pt = [rng.randrange(1 << (4 * n)) for _ in range(r)]
-            if cipher.decrypt(s, cipher.encrypt(s, Message(pt, t))).blocks == pt:
-                good += 1
+    for i in range(500):
+        backend = (FP, F64)[i % 2]
+        n = rng.choice((1, 2))
+        key = KeyMaterial(backend.from_float(rng.uniform(0.02, 0.98)),
+                          backend.from_float(rng.uniform(0.02, 0.98)),
+                          backend.from_float(rng.uniform(0.02, 0.98)),
+                          rng.randrange(1 << (4 * n)))
+        t = rng.randrange(1, 10 ** 9)
+        r = rng.randrange(1, 33)
+        s = cipher.init_session(key, t, n, r, backend)
+        pt = [rng.randrange(1 << (4 * n)) for _ in range(r)]
+        if cipher.decrypt(s, cipher.encrypt(s, Message(pt, t))).blocks == pt:
+            good += 1
     report("criterion 04 round trip", good == 500, f"{good}/500")
 
 

@@ -1,9 +1,10 @@
 """Differential recovery, noise solving and keyless decryption."""
 
 import gc
+import math
 import random
 import re
-import warnings
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -14,7 +15,7 @@ from tentbreak import attack, cipher
 from tentbreak.attack import OracleModelViolation
 from tentbreak.keystream import BitPermutation
 from tentbreak.backend import ParameterError, get_backend
-from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
+from tentbreak.cipher import KeyMaterial, Message
 from rank_reference import prioritized_candidates
 from sessions import encrypt_random, random_session
 
@@ -77,9 +78,7 @@ def test_drifting_clock_detected():
     s = random_session(random.Random(4))
     oracle = attack.Oracle(s, drift=True)
     with pytest.raises(OracleModelViolation):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WeakKeyWarning)
-            attack.recover_all_f(oracle, 8, 2)
+        attack.recover_all_f(oracle, 8, 2)
 
 
 def test_single_bit_check():
@@ -288,6 +287,17 @@ def test_prioritized_candidates_order():
     assert first == 0xFF
     first = next(prioritized_candidates(0.9, 2))
     assert first == 0x00
+    # the branch edges, for float and Fraction estimates alike
+    below, at = list(range(8, -1, -1)), list(range(9))
+    above = [0, 8, 1, 7, 2, 6, 3, 5, 4]
+    tiny = Fraction(1, 10 ** 30)
+    for alpha, want in ((0.5, at), (Fraction(1, 2), at),
+                        (math.nextafter(0.5, 0), below),
+                        (math.nextafter(0.5, 1), above),
+                        (Fraction(1, 2) - tiny, below),
+                        (Fraction(1, 2) + tiny, above),
+                        (1e-9, below), (1 - 1e-16, above)):
+        assert attack.class_order(alpha, 2) == want, alpha
 
 
 def test_full_attack_end_to_end():

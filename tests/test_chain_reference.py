@@ -9,7 +9,6 @@ the spec, so that a faster solver keeps it.
 """
 
 import random
-import warnings
 from functools import partial
 
 import pytest
@@ -18,7 +17,7 @@ import spec
 from tentbreak import attack, cipher
 from tentbreak.attack import OracleModelViolation, RecoveredState
 from tentbreak.backend import ParameterError, get_backend
-from tentbreak.cipher import Message, WeakKeyWarning
+from tentbreak.cipher import Message
 from tentbreak.keystream import BitPermutation
 from sessions import encrypt_random, random_session
 
@@ -216,19 +215,17 @@ def test_recovery_drift_matches_reference():
     for n in (1, 2, 4):
         s = random_session(rng, n, 4, BACKENDS["fixed-point"])
         got, want = attack.Oracle(s, drift=True), attack.Oracle(s, drift=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WeakKeyWarning)
-            try:
-                maps = [spec.recover(want.encrypt_blocks, j, n) for j in range(1, 5)]
-            except ValueError:
-                violations += 1
-                with pytest.raises(OracleModelViolation, match=(
-                        "^ciphertext difference 0x[0-9a-f]+ is not a single "
-                        "bit; the oracle clock is not actually fixed$")):
-                    attack.recover_all_f(got, 4, n)
-            else:
-                state = attack.recover_all_f(got, 4, n)
-                assert [f.dest for f in state.perms.values()] == maps
+        try:
+            maps = [spec.recover(want.encrypt_blocks, j, n) for j in range(1, 5)]
+        except ValueError:
+            violations += 1
+            with pytest.raises(OracleModelViolation, match=(
+                    "^ciphertext difference 0x[0-9a-f]+ is not a single "
+                    "bit; the oracle clock is not actually fixed$")):
+                attack.recover_all_f(got, 4, n)
+        else:
+            state = attack.recover_all_f(got, 4, n)
+            assert [f.dest for f in state.perms.values()] == maps
         assert got.query_count == want.query_count
     assert violations
 

@@ -1,7 +1,6 @@
 """Session setup, encryption/decryption and the key/ciphertext file formats."""
 
 import re
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -9,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import spec
 from tentbreak import backend, cipher
 from tentbreak.backend import ParameterError, get_backend
-from tentbreak.cipher import KeyMaterial, Message, WeakKeyWarning
+from tentbreak.cipher import KeyMaterial, Message
 
 FP = get_backend("fp62")
 
@@ -24,9 +23,7 @@ FILES = settings(max_examples=25, deadline=None, derandomize=True,
 def make_session(backend=FP, alpha=0.43, t=1234, n=2, r=8):
     key = KeyMaterial(backend.from_float(alpha), backend.from_float(0.7),
                       backend.from_float(0.37), 0xA5 & ((1 << (4 * n)) - 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakKeyWarning)
-        return cipher.init_session(key, t, n, r, backend)
+    return cipher.init_session(key, t, n, r, backend)
 
 
 def test_golden_vector():
@@ -69,9 +66,7 @@ def test_roundtrip_random_sessions(data):
     key = KeyMaterial(data.draw(unit), data.draw(unit), data.draw(unit),
                       data.draw(st.integers(0, top)))
     t, r = data.draw(st.integers(1, 10 ** 9)), data.draw(st.integers(1, 16))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakKeyWarning)
-        s = cipher.init_session(key, t, n, r, backend)
+    s = cipher.init_session(key, t, n, r, backend)
     pt = data.draw(st.lists(st.integers(0, top), max_size=r))
     F = [f.dest for f in s.F]
     ct = cipher.encrypt(s, Message(pt, t)).blocks
@@ -87,17 +82,22 @@ def test_timestamp_changes_ciphertext():
     assert cipher.encrypt(a, pt).blocks != cipher.encrypt(b, pt).blocks
 
 
+@pytest.mark.filterwarnings("error")
 def test_weak_key_warning():
-    key = KeyMaterial(FP.from_float(0.2), FP.from_float(0.7),
-                      FP.from_float(0.37), 0xA5)
-    with pytest.warns(WeakKeyWarning):
+    # check_key_strength returns the note; init_session warns of nothing
+    for alpha in (0.2, 0.5):
+        key = KeyMaterial(FP.from_float(alpha), FP.from_float(0.7),
+                          FP.from_float(0.37), 0xA5)
         cipher.init_session(key, 1234, 2, 4, FP)
-    # the recommended band is silent
+        assert cipher.check_key_strength(key, FP) == [
+            f"alpha={alpha} is outside the recommended range "
+            "0<|alpha-0.5|<0.01; the noise vectors will be exploitably "
+            "non-uniform"]
+    # the recommended band has no note
     strong = KeyMaterial(FP.from_float(0.504), FP.from_float(0.7),
                          FP.from_float(0.37), 0xA5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", WeakKeyWarning)
-        cipher.init_session(strong, 1234, 2, 4, FP)
+    cipher.init_session(strong, 1234, 2, 4, FP)
+    assert cipher.check_key_strength(strong, FP) == []
 
 
 def test_degenerate_timestamp_flagged():

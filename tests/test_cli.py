@@ -9,6 +9,8 @@ import pytest
 from tentbreak import attack, cipher, cli
 from tentbreak.backend import ParameterError, get_backend
 
+FP = get_backend("fp62")
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -102,9 +104,42 @@ def test_keygen_low_precision_draw_is_usage_error(tmp_path, capsys):
     assert run(["keygen", "--backend", "fp1", "--seed", 1, "--out", out]) == 0
     msg, ct, back = tmp_path / "m.bin", tmp_path / "ct.txt", tmp_path / "m.out"
     msg.write_bytes(bytes(range(6)))
-    with pytest.warns(cipher.WeakKeyWarning):   # alpha is exactly 1/2 at fp1
-        assert run(["encrypt", "--key", out, "--t", 987654, msg, "--out", ct]) == 0
-        assert run(["decrypt", "--key", out, ct, "--out", back]) == 0
+    assert run(["encrypt", "--key", out, "--t", 987654, msg, "--out", ct]) == 0
+    assert run(["decrypt", "--key", out, ct, "--out", back]) == 0
+    assert back.read_bytes() == msg.read_bytes()
+    # alpha is exactly 1/2 at fp1: encrypt and decrypt each say so
+    assert capsys.readouterr().err.count(
+        "warning: alpha=0.5 is outside the recommended range") == 2
+
+
+WEAK_ALPHA = ("warning: alpha={} is outside the recommended range "
+              "0<|alpha-0.5|<0.01; the noise vectors will be exploitably "
+              "non-uniform\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ["0.3", "0.5"])
+def test_weak_alpha_key_encrypts_with_a_warning_line(tmp_path, capsys, alpha):
+    # a weak alpha is a stderr line and no Python warning, so encrypt and
+    # decrypt work with warnings as errors
+    key = tmp_path / "key.txt"
+    err = WEAK_ALPHA.format(alpha)
+    if alpha == "0.3":
+        cipher.save_key(cipher.KeyMaterial(FP.from_float(0.3), FP.from_float(0.7),
+                                           FP.from_float(0.37), 0xA5),
+                        2, FP, key)
+    else:   # keygen's draw at fp1, where alpha, beta and gamma are all 1/2
+        assert run(["keygen", "--backend", "fp1", "--seed", 4, "--out", key]) == 0
+        err += ("warning: timestamp t=987654 gives a degenerate initial "
+                "condition (x0 is 0 or 1), so the keystream does not depend "
+                "on t or gamma\n")
+    msg, ct, back = tmp_path / "m.bin", tmp_path / "ct.txt", tmp_path / "m.out"
+    msg.write_bytes(bytes(range(6)))
+    capsys.readouterr()
+    assert run(["encrypt", "--key", key, "--t", 987654, msg, "--out", ct]) == 0
+    assert capsys.readouterr() == (f"encrypted 6 blocks -> {ct} (t=987654)\n", err)
+    assert run(["decrypt", "--key", key, ct, "--out", back]) == 0
+    assert capsys.readouterr() == (f"decrypted 6 blocks -> {back}\n", err)
     assert back.read_bytes() == msg.read_bytes()
 
 
@@ -312,15 +347,12 @@ def test_analyze_figures_match_golden_digests(tmp_path, monkeypatch, figure):
 
 def test_solve_u_subcommand(tmp_path, capsys):
     # build a session, dump its permutations and one equation's pairs
-    import warnings
     from tentbreak import attack
     from tentbreak.backend import get_backend
     b = get_backend("fp62")
     key = cipher.KeyMaterial(b.from_float(0.2), b.from_float(0.7),
                              b.from_float(0.37), 0x5A)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s = cipher.init_session(key, 1234, 2, 6, b)
+    s = cipher.init_session(key, 1234, 2, 6, b)
     rng = random.Random(1)
     p = [rng.randrange(256) for _ in range(6)]
     c = cipher.encrypt(s, cipher.Message(p, 1234)).blocks

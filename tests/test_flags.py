@@ -12,7 +12,6 @@ table, are usage errors (test_flags_nothing_reads_are_usage_errors).
 import argparse
 import random
 import shutil
-import warnings
 
 import pytest
 
@@ -164,12 +163,10 @@ def _outcome(inputs, workdir, monkeypatch, capsys, argv):
     shutil.copytree(inputs, workdir)
     monkeypatch.chdir(workdir)
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err, {p.name: p.read_bytes() for p in workdir.iterdir()}
 
