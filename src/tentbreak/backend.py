@@ -34,17 +34,19 @@ class ParameterError(ValueError):
     """Map or key parameter outside its allowed open interval."""
 
 
-def open_text(path) -> io.StringIO:
+def open_text(path) -> io.TextIOWrapper:
     """The text of file `path`, read as open(path) reads it; bytes that are
-    not UTF-8 are an error naming the file and line."""
+    not UTF-8 are an error naming the file and line.  The text is decoded
+    as it is read, so no wide copy of the whole file is kept."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return io.StringIO(data.decode(), newline=None)
+        data.decode()
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParameterError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} "
                              f"is not UTF-8 text ({exc.reason})") from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 
 def read_lines(path, parse, fh=None, start=1) -> None:
@@ -127,16 +129,32 @@ class FixedPointBackend:
         alpha < x <= one, each rounded to nearest.  On those ranges the
         quotient lies in [0, one] (x <= alpha gives
         2*x*one + alpha < 2*alpha*(one + 1), and likewise for 1 - x), so
-        no clamp is needed."""
+        no clamp is needed.
+
+        A branch is floor(N / d) with N = 2^(L+1)*y + c < 2^T, T = 2L + 2,
+        for y = x or one - x, c = alpha or one - alpha and d = 2c.  With
+        l = bit_length(d) and m = ceil(2^(T+l) / d), floor(N / d) =
+        floor(m*N / 2^(T+l)) for every 0 <= N < 2^T (Granlund and
+        Montgomery, "Division by invariant integers using multiplication",
+        PLDI 1994, Thm 4.2).  m*c is h*2^(L+1) plus a remainder that cannot
+        carry past the shift, so the branch is (m*y + h) >> (T + l - L - 1).
+        """
         shift, one = self.bits + 1, self.one
-        alpha2, alpha_c = 2 * alpha, one - alpha
-        alpha_c2 = 2 * alpha_c
+
+        def reciprocal(c):      # (m, h, s): c's branch is (m*y + h) >> s
+            s = 2 * shift + (2 * c).bit_length()
+            m = -(-(1 << s) // (2 * c))
+            return m, (m * c) >> shift, s - shift
+
+        m1, h1, s1 = reciprocal(alpha)
+        m2, h2, s2 = reciprocal(one - alpha)
+        h2 += m2 * one
 
         def left(x):
-            return ((x << shift) + alpha) // alpha2
+            return (m1 * x + h1) >> s1
 
         def right(x):
-            return (((one - x) << shift) + alpha_c) // alpha_c2
+            return (h2 - m2 * x) >> s2
 
         return left, right
 

@@ -224,9 +224,11 @@ def load_ciphertext(path):
             raise ParameterError(f"{path}: line 1: t must be a positive "
                                  f"integer, got {t}")
         start = fh.tell()
-        blocks = hex_blocks(fh.read(), n, length)
-        fh.seek(start if blocks is None else start + length * (n + 1))
+        text = fh.read()
+        blocks = hex_blocks(text, n, length)
         if blocks is None:  # read line by line, to name the first bad line
+            fh.seek(start)
+            rest = fh
             blocks = []
             for lineno in range(2, length + 2):
                 line = fh.readline()
@@ -240,7 +242,9 @@ def load_ciphertext(path):
                         f"{path}: line {lineno}: expected {4 * n}-bit block "
                         f"{lineno - 1} of {length}, {got}")
                 blocks.append(block)
-        for lineno, line in enumerate(fh, start=length + 2):
+        else:
+            rest = text[length * (n + 1):].split("\n")
+        for lineno, line in enumerate(rest, start=length + 2):
             if line.strip():
                 raise ParameterError(
                     f"{path}: line {lineno}: expected the end of the file "

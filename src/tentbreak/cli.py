@@ -11,7 +11,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import analysis, attack, cipher, keystream, tentmap
 from .backend import ParameterError, get_backend, number, read_lines
@@ -104,7 +104,7 @@ def cmd_keygen(args) -> int:
         except ParameterError as exc:
             raise ParameterError(f"drawn {exc} at {args.backend} precision; "
                                  "try another --seed") from None
-    if not args.allow_weak and args.alpha is not None:
+    if not args.allow_weak:
         _warn(*cipher.check_key_strength(key, backend))
     cipher.save_key(key, n, backend, args.out)
     print(f"wrote key file {args.out}")
@@ -437,7 +437,9 @@ def _add_commands(parser, commands, dest: str, where: str) -> None:
                            else func)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing never changes it."""
     ap = argparse.ArgumentParser(prog="tentbreak")
     _add_commands(ap, COMMANDS, "cmd", "SUBCOMMAND")
     return ap

@@ -12,14 +12,16 @@ which is exactly what the differential attack exploits.
 
 It is more than that: f_j keeps each bit's offset within its quarter, so it
 is n independent permutations of the four quarters, one per offset (a
-"column").  compose_fj builds it column by column, and every bit moves by
-one of at most 4 rotations, 0, n, 2n or 3n.  BitPermutation stores a
-permutation as these rotation classes, so apply and invert cost one
-mask-and-shift per class.
+"column").  compose_fj builds it in one pass over the rounds, which sorts
+the columns into at most 6 classes of equal quarter permutation, and every
+bit moves by one of at most 4 rotations, 0, n, 2n or 3n.  BitPermutation
+stores a permutation as these rotation classes, so apply and invert cost
+one mask-and-shift per class.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 
 from .backend import ParameterError, number, read_lines
@@ -65,7 +67,7 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
                 x = right(x)
             else:
                 x = restart(x, beta, backend)
-            u = u << 1 | (x > threshold)
+            u += u + (x > threshold)
         vectors.append(u)
         u, steps = 0, width
     return vectors
@@ -84,8 +86,17 @@ _S4_MUL = tuple(tuple(_S4_INDEX[tuple(a[q] for q in b)] for b in _S4)
 _S4_ID = _S4_INDEX[(0, 1, 2, 3)]
 # sigma, the quarter cycle q -> q+1 that the carry of the <<< 1 applies
 _SIGMA_MUL = _S4_MUL[_S4_INDEX[(1, 2, 3, 0)]]
-# per element, (k, a[q]) for each quarter q: it moves up k = a[q] - q mod 4
-_S4_MOVES = tuple(tuple(((a[q] - q) % 4, a[q]) for q in range(4)) for a in _S4)
+# per element q, the four-cycle q^-1 o sigma o q
+_CONJUGATE = tuple(_S4_MUL[_S4_INDEX[tuple(sorted(range(4), key=q.__getitem__))]][s]
+                   for q, s in zip(_S4, _SIGMA_MUL))
+
+
+@cache
+def _lanes(n: int) -> tuple:
+    """Per element a, the multiplier that copies an n-bit column mask to
+    offset a[q]*n of 4n-bit lane (a[q] - q) mod 4 for each quarter q."""
+    return tuple(sum(1 << ((a[q] - q) % 4 * 4 + a[q]) * n for q in range(4))
+                 for a in _S4)
 
 
 class QuarterPermTable:
@@ -249,36 +260,30 @@ def compose_fj(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
     offset is back where it started, so f_j keeps each bit's offset
     (dest[i] mod n = i mod n) and permutes the four quarters of column o by
 
-        A_o = R_k o sigma o Q_k,   k = n - o,
+        A_o = R_k o sigma o Q_k = P o (Q_k^-1 o sigma o Q_k),   k = n - o,
 
-    with Q_k the product of the first k rounds' quarter maps and R_k that of
-    the rest.  Each A_o comes from prefix and suffix products in the S4
-    product table.  A bit that A_o moves up k quarters (mod 4) rotates by
-    kn, so its output position joins the mask of that rotation class.
+    with Q_k the product of the first k rounds' quarter maps, R_k that of
+    the rest and P = R_k o Q_k that of all n.  Q_k^-1 o sigma o Q_k is one
+    of the 6 four-cycles of S4, so one forward pass sorts the columns into
+    at most 6 classes, each with A_o = P o (its cycle).  A bit that A_o
+    moves up k quarters (mod 4) rotates by kn, so its output position joins
+    the mask of that rotation class; one multiply by _lanes(n)[A_o] puts a
+    class's columns in all four masks, as lanes of 4n bits.
     """
     width = 4 * n
     if vj >> width:
         raise ParameterError("V_j wider than 4n bits")
     maps = table.quarter_maps
     mul = _S4_MUL
-    rounds = [maps[(vj >> shift) & 0xF] for shift in range(width - 4, -1, -4)]
-    carried = []                         # sigma o Q_k for k = 1..n
-    q = _S4_ID
-    for pi in rounds:
-        q = mul[pi][q]
-        carried.append(_SIGMA_MUL[q])
-    columns = {}                         # A_o -> bits 1 << o of its columns
-    suffix = _S4_ID                      # R_k, from k = n down
-    col = 1
-    for sq, pi in zip(reversed(carried), reversed(rounds)):
-        a = mul[suffix][sq]
-        columns[a] = columns.get(a, 0) | col
-        col <<= 1
-        suffix = mul[suffix][pi]
-    masks = [0] * 4                      # by quarter rotation k = 0..3
-    base = (0, n, 2 * n, 3 * n)
-    for a, col in columns.items():
-        for k, quarter in _S4_MOVES[a]:
-            masks[k] |= col << base[quarter]
+    classes = [0] * 24                  # by conjugate cycle: its columns
+    q, col = _S4_ID, 1 << n
+    for shift in range(width - 4, -1, -4):
+        q = mul[maps[(vj >> shift) & 0xF]][q]
+        col >>= 1
+        classes[_CONJUGATE[q]] |= col
+    lanes, row = _lanes(n), mul[q]
+    packed = sum(cols * lanes[row[c]] for c, cols in enumerate(classes) if cols)
+    full = (1 << width) - 1
+    masks = ((packed >> k * width) & full for k in range(4))
     return BitPermutation._from_classes(
         tuple((width - k * n, m) for k, m in enumerate(masks) if m), n)

@@ -79,8 +79,9 @@ def orbit_stream(x0, p: TentParams, backend):
     a state other than 0 and 1.  A step runs only when its value is requested.
 
     keystream.build_noise_vectors steps the same branches in a loop of its
-    own: the yield and resume per state cost about a third of that loop's
-    time, and noise vectors are the per-message cost of the cipher.
+    own, which saves the yield and resume per state: with the branches'
+    multiply-and-shift steps that is about a tenth of its time, and noise
+    vectors are the largest per-message cost of the cipher.
     """
     zero, one = backend.zero, backend.one
     alpha, beta = p.alpha, p.beta

@@ -1,6 +1,8 @@
 """Session setup, encryption/decryption and the key/ciphertext file formats."""
 
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -224,6 +226,68 @@ def test_block_run_is_checked_to_its_end(tmp_path):
             else:
                 with pytest.raises(ParameterError, match=re.escape(f"{path}{want}")):
                     cipher.load_ciphertext(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_ciphertext_with_other_line_ends(tmp_path, newline):
+    # read as open() reads text: every line end is one newline, so the
+    # line numbers and the block run are those of the "\n" file
+    path = tmp_path / "ct.txt"
+    blocks = [k % 256 for k in range(600)]
+    cipher.save_ciphertext(Message(blocks, 5), 2, path)
+    lines = path.read_text().splitlines(keepends=True)
+
+    def write(lines):
+        path.write_bytes("".join(lines).replace("\n", newline).encode())
+
+    write(lines + ["\n", "  \n"])
+    assert cipher.load_ciphertext(path)[0].blocks == blocks
+    write(lines + ["\n", "zz\n"])
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{path}: line 603: expected the end")):
+        cipher.load_ciphertext(path)
+    for k in (1, 300, 600):     # respelled: the block run is read line by line
+        write(lines[:k] + ["0x0a\n"] + lines[k + 1:] + ["\n"])
+        assert cipher.load_ciphertext(path)[0].blocks == \
+            blocks[:k - 1] + [10] + blocks[k:]
+        write(lines[:k] + ["zz\n"] + lines[k + 1:])
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{path}: line {k + 1}: expected 8-bit block {k} of 600, got 'zz'")):
+            cipher.load_ciphertext(path)
+        write(lines[:k] + ["0x0a\n"] + lines[k + 1:] + ["zz\n"])
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{path}: line 602: expected the end")):
+            cipher.load_ciphertext(path)
+
+
+def test_non_utf8_input_names_the_file_and_line(tmp_path):
+    path = tmp_path / "ct.txt"
+    path.write_bytes(b"YTS1 t=5 n=2 len=2\r\n0a\r\n\xff0b\r\n")
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{path}: line 3: byte 0xff is not UTF-8 text (invalid start byte)")):
+        cipher.load_ciphertext(path)
+    path.write_bytes(b"alpha=fp62:0x1\nbeta=\xc3\n")
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{path}: line 2: byte 0xc3 is not UTF-8 text "
+            "(invalid continuation byte)")):
+        cipher.load_key(path)
+
+
+def test_loading_a_ciphertext_keeps_no_wide_copy(tmp_path):
+    # 16,383 blocks at n = 16, a 278 KB file: the text is held once, as
+    # one byte per character, next to the blocks (2.12 MB with a whole-file
+    # io.StringIO, whose buffer takes 4 bytes per character)
+    path = tmp_path / "ct.txt"
+    rng = random.Random(3)
+    blocks = [rng.randrange(1 << 64) for _ in range(16383)]
+    cipher.save_ciphertext(Message(blocks, 5), 16, path)
+    tracemalloc.start()
+    try:
+        assert cipher.load_ciphertext(path)[0].blocks == blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4e6, peak
 
 
 @settings(FILES, max_examples=100)

@@ -102,12 +102,14 @@ def test_keygen_low_precision_draw_is_usage_error(tmp_path, capsys):
     assert "fp1" in err and "beta" in err
     assert not out.exists()
     assert run(["keygen", "--backend", "fp1", "--seed", 1, "--out", out]) == 0
+    # alpha is exactly 1/2 at fp1: keygen, encrypt and decrypt each say so
+    assert capsys.readouterr().err.count(
+        "warning: alpha=0.5 is outside the recommended range") == 1
     msg, ct, back = tmp_path / "m.bin", tmp_path / "ct.txt", tmp_path / "m.out"
     msg.write_bytes(bytes(range(6)))
     assert run(["encrypt", "--key", out, "--t", 987654, msg, "--out", ct]) == 0
     assert run(["decrypt", "--key", out, ct, "--out", back]) == 0
     assert back.read_bytes() == msg.read_bytes()
-    # alpha is exactly 1/2 at fp1: encrypt and decrypt each say so
     assert capsys.readouterr().err.count(
         "warning: alpha=0.5 is outside the recommended range") == 2
 
@@ -186,6 +188,52 @@ def test_degenerate_timestamp_warns_on_stderr_only(tmp_path, capsys):
                "(x0 is 0 or 1), so the keystream does not depend on t or gamma\n")
     assert outputs[1000] == (warning, warning)
     assert outputs[987654] == ("", "")
+
+
+# sha256 of the ciphertext file that `tentbreak encrypt` wrote at commit
+# 16bf91b for this key file, t = 1697412345 and the 64-block (512-byte)
+# message random.Random(16).randbytes(512), at n = 16 on each backend
+KAT_N16 = {
+    "fp62": ("alpha=fp62:0x1feab367a0f90900\nbeta=fp62:0x278dde6e521b9600\n"
+             "gamma=fp62:0x141b2f768cba9300\n",
+             "55122f6ed3fe0df793993d0277bfaa2be97db50cf8bab29670e0fe4cbd5d9ab0"),
+    "f64": ("alpha=f64:3fdfeab367a0f909\nbeta=f64:3fe3c6ef37290dcb\n"
+            "gamma=f64:3fd41b2f768cba93\n",
+            "4a5aff8e477e4897ab6c69fab4fd6899e3bd2e8495f6ca45dea0ccb6349350a3"),
+}
+
+
+@pytest.mark.parametrize("name", KAT_N16)
+def test_known_answer_n16(tmp_path, name):
+    # the widest block: a changed noise vector, tent step or f_j changes
+    # the digest
+    params, digest = KAT_N16[name]
+    key, msg = tmp_path / "key.txt", tmp_path / "m.bin"
+    ct, back = tmp_path / "ct.txt", tmp_path / "m.out"
+    key.write_text(params + "K=0x0123456789abcdef\nn=16\n")
+    msg.write_bytes(random.Random(16).randbytes(512))
+    assert run(["encrypt", "--key", key, "--t", 1697412345, msg, "--out", ct]) == 0
+    assert ct.read_text().startswith("YTS1 t=1697412345 n=16 len=64\n")
+    assert hashlib.sha256(ct.read_bytes()).hexdigest() == digest
+    assert run(["decrypt", "--key", key, ct, "--out", back]) == 0
+    assert back.read_bytes() == msg.read_bytes()
+
+
+def test_keygen_warns_of_a_weak_drawn_alpha(tmp_path, capsys):
+    # at fp1 the drawn alpha rounds to exactly 1/2; the file is the same
+    # whether or not keygen warns
+    weak, allowed = tmp_path / "weak.txt", tmp_path / "allowed.txt"
+    assert run(["keygen", "--backend", "fp1", "--seed", 4, "--out", weak]) == 0
+    assert capsys.readouterr() == (f"wrote key file {weak}\n",
+                                   WEAK_ALPHA.format("0.5"))
+    assert run(["keygen", "--backend", "fp1", "--seed", 4, "--allow-weak",
+                "--out", allowed]) == 0
+    assert capsys.readouterr().err == ""
+    assert weak.read_text() == allowed.read_text() == (
+        "alpha=fp1:0x1\nbeta=fp1:0x1\ngamma=fp1:0x1\nK=0x2e\nn=2\n")
+    # a default draw at fp62 is in the recommended band: no note
+    assert run(["keygen", "--seed", 4, "--out", weak]) == 0
+    assert capsys.readouterr() == (f"wrote key file {weak}\n", "")
 
 
 def test_decrypt_mismatched_n(tmp_path):

@@ -251,6 +251,34 @@ def test_tent_branches_match_div(name, data):
     assert right(x) == F(x)
 
 
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_tent_branches_exact_on_small_grids(bits):
+    # every peak and every state of each branch's range
+    be = FixedPointBackend(bits)
+    for alpha in range(1, be.one):
+        left, right = be.tent_branches(alpha)
+        F = spec.tent_map(alpha, spec.Grid(f"fp{bits}"))
+        assert [left(x) for x in range(alpha + 1)] == \
+            [F(x) for x in range(alpha + 1)]
+        assert [right(x) for x in range(alpha + 1, be.one + 1)] == \
+            [F(x) for x in range(alpha + 1, be.one + 1)]
+
+
+@pytest.mark.parametrize("bits", [62, 63, 64])
+def test_tent_branches_exact_at_the_edges(bits):
+    # the extreme peaks and states, which random draws rarely reach
+    be = FixedPointBackend(bits)
+    one = be.one
+    for alpha in (1, 2, one // 2, one - 2, one - 1):
+        left, right = be.tent_branches(alpha)
+        F = spec.tent_map(alpha, spec.Grid(f"fp{bits}"))
+        for x in (0, 1, alpha - 1, alpha, alpha + 1, one - 1, one):
+            if 0 <= x <= alpha:
+                assert left(x) == F(x), (alpha, x)
+            elif alpha < x <= one:
+                assert right(x) == F(x), (alpha, x)
+
+
 def _first_repeat(states, cap):
     """(first, i) for the first state x_i, i <= cap, equal to an earlier
     x_first, or None."""
