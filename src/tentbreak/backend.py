@@ -70,22 +70,6 @@ def number(text: str, base: int) -> int:
     return int(text, base)
 
 
-def hex_blocks(text: str, n: int, count: int):
-    """The first `count` lines of `text` as blocks, when each is one as
-    save_ciphertext writes it, n lower-case hex digits and a newline;
-    otherwise None, and the caller reads the lines with number() to name
-    the first bad one.  One fullmatch per 256 lines checks the run instead
-    of one per line (a repeated group keeps a backtracking mark of about
-    130 bytes per line until its match ends); number accepts every such
-    line, with the same value."""
-    end, step = count * (n + 1), 256 * (n + 1)
-    run = re.compile(f"(?:[0-9a-f]{{{n}}}\n)*")
-    if end > len(text) or not all(run.fullmatch(text, i, min(i + step, end))
-                                  for i in range(0, end, step)):
-        return None
-    return [int(text[i:i + n], 16) for i in range(0, end, n + 1)]
-
-
 class FixedPointBackend:
     """Binary fixed-point arithmetic on [0, 1] with L fractional bits."""
 
@@ -110,8 +94,7 @@ class FixedPointBackend:
         """Nearest representable value of num/den (ties round up)."""
         if den <= 0 or num < 0:
             raise DomainError("ratio must be nonnegative over a positive denominator")
-        raw = (2 * num * self.one + den) // (2 * den)
-        return self._clamp(raw)
+        return min((2 * num * self.one + den) // (2 * den), self.one)
 
     def from_float(self, v: float) -> int:
         if not 0.0 <= v <= 1.0:
@@ -158,13 +141,6 @@ class FixedPointBackend:
 
         return left, right
 
-    def _clamp(self, raw: int) -> int:
-        if raw < 0:
-            return 0
-        if raw > self.one:
-            return self.one
-        return raw
-
     def binary_precision(self, x: int) -> int:
         """Position of the least significant set bit after the binary point."""
         if x == 0:
@@ -196,8 +172,7 @@ class Binary64Backend:
     def from_ratio(self, num: int, den: int) -> float:
         if den <= 0 or num < 0:
             raise DomainError("ratio must be nonnegative over a positive denominator")
-        v = num / den
-        return min(max(v, 0.0), 1.0)
+        return min(num / den, 1.0)
 
     def from_float(self, v: float) -> float:
         if not 0.0 <= v <= 1.0:

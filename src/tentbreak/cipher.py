@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import keystream, tentmap
-from .backend import (ParameterError, hex_blocks, number, open_text, parse_value,
-                      read_lines)
+from .backend import ParameterError, number, open_text, parse_value, read_lines
 from .keystream import DEFAULT_TABLE, QuarterPermTable
 
 
@@ -223,30 +222,23 @@ def load_ciphertext(path):
         if t < 1:
             raise ParameterError(f"{path}: line 1: t must be a positive "
                                  f"integer, got {t}")
-        start = fh.tell()
-        text = fh.read()
-        blocks = hex_blocks(text, n, length)
-        if blocks is None:  # read line by line, to name the first bad line
-            fh.seek(start)
-            rest = fh
-            blocks = []
-            for lineno in range(2, length + 2):
-                line = fh.readline()
+        blocks, got = [], "the file ends"
+        for lineno, line in enumerate(map(str.strip, fh), start=2):
+            if len(blocks) < length:
                 try:
-                    block = number(line.strip(), 16)
+                    block = number(line, 16)
                 except ValueError:
                     block = None
                 if block is None or block >> (4 * n):
-                    got = f"got {line.strip()!r}" if line else "the file ends"
-                    raise ParameterError(
-                        f"{path}: line {lineno}: expected {4 * n}-bit block "
-                        f"{lineno - 1} of {length}, {got}")
+                    got = f"got {line!r}"
+                    break
                 blocks.append(block)
-        else:
-            rest = text[length * (n + 1):].split("\n")
-        for lineno, line in enumerate(rest, start=length + 2):
-            if line.strip():
+            elif line:
                 raise ParameterError(
                     f"{path}: line {lineno}: expected the end of the file "
-                    f"after {length} blocks, got {line.strip()!r}")
+                    f"after {length} blocks, got {line!r}")
+        if len(blocks) < length:
+            k = len(blocks) + 1
+            raise ParameterError(f"{path}: line {k + 1}: expected {4 * n}-bit "
+                                 f"block {k} of {length}, {got}")
     return Message(blocks, t), n

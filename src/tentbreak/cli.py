@@ -42,6 +42,12 @@ def _n(args) -> int:
     return args.n
 
 
+def _r(args) -> int:
+    if not 1 <= args.r <= 65536:
+        raise ParameterError(f"--r must be in 1..65536, got {args.r}")
+    return args.r
+
+
 def _t(args) -> int:
     if args.t < 1:
         raise ParameterError(f"--t must be a positive integer, got {args.t}")
@@ -177,7 +183,7 @@ def _victim_session(args):
             backend.from_float(rng.uniform(0.02, 0.98)),
             rng.randrange(1 << (4 * n)),
         )
-    return cipher.init_session(key, _t(args), n, args.r, backend,
+    return cipher.init_session(key, _t(args), n, _r(args), backend,
                                table=_load_table(args))
 
 
@@ -238,8 +244,8 @@ def cmd_analyze(figure, args) -> int:
 
 
 def _samples(args) -> int:
-    if args.samples < 1:
-        raise ParameterError(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= args.samples <= 10**6:
+        raise ParameterError(f"--samples must be in 1..1000000, got {args.samples}")
     return args.samples
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file flows and exit codes."""
 
+import argparse
 import hashlib
 import os
 import random
@@ -358,6 +359,9 @@ def test_analyze_beta_defaults_to_62_bits(tmp_path):
     (["census", "--precision", 0, "--samples", 5], "--precision"),
     (["beta", "--precision", 1], "--precision"),
     (["fig2", "--n", 0], "--n"),
+    (["fig1", "--samples", 0], "--samples"),
+    (["fig1", "--samples", 10**6 + 1], "--samples"),
+    (["census", "--samples", 10**6 + 1], "--samples"),
 ])
 def test_analyze_bad_flag_is_usage_error(tmp_path, capsys, flags, flag):
     out = tmp_path / "a.csv"
@@ -614,6 +618,22 @@ def test_census_negative_samples_is_usage_error(tmp_path, capsys):
                 "--out", tmp_path / "c.csv"]) == 2
     assert "--samples" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_attack_r_out_of_range_is_usage_error(tmp_path, capsys):
+    for r in (0, 65537):
+        assert run(["attack", "--mode", "cpa", "--r", r,
+                    "--out", tmp_path / "s.txt"]) == 2
+        assert f"--r must be in 1..65536, got {r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+
+
+def test_work_size_flags_accept_their_bounds():
+    # checked without the work that the largest values ask for
+    for r in (1, 65536):
+        assert cli._r(argparse.Namespace(r=r)) == r
+    for samples in (1, 10**6):
+        assert cli._samples(argparse.Namespace(samples=samples)) == samples
 
 
 def test_keygen_rejects_block_parameter_out_of_range(tmp_path, capsys):

@@ -19,12 +19,9 @@ only where it names a fixture of its module, since pytest passes fixtures by
 parameter name.  So a reference copy that no test calls any more fails
 here, and so does one that only another unreached helper calls.
 
-backend.number is the one reader of a number in an input file.  Its one
-fast path is backend.hex_blocks: it reads a ciphertext's block run after
-checking the whole run at once in the writer's spelling, which number
-accepts line by line with the same values (tests/test_cipher.py checks
-that).  No other function in src/tentbreak calls int() but those in
-INT_CALLERS, whose arguments are no file's text.
+backend.number is the one reader of a number in an input file.  No other
+function in src/tentbreak calls int() but those in INT_CALLERS, whose
+arguments are no file's text.
 """
 
 import ast
@@ -122,7 +119,7 @@ def test_allowlist_is_current():
 
 
 def test_one_reader_of_input_numbers():
-    assert _int_callers() == {"backend.number", "backend.hex_blocks", *INT_CALLERS}
+    assert _int_callers() == {"backend.number", *INT_CALLERS}
 
 
 def _is_fixture(node) -> bool:
