@@ -105,12 +105,13 @@ class FixedPointBackend:
     def to_float(self, x: int) -> float:
         return x / self.one
 
-    def tent_branches(self, alpha: int):
-        """(left, right), the two branches of the skew tent map with peak
-        alpha in (0, 1), the map's one definition: left(x) = x / alpha for
-        0 <= x <= alpha and right(x) = (1 - x) / (1 - alpha) for
-        alpha < x <= one, each rounded to nearest.  On those ranges the
-        quotient lies in [0, one] (x <= alpha gives
+    def reciprocals(self, alpha: int) -> tuple:
+        """(m1, h1, s1, m2, h2, s2), the constants of the two branches of
+        the skew tent map with peak alpha in (0, 1), the map's one
+        definition: left(x) = x / alpha = (m1*x + h1) >> s1 for
+        0 <= x <= alpha and right(x) = (1 - x) / (1 - alpha) =
+        (h2 - m2*x) >> s2 for alpha < x <= one, each rounded to nearest.
+        On those ranges the quotient lies in [0, one] (x <= alpha gives
         2*x*one + alpha < 2*alpha*(one + 1), and likewise for 1 - x), so
         no clamp is needed.
 
@@ -120,7 +121,8 @@ class FixedPointBackend:
         floor(m*N / 2^(T+l)) for every 0 <= N < 2^T (Granlund and
         Montgomery, "Division by invariant integers using multiplication",
         PLDI 1994, Thm 4.2).  m*c is h*2^(L+1) plus a remainder that cannot
-        carry past the shift, so the branch is (m*y + h) >> (T + l - L - 1).
+        carry past the shift, so the branch is (m*y + h) >> (T + l - L - 1);
+        for right, h2 folds in m2*one.
         """
         shift, one = self.bits + 1, self.one
 
@@ -131,7 +133,11 @@ class FixedPointBackend:
 
         m1, h1, s1 = reciprocal(alpha)
         m2, h2, s2 = reciprocal(one - alpha)
-        h2 += m2 * one
+        return m1, h1, s1, m2, h2 + m2 * one, s2
+
+    def tent_branches(self, alpha: int):
+        """(left, right), the branches of reciprocals(alpha) as functions."""
+        m1, h1, s1, m2, h2, s2 = self.reciprocals(alpha)
 
         def left(x):
             return (m1 * x + h1) >> s1
@@ -183,9 +189,9 @@ class Binary64Backend:
         return x
 
     def tent_branches(self, alpha: float):
-        """The branches, as FixedPointBackend.tent_branches.  Rounding is
-        monotone, so on their ranges the quotients lie in [0, 1] and need
-        no clamp."""
+        """(left, right), x / alpha and (1 - x) / (1 - alpha) in IEEE
+        division on the ranges of FixedPointBackend.reciprocals, where
+        monotone rounding keeps the quotients in [0, 1] with no clamp."""
         alpha_c = 1.0 - alpha
 
         def left(x):

@@ -13,7 +13,7 @@ which is exactly what the differential attack exploits.
 It is more than that: f_j keeps each bit's offset within its quarter, so it
 is n independent permutations of the four quarters, one per offset (a
 "column").  compose_fj builds it in one pass over the rounds, which sorts
-the columns into at most 6 classes of equal quarter permutation, and every
+the columns into 6 classes of equal quarter permutation, and every
 bit moves by one of at most 4 rotations, 0, n, 2n or 3n.  BitPermutation
 stores a permutation as these rotation classes, so apply and invert cost
 one mask-and-shift per class.
@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations
 
-from .backend import ParameterError, number, read_lines
+from .backend import FixedPointBackend, ParameterError, number, read_lines
 from .tentmap import TentParams, check_open_unit, restart
 
 
@@ -38,9 +38,11 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
     Bit u_i is 1 when orbit state x_i exceeds alpha (the initial condition
     is x_0), or 1/2 when mended, and 0 otherwise, equality included;
     u_{4jn} is the most significant bit of U_j.  The orbit is that of
-    tentmap.orbit_stream, stepped here through backend.tent_branches in one
-    loop that packs each bit as its state is reached, so no orbit list is
-    kept and no step past x_{4n(j_max+1)-1} is taken.
+    tentmap.orbit_stream, stepped here in a loop of its own that writes
+    each state's bit into one 4n-byte buffer and packs it once per vector,
+    so no orbit list is kept and no step past x_{4n(j_max+1)-1} is taken.
+    On a FixedPointBackend the loop inlines the multiply-and-shift steps of
+    backend.reciprocals; any other backend steps through its tent_branches.
     """
     if j_max < 0:
         raise ParameterError("j_max must be >= 0")
@@ -54,22 +56,38 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
     if x0 == zero or x0 == one:
         check_open_unit(beta, backend, "beta")
     check_open_unit(alpha, backend, "alpha")
-    left, right = backend.tent_branches(alpha)
+    fixed = isinstance(backend, FixedPointBackend)
+    if fixed:
+        m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
+    else:
+        left, right = backend.tent_branches(alpha)
     threshold = backend.half if mended else alpha
     width = 4 * n
+    bits = bytearray(width)             # u_i as bytes 0 and 1, MSB first
+    digits = bytes.maketrans(b"\0\1", b"01")
+    bits[0], x, start = x0 > threshold, x0, 1
     vectors = []
-    x, u, steps = x0, int(x0 > threshold), width - 1
     for _ in range(j_max + 1):
-        for _ in range(steps):
-            if x <= alpha:
-                x = left(x) if x > zero else restart(x, beta, backend)
-            elif x < one:
-                x = right(x)
-            else:
-                x = restart(x, beta, backend)
-            u += u + (x > threshold)
-        vectors.append(u)
-        u, steps = 0, width
+        if fixed:
+            for i in range(start, width):
+                if x <= alpha:
+                    x = (m1 * x + h1) >> s1 if x > zero else restart(x, beta, backend)
+                elif x < one:
+                    x = (h2 - m2 * x) >> s2
+                else:
+                    x = restart(x, beta, backend)
+                bits[i] = x > threshold
+        else:
+            for i in range(start, width):
+                if x <= alpha:
+                    x = left(x) if x > zero else restart(x, beta, backend)
+                elif x < one:
+                    x = right(x)
+                else:
+                    x = restart(x, beta, backend)
+                bits[i] = x > threshold
+        vectors.append(int(bits.translate(digits), 2))
+        start = 0
     return vectors
 
 
@@ -86,9 +104,12 @@ _S4_MUL = tuple(tuple(_S4_INDEX[tuple(a[q] for q in b)] for b in _S4)
 _S4_ID = _S4_INDEX[(0, 1, 2, 3)]
 # sigma, the quarter cycle q -> q+1 that the carry of the <<< 1 applies
 _SIGMA_MUL = _S4_MUL[_S4_INDEX[(1, 2, 3, 0)]]
-# per element q, the four-cycle q^-1 o sigma o q
-_CONJUGATE = tuple(_S4_MUL[_S4_INDEX[tuple(sorted(range(4), key=q.__getitem__))]][s]
-                   for q, s in zip(_S4, _SIGMA_MUL))
+# per element q, the four-cycle q^-1 o sigma o q; _CYCLES lists the 6 of
+# them, and _CONJUGATE ends up holding each q's index in _CYCLES
+_CONJUGATE = [_S4_MUL[_S4_INDEX[tuple(sorted(range(4), key=q.__getitem__))]][s]
+              for q, s in zip(_S4, _SIGMA_MUL)]
+_CYCLES = tuple(sorted(set(_CONJUGATE)))
+_CONJUGATE = tuple(map(_CYCLES.index, _CONJUGATE))
 
 
 @cache
@@ -264,26 +285,30 @@ def compose_fj(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
 
     with Q_k the product of the first k rounds' quarter maps, R_k that of
     the rest and P = R_k o Q_k that of all n.  Q_k^-1 o sigma o Q_k is one
-    of the 6 four-cycles of S4, so one forward pass sorts the columns into
-    at most 6 classes, each with A_o = P o (its cycle).  A bit that A_o
-    moves up k quarters (mod 4) rotates by kn, so its output position joins
-    the mask of that rotation class; one multiply by _lanes(n)[A_o] puts a
-    class's columns in all four masks, as lanes of 4n bits.
+    of the 6 four-cycles of S4 (_CYCLES), so one forward pass sorts the
+    columns into 6 classes, one per cycle, each with A_o = P o (its cycle).
+    A bit that A_o moves up k quarters (mod 4) rotates by kn, so its output
+    position joins the mask of that rotation class; one multiply by
+    _lanes(n)[A_o] puts a class's columns in all four masks (lanes of 4n bits).
     """
     width = 4 * n
     if vj >> width:
         raise ParameterError("V_j wider than 4n bits")
     maps = table.quarter_maps
     mul = _S4_MUL
-    classes = [0] * 24                  # by conjugate cycle: its columns
+    classes = [0] * 6                   # by conjugate cycle: its columns
     q, col = _S4_ID, 1 << n
     for shift in range(width - 4, -1, -4):
         q = mul[maps[(vj >> shift) & 0xF]][q]
         col >>= 1
         classes[_CONJUGATE[q]] |= col
     lanes, row = _lanes(n), mul[q]
-    packed = sum(cols * lanes[row[c]] for c, cols in enumerate(classes) if cols)
-    full = (1 << width) - 1
-    masks = ((packed >> k * width) & full for k in range(4))
-    return BitPermutation._from_classes(
-        tuple((width - k * n, m) for k, m in enumerate(masks) if m), n)
+    packed = 0
+    for c, cols in zip(_CYCLES, classes):
+        packed += cols * lanes[row[c]]
+    full, rotations = (1 << width) - 1, []
+    for k in range(4):
+        m = (packed >> k * width) & full
+        if m:
+            rotations.append((width - k * n, m))
+    return BitPermutation._from_classes(tuple(rotations), n)

@@ -7,7 +7,7 @@ The skew tent map with peak alpha:
 
 and its extended form G_{a,b} that redirects the boundary states {0, 1}
 to b so orbits escape the fixed point at 0.  The interior steps of F are
-defined once, by tent_branches of a backend from :mod:`tentbreak.backend`.
+defined once per backend, in :mod:`tentbreak.backend`.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ def orbit_stream(x0, p: TentParams, backend):
     raises DomainError.  alpha is checked once, before the first step from
     a state other than 0 and 1.  A step runs only when its value is requested.
 
-    keystream.build_noise_vectors steps the same branches in a loop of its
-    own, which saves the yield and resume per state: with the branches'
-    multiply-and-shift steps that is about a tenth of its time, and noise
-    vectors are the largest per-message cost of the cipher.
+    keystream.build_noise_vectors steps the same map in a loop of its own,
+    with no yield and resume per state and, on a FixedPointBackend, no
+    closure call per step: noise vectors are the largest per-message cost
+    of the cipher.
     """
     zero, one = backend.zero, backend.one
     alpha, beta = p.alpha, p.beta

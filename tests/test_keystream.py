@@ -192,7 +192,7 @@ def test_compose_fj_matches_reference():
                     spec.fj(vj, table.entries, n)
 
 
-@pytest.mark.parametrize("name", ["fp2", "fp8", "fp62", "fp64", "f64"])
+@pytest.mark.parametrize("name", ["fp1", "fp2", "fp8", "fp62", "fp63", "fp64", "f64"])
 def test_noise_vectors_match_reference(name):
     # the spec's extractor on the spec's orbit, and an error where the
     # orbit fails before the last bit
@@ -241,6 +241,19 @@ def test_noise_vectors_invalid_beta_error_matches_reference():
             (fp(3, 10), fp(7, 10), -1, DomainError, r"x outside \[0, 1\]")):
         with pytest.raises(error, match=match):
             keystream.build_noise_vectors(x0, TentParams(alpha, beta), 2, 3, FP)
+
+
+@pytest.mark.parametrize("name", ["fp62", "fp63", "f64"])
+@pytest.mark.parametrize("mended", [False, True])
+def test_noise_vectors_may_end_on_a_boundary_state(name, mended):
+    # the orbit 1/8, 1/4, 1/2, 1 ends on 1, whose step would check the bad
+    # beta: the last vector's last state is never stepped from
+    be = get_backend(name)
+    p = TentParams(be.from_ratio(1, 2), be.one)
+    x0 = be.from_ratio(1, 8)
+    assert keystream.build_noise_vectors(x0, p, 1, 0, be, mended=mended) == [0x1]
+    with pytest.raises(ParameterError, match=r"beta must lie strictly inside \(0, 1\)"):
+        keystream.build_noise_vectors(x0, p, 1, 1, be, mended=mended)
 
 
 # ---------------------------------------------------------------------------

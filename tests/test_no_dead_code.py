@@ -40,7 +40,7 @@ INT_CALLERS = {
     "cli.blocks_from_bytes": "the hex digits of bytes.hex()",
     "cli._seed": "TENTBREAK_SEED, as argparse reads --seed",
     "analysis._fmt": "a bool",
-    "keystream.build_noise_vectors": "a comparison",
+    "keystream.build_noise_vectors": "the bit digits of a vector",
 }
 
 
