@@ -2,9 +2,9 @@
 
 A session is fully determined by the key (alpha, beta, gamma, K), the public
 timestamp t, the block parameter n and the precomputation bound r.  Per
-session the noise vectors U_0..U_{r+1} and bit permutations f_0..f_{r-1}
-are derived once, and their inverses on the first decryption.  Both
-directions run one register chain (see chain):
+session the noise vectors U_0..U_{r+1} are derived once, the permutations
+f_0..f_{r-1} on the first encryption and their inverses, without f, on the
+first decryption.  Both directions run one register chain (see chain):
 
     y_j = perms[j-1](x_j xor (y_{j-1} [+] U_{j+1})) xor (x_{j-1} [+] U_{j+1})
 
@@ -56,14 +56,20 @@ class Session:
     backend: object
     table: QuarterPermTable
     U: list  # U_0 .. U_{r+1}
-    F: list  # f_0 .. f_{r-1}
     degenerate: bool = False
+
+    @cached_property
+    def F(self) -> list:
+        """f_0 .. f_{r-1}, built when first read: only encryption needs them."""
+        return [keystream.compose_fj(u ^ self.key.K, self.table, self.n)
+                for u in self.U[:self.r]]
 
     @cached_property
     def Finv(self) -> list:
         """f_0^{-1} .. f_{r-1}^{-1}, built when first read: only decryption
-        needs them."""
-        return [keystream.invert(f) for f in self.F]
+        needs them.  Each is inverted as it is composed, without F."""
+        return [keystream.invert(keystream.compose_fj(
+            u ^ self.key.K, self.table, self.n)) for u in self.U[:self.r]]
 
 
 def check_key_strength(key: KeyMaterial, backend) -> list[str]:
@@ -91,17 +97,18 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
     x0 = tentmap.derive_x0(t, key.gamma, n, backend)
     params = tentmap.TentParams(key.alpha, key.beta)
     U = keystream.build_noise_vectors(x0, params, n, r + 1, backend)
-    F = [keystream.compose_fj(U[j] ^ key.K, table, n) for j in range(r)]
     degenerate = x0 == backend.zero or x0 == backend.one
     return Session(key=key, t=t, n=n, r=r, backend=backend, table=table,
-                   U=U, F=F, degenerate=degenerate)
+                   U=U, degenerate=degenerate)
 
 
 def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int) -> list:
     """y_1..y_m of the register chain for blocks x_1..x_m (module doc).
 
-    perms holds one map per precomputed block and U is indexed by j + 1;
-    x_prev and y_prev are the starting registers x_0 and y_0.
+    perms holds one BitPermutation per precomputed block and U is indexed
+    by j + 1; x_prev and y_prev are the starting registers x_0 and y_0.
+    The chain inlines keystream.apply: the rotation classes of perms[j-1]
+    have disjoint masks, each xored into y_j from the doubled input.
     """
     if len(blocks) > len(perms):
         raise ParameterError(
@@ -114,8 +121,11 @@ def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int) -> list:
         if x >> width:
             raise ParameterError(f"block {j} wider than 4n bits")
         u = U[j + 1]
-        y_prev = keystream.apply(perms[j - 1], x ^ ((y_prev + u) & mask)) \
-            ^ ((x_prev + u) & mask)
+        v = x ^ ((y_prev + u) & mask)
+        v |= v << width
+        y_prev = (x_prev + u) & mask
+        for t, m in perms[j - 1].classes:
+            y_prev ^= (v >> t) & m
         out.append(y_prev)
         x_prev = x
     return out

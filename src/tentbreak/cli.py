@@ -157,10 +157,11 @@ def cmd_decrypt(args) -> int:
     session = cipher.init_session(key, msg.t, n, max(len(msg.blocks), 1),
                                   backend, table=_load_table(args))
     _warn_session(session)
-    out = cipher.decrypt(session, msg)
+    blocks = cipher.decrypt(session, msg).blocks
+    del session, msg            # drop f^-1 and the ciphertext before packing
     with open(args.out, "wb") as fh:
-        fh.write(blocks_to_bytes(out.blocks, n))
-    print(f"decrypted {len(out.blocks)} blocks -> {args.out}")
+        fh.write(blocks_to_bytes(blocks, n))
+    print(f"decrypted {len(blocks)} blocks -> {args.out}")
     return EXIT_OK
 
 

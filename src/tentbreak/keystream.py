@@ -38,11 +38,14 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
     Bit u_i is 1 when orbit state x_i exceeds alpha (the initial condition
     is x_0), or 1/2 when mended, and 0 otherwise, equality included;
     u_{4jn} is the most significant bit of U_j.  The orbit is that of
-    tentmap.orbit_stream, stepped here in a loop of its own that writes
-    each state's bit into one 4n-byte buffer and packs it once per vector,
-    so no orbit list is kept and no step past x_{4n(j_max+1)-1} is taken.
+    tentmap.orbit_stream, stepped here in one flat loop that writes each
+    state's bit into one buffer, read as digits once and cut into vectors,
+    so no orbit list is kept and no step past the last state is taken.
     On a FixedPointBackend the loop inlines the multiply-and-shift steps of
-    backend.reciprocals; any other backend steps through its tent_branches.
+    backend.reciprocals and checks 0, one and the domain only at x0: an
+    interior state never steps to 0 or out of [0, 1], and steps to one only
+    from alpha.  With the plain extractor, u_i is the branch test of x_i.
+    Any other backend steps through its tent_branches with every check.
     """
     if j_max < 0:
         raise ParameterError("j_max must be >= 0")
@@ -56,39 +59,40 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
     if x0 == zero or x0 == one:
         check_open_unit(beta, backend, "beta")
     check_open_unit(alpha, backend, "alpha")
-    fixed = isinstance(backend, FixedPointBackend)
-    if fixed:
-        m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
-    else:
-        left, right = backend.tent_branches(alpha)
     threshold = backend.half if mended else alpha
-    width = 4 * n
-    bits = bytearray(width)             # u_i as bytes 0 and 1, MSB first
-    digits = bytes.maketrans(b"\0\1", b"01")
-    bits[0], x, start = x0 > threshold, x0, 1
-    vectors = []
-    for _ in range(j_max + 1):
-        if fixed:
-            for i in range(start, width):
-                if x <= alpha:
-                    x = (m1 * x + h1) >> s1 if x > zero else restart(x, beta, backend)
-                elif x < one:
-                    x = (h2 - m2 * x) >> s2
-                else:
-                    x = restart(x, beta, backend)
-                bits[i] = x > threshold
-        else:
-            for i in range(start, width):
-                if x <= alpha:
-                    x = left(x) if x > zero else restart(x, beta, backend)
-                elif x < one:
-                    x = right(x)
-                else:
-                    x = restart(x, beta, backend)
-                bits[i] = x > threshold
-        vectors.append(int(bits.translate(digits), 2))
-        start = 0
-    return vectors
+    width, total = 4 * n, 4 * n * (j_max + 1)
+    bits = bytearray(total)             # u_i as bytes 0 and 1, MSB first
+    x, start = x0, 0                    # x is x_start
+    if not zero < x0 < one:             # 0 and 1 go to beta, others raise
+        bits[0], x, start = x0 > threshold, restart(x0, beta, backend), 1
+    bits[start] = x > threshold
+    if not isinstance(backend, FixedPointBackend):
+        left, right = backend.tent_branches(alpha)
+        for i in range(start + 1, total):
+            if x <= alpha:
+                x = left(x) if x > zero else restart(x, beta, backend)
+            else:
+                x = right(x) if x < one else restart(x, beta, backend)
+            bits[i] = x > threshold
+    elif mended:
+        m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
+        for i in range(start + 1, total):
+            if x <= alpha:
+                x = (m1 * x + h1) >> s1
+            else:
+                x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
+            bits[i] = x > threshold
+    else:
+        m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
+        for i in range(start, total - 1):       # steps x_i, writes u_i
+            if x <= alpha:
+                x = (m1 * x + h1) >> s1
+            else:
+                x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
+                bits[i] = 1
+        bits[-1] = x > alpha
+    digits = bits.translate(bytes.maketrans(b"\0\1", b"01"))
+    return [int(digits[k:k + width], 2) for k in range(0, total, width)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spec
-from tentbreak import backend, cipher
+from tentbreak import backend, cipher, keystream
 from tentbreak.backend import ParameterError, get_backend
 from tentbreak.cipher import KeyMaterial, Message
+from tentbreak.keystream import BitPermutation
 
 FP = get_backend("fp62")
 
@@ -40,14 +41,56 @@ def test_golden_vector_decrypts():
     assert pt == GOLDEN_PT
 
 
-def test_encrypt_only_session_builds_no_inverse():
-    s = make_session()
-    assert cipher.encrypt(s, Message(GOLDEN_PT, 1234)).blocks == GOLDEN_CT
-    assert "Finv" not in vars(s)
-    assert all(f._inv is None for f in s.F)
-    assert cipher.decrypt(s, Message(GOLDEN_CT, 1234)).blocks == GOLDEN_PT
-    assert s.Finv is vars(s)["Finv"]  # built once, on the first decryption
-    assert [f._inv for f in s.F] == s.Finv
+def test_encrypt_only_session_builds_no_inverse(monkeypatch):
+    # each direction composes only its own permutations, once, and nothing
+    # is composed before a direction first reads them
+    composed, compose = [], keystream.compose_fj
+    monkeypatch.setattr(keystream, "compose_fj",
+                        lambda *args: composed.append(args) or compose(*args))
+    enc, dec = make_session(), make_session()
+    assert composed == []
+    assert cipher.encrypt(enc, Message(GOLDEN_PT, 1234)).blocks == GOLDEN_CT
+    assert "Finv" not in vars(enc)
+    assert all(f._inv is None for f in enc.F)
+    assert cipher.decrypt(dec, Message(GOLDEN_CT, 1234)).blocks == GOLDEN_PT
+    assert "F" not in vars(dec)
+    assert len(composed) == 2 * dec.r
+    for s in (enc, dec):
+        F, Finv = s.F, s.Finv
+        assert s.F is F and s.Finv is Finv
+        assert [f.dest for f in Finv] == [keystream.invert(f).dest for f in F]
+    assert len(composed) == 4 * dec.r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_chain_matches_apply_per_block(data):
+    # the inlined permutation equals keystream.apply on any BitPermutation,
+    # with up to 4n rotation classes and dest held or not, as a loaded
+    # state may hold
+    n = data.draw(st.integers(1, 16))
+    top = (1 << (4 * n)) - 1
+    word = st.integers(0, top)
+    m = data.draw(st.integers(0, 5))
+    perms = [BitPermutation(data.draw(st.permutations(range(4 * n))), n)
+             for _ in range(m)]
+    perms = [keystream.invert(p) if data.draw(st.booleans()) else p
+             for p in perms]
+    U = data.draw(st.lists(word, min_size=m + 2, max_size=m + 2))
+    x_prev, y_prev = data.draw(word), data.draw(word)
+    blocks = data.draw(st.lists(word, max_size=m))
+    want, x, y = [], x_prev, y_prev
+    for j, block in enumerate(blocks, start=1):
+        u = U[j + 1]
+        y = keystream.apply(perms[j - 1], block ^ ((y + u) & top)) ^ ((x + u) & top)
+        want.append(y)
+        x = block
+    assert cipher.chain(perms, x_prev, y_prev, U, blocks, n) == want
+    if m:
+        bad = blocks[:m - 1] + [-1]
+        with pytest.raises(ParameterError,
+                           match=f"^block {len(bad)} wider than 4n bits$"):
+            cipher.chain(perms, x_prev, y_prev, U, bad, n)
 
 
 def test_registers_start_at_noise_vectors():

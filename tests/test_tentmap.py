@@ -264,6 +264,25 @@ def test_tent_branches_exact_on_small_grids(bits):
             [F(x) for x in range(alpha + 1, be.one + 1)]
 
 
+def _check_interior_steps(be, alpha, xs):
+    left, right = be.tent_branches(alpha)
+    for x in xs:
+        if 0 < x <= alpha:
+            assert 1 <= left(x) <= be.one, (alpha, x)
+            assert (left(x) == be.one) == (x == alpha), (alpha, x)
+        elif alpha < x < be.one:
+            assert 1 <= right(x) <= be.one - 1, (alpha, x)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_interior_states_step_to_zero_or_one_only_from_alpha(bits):
+    # what lets the fixed-point noise loop check 0, one and the domain only
+    # at x0: an interior state never steps to 0, and to one only from alpha
+    be = FixedPointBackend(bits)
+    for alpha in range(1, be.one):
+        _check_interior_steps(be, alpha, range(1, be.one))
+
+
 @pytest.mark.parametrize("bits", [62, 63, 64])
 def test_tent_branches_exact_at_the_edges(bits):
     # the extreme peaks and states, which random draws rarely reach
@@ -272,11 +291,13 @@ def test_tent_branches_exact_at_the_edges(bits):
     for alpha in (1, 2, one // 2, one - 2, one - 1):
         left, right = be.tent_branches(alpha)
         F = spec.tent_map(alpha, spec.Grid(f"fp{bits}"))
-        for x in (0, 1, alpha - 1, alpha, alpha + 1, one - 1, one):
+        edges = (0, 1, alpha - 1, alpha, alpha + 1, one - 1, one)
+        for x in edges:
             if 0 <= x <= alpha:
                 assert left(x) == F(x), (alpha, x)
             elif alpha < x <= one:
                 assert right(x) == F(x), (alpha, x)
+        _check_interior_steps(be, alpha, edges)
 
 
 def _first_repeat(states, cap):
