@@ -338,11 +338,14 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     recovery_queries = oracle.query_count - before
     if not known_messages:
         raise ParameterError("at least one known message is needed")
+    longest = max(len(p) for p, _ in known_messages)
+    if longest > r:
+        raise ParameterError(f"a known message has {longest} blocks, more than r={r}")
     first_pairs = [(p[0], c[0]) for p, c in known_messages if p]
     state.reg1 = solve_block1_registers(first_pairs, state.perms[0], n)
     state.provenance["reg1"] = "affine"
     sets = {}
-    for j in range(2, max(len(p) for p, _ in known_messages) + 1):
+    for j in range(2, longest + 1):
         pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                  for p, c in known_messages if len(p) >= j]
         sets[j] = solve_uj(pairs, state.perms[j - 1], n)

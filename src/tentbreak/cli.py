@@ -12,9 +12,10 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 
 from . import analysis, attack, cipher, keystream, tentmap
-from .backend import ParameterError, get_backend, number, read_lines
+from .backend import FixedPointBackend, ParameterError, get_backend, number, read_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,6 +53,16 @@ def _t(args) -> int:
     if args.t < 1:
         raise ParameterError(f"--t must be a positive integer, got {args.t}")
     return args.t
+
+
+def _check_drawn(key, backend, args) -> None:
+    """The alpha, beta and gamma drawn from the seed lie inside (0, 1)."""
+    for name in ("alpha", "beta", "gamma"):
+        try:
+            tentmap.check_open_unit(getattr(key, name), backend, name)
+        except ParameterError as exc:
+            raise ParameterError(f"drawn {exc} at {args.backend} precision; "
+                                 "try another --seed") from None
 
 
 def _load_table(args):
@@ -104,12 +115,7 @@ def cmd_keygen(args) -> int:
         gamma=backend.from_float(rng.uniform(0.05, 0.95)),
         K=rng.randrange(1 << (4 * n)),
     )
-    for name in ("alpha", "beta", "gamma"):
-        try:
-            tentmap.check_open_unit(getattr(key, name), backend, name)
-        except ParameterError as exc:
-            raise ParameterError(f"drawn {exc} at {args.backend} precision; "
-                                 "try another --seed") from None
+    _check_drawn(key, backend, args)
     if not args.allow_weak:
         _warn(*cipher.check_key_strength(key, backend))
     cipher.save_key(key, n, backend, args.out)
@@ -184,8 +190,10 @@ def _victim_session(args):
             backend.from_float(rng.uniform(0.02, 0.98)),
             rng.randrange(1 << (4 * n)),
         )
-    return cipher.init_session(key, _t(args), n, _r(args), backend,
-                               table=_load_table(args))
+    t, r, table = _t(args), _r(args), _load_table(args)
+    if not args.key:
+        _check_drawn(key, backend, args)
+    return cipher.init_session(key, t, n, r, backend, table=table)
 
 
 def cmd_attack(args) -> int:
@@ -253,6 +261,9 @@ def _samples(args) -> int:
 def analyze_fig1(args):
     backend = get_backend(args.backend)
     p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
+    if p.alpha == backend.zero:
+        raise ParameterError(f"fig1's alpha 0.1 rounds to 0 at --backend "
+                             f"{args.backend}")
     hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
                                      _samples(args), backend, mended=args.mended)
     return (("value", "count", "frequency", "theoretical"),
@@ -268,9 +279,9 @@ def analyze_fig2(args):
 def analyze_fig3(args):
     backend = get_backend(args.backend)
     p = tentmap.TentParams(backend.from_float(0.5), backend.from_float(0.4))
-    orbit = tentmap.iterate_orbit(backend.from_float(0.123), p, 200, backend)
+    orbit = tentmap.orbit_stream(backend.from_float(0.123), p, backend)
     return ("i", "x"), ((i, backend.to_float(x))
-                        for i, x in enumerate(orbit, start=1))
+                        for i, x in enumerate(islice(orbit, 1, 201), start=1))
 
 
 def analyze_beta(args):
@@ -294,6 +305,9 @@ def analyze_census(args):
         raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
     if not 1 <= L <= 24:
         raise ParameterError(f"--precision must be in 1..24 for census, got {L}")
+    if not 0 < FixedPointBackend(L).from_float(args.alpha) < 1 << L:
+        raise ParameterError(f"--alpha {args.alpha} rounds to 0 or 1 at "
+                             f"--precision {L}")
     mean, lengths = analysis.orbit_length_census(L, args.alpha, samples,
                                                  seed=_seed(args))
     return ("key", "value"), {

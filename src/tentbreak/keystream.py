@@ -22,10 +22,10 @@ one mask-and-shift per class.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
+from itertools import islice, permutations
 
 from .backend import FixedPointBackend, ParameterError, number, read_lines
-from .tentmap import TentParams, check_open_unit, restart
+from .tentmap import TentParams, check_open_unit, orbit_stream, restart
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +37,15 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
 
     Bit u_i is 1 when orbit state x_i exceeds alpha (the initial condition
     is x_0), or 1/2 when mended, and 0 otherwise, equality included;
-    u_{4jn} is the most significant bit of U_j.  The orbit is that of
-    tentmap.orbit_stream, stepped here in one flat loop that writes each
-    state's bit into one buffer, read as digits once and cut into vectors,
-    so no orbit list is kept and no step past the last state is taken.
-    On a FixedPointBackend the loop inlines the multiply-and-shift steps of
-    backend.reciprocals and checks 0, one and the domain only at x0: an
-    interior state never steps to 0 or out of [0, 1], and steps to one only
-    from alpha.  With the plain extractor, u_i is the branch test of x_i.
-    Any other backend steps through its tent_branches with every check.
+    u_{4jn} is the most significant bit of U_j.  Each state's bit goes
+    into one buffer, read as digits once and cut into vectors, so no orbit
+    list is kept and no step past the last state is taken.  Any backend but
+    fixed point reads the states of tentmap.orbit_stream.  A
+    FixedPointBackend steps the same orbit in one flat loop per extractor
+    that inlines the multiply-and-shift steps of backend.reciprocals and
+    checks 0, one and the domain only at x0: an interior state never steps
+    to 0 or out of [0, 1], and steps to one only from alpha.  With the
+    plain extractor, u_i is the branch test of x_i.
     """
     if j_max < 0:
         raise ParameterError("j_max must be >= 0")
@@ -67,13 +67,8 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
         bits[0], x, start = x0 > threshold, restart(x0, beta, backend), 1
     bits[start] = x > threshold
     if not isinstance(backend, FixedPointBackend):
-        left, right = backend.tent_branches(alpha)
-        for i in range(start + 1, total):
-            if x <= alpha:
-                x = left(x) if x > zero else restart(x, beta, backend)
-            else:
-                x = right(x) if x < one else restart(x, beta, backend)
-            bits[i] = x > threshold
+        orbit = islice(orbit_stream(x, p, backend), 1, total - start)
+        bits[start + 1:] = (x > threshold for x in orbit)
     elif mended:
         m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
         for i in range(start + 1, total):
@@ -147,10 +142,6 @@ class QuarterPermTable:
             for e in entries)
 
     @classmethod
-    def default(cls) -> "QuarterPermTable":
-        return cls(list(permutations((1, 2, 3, 4)))[:16])
-
-    @classmethod
     def load(cls, path) -> "QuarterPermTable":
         entries = [None] * 16
 
@@ -174,7 +165,7 @@ class QuarterPermTable:
         return cls(entries)
 
 
-DEFAULT_TABLE = QuarterPermTable.default()
+DEFAULT_TABLE = QuarterPermTable(islice(permutations((1, 2, 3, 4)), 16))
 
 
 # ---------------------------------------------------------------------------

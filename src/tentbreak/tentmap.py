@@ -7,13 +7,13 @@ The skew tent map with peak alpha:
 
 and its extended form G_{a,b} that redirects the boundary states {0, 1}
 to b so orbits escape the fixed point at 0.  The interior steps of F are
-defined once per backend, in :mod:`tentbreak.backend`.
+defined once per backend, in :mod:`tentbreak.backend`; orbit_stream is the
+one generic stepper of G, and restart its one boundary rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .backend import DomainError, ParameterError
 
@@ -73,39 +73,30 @@ def orbit_stream(x0, p: TentParams, backend):
     """Infinite generator x0, x1, x2, ... of G (includes the initial state).
 
     An interior state x steps through backend.tent_branches(alpha): left for
-    0 < x <= alpha, right for alpha < x < 1.  The boundary states 0 and 1
-    go to beta, which is checked at every hit, and any state outside [0, 1]
-    raises DomainError.  alpha is checked once, before the first step from
-    a state other than 0 and 1.  A step runs only when its value is requested.
+    0 < x <= alpha, right for alpha < x < 1.  restart sends the boundary
+    states 0 and 1 to beta, checked at every hit, and raises DomainError
+    outside [0, 1].  alpha is checked once, before the first step from a
+    state other than 0 and 1.  A step runs only when its value is requested.
 
-    keystream.build_noise_vectors steps the same map in a loop of its own,
-    with no yield and resume per state and, on a FixedPointBackend, no
-    closure call per step: noise vectors are the largest per-message cost
-    of the cipher.
+    keystream.build_noise_vectors reads this orbit on any backend but fixed
+    point.  On a FixedPointBackend it steps the same map in loops of its
+    own, with no yield and resume per state and no closure call per step:
+    noise vectors are the largest per-message cost of the cipher.
     """
-    zero, one = backend.zero, backend.one
-    alpha, beta = p.alpha, p.beta
+    zero, one, alpha, beta = backend.zero, backend.one, p.alpha, p.beta
     x = x0
     yield x
-    while x == zero or x == one:
-        check_open_unit(beta, backend, "beta")
-        x = beta
+    if x == zero or x == one:   # restart's beta is inside (0, 1)
+        x = restart(x, beta, backend)
         yield x
     check_open_unit(alpha, backend, "alpha")
     left, right = backend.tent_branches(alpha)
     while True:
         if x <= alpha:
             x = left(x) if x > zero else restart(x, beta, backend)
-        elif x < one:
-            x = right(x)
         else:
-            x = restart(x, beta, backend)
+            x = right(x) if x < one else restart(x, beta, backend)
         yield x
-
-
-def iterate_orbit(x0, p: TentParams, count: int, backend):
-    """The first `count` iterates [x_1, ..., x_count] of G from x0."""
-    return list(islice(orbit_stream(x0, p, backend), 1, count + 1))
 
 
 def analyze_orbit(x0, p: TentParams, max_iter: int, backend) -> OrbitReport:

@@ -347,6 +347,15 @@ def test_full_attack_reports_budget_stop():
     assert "ambiguous" in report.state.provenance.values()
 
 
+def test_full_attack_rejects_a_known_message_longer_than_r():
+    rng = random.Random(4)
+    s = random_session(rng, r=6)
+    with pytest.raises(ParameterError,
+                       match=r"^a known message has 6 blocks, more than r=4$"):
+        attack.full_attack(attack.EncryptionOracle(s), encrypt_random(rng, s, 2),
+                           4, 2)
+
+
 def test_cipher_and_attack_leave_no_reference_cycles():
     # sessions, cached inverses and recovered states are freed by reference
     # counting alone; a cycle would keep each one until the cyclic collector

@@ -378,14 +378,43 @@ def test_analyze_census(tmp_path):
     assert float(rows["mean_orbit_length"]) > 1
 
 
-# sha256 of the CSV that `tentbreak analyze FIGURE [--n N] --out F` wrote at
-# commit 1c587b0, with TENTBREAK_SEED unset; a changed float in the curve or
-# the census changes the digest
+@pytest.mark.parametrize("argv, message", [
+    ("analyze census --alpha 0.99 --precision 2",
+     "--alpha 0.99 rounds to 0 or 1 at --precision 2"),
+    ("analyze fig1 --backend fp2", "fig1's alpha 0.1 rounds to 0 at --backend fp2"),
+    ("keygen --backend fp1 --seed 2", "drawn beta must lie strictly inside "
+     "(0, 1) at fp1 precision; try another --seed"),
+    # seed 5 draws alpha and gamma outside, seed 7 beta
+    *((f"attack --backend fp2 --mode full --r 4 --seed {seed}",
+       f"drawn {name} must lie strictly inside (0, 1) at fp2 precision; "
+       "try another --seed")
+      for seed, name in ((3, "alpha"), (5, "alpha"), (7, "beta"))),
+])
+def test_value_rounded_to_0_or_1_names_its_flag(tmp_path, capsys, argv, message):
+    assert run([*argv.split(), "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# sha256 of the CSV that `tentbreak analyze FIGURE [FLAGS] --out F` wrote
+# with TENTBREAK_SEED unset: the fig2 and census keys at commit 1c587b0, the
+# fig1, fig3 and beta keys at commit 0a55858.  A changed float in a curve,
+# histogram, orbit or census changes the digest.  The fp8 orbit of fig3
+# reaches 1 and restarts at beta 24 times.
 GOLDEN_DIGESTS = {
     "fig2 --n 1": "45f2634ae852a2703a6d8100b7c8b26b0c4499b108268ee61627b9edd8470224",
     "fig2 --n 2": "48c1b80117b3d63799aec1de5f819710edee531c576c4afe4fdf3706e2474be6",
     "fig2 --n 16": "ef69c728cdd4657841dbe97a5e7efe17ac75c7e0f819c9bb987222a8b04ce944",
     "census": "05714e9035cb64dd1c801ec506175304c8a79c862ccd3ec8e0c73b49a39ca87e",
+    "fig1": "45a6b77df7a5e73f53f114c09ff46ff18d9ce25deebcdec1547a0542098beee6",
+    "fig1 --backend f64":
+        "0d8fa8e77677145b94b033d61a32dbd099cb9892ca752f47ad4c6bbe89d5ffcb",
+    "fig3": "d85f8b58f6728341aa3d446887de75897308a5f2a398f517d074ec772920e530",
+    "fig3 --backend f64":
+        "d85f8b58f6728341aa3d446887de75897308a5f2a398f517d074ec772920e530",
+    "fig3 --backend fp8":
+        "b4e3c4904d07583ea15b15ab621a2d358c087f3703a38e7d579b4afc68d8f2e8",
+    "beta": "f6945c93a4eddefcee7f68877d25a047d7926934caa1e53ae2c92b51e2835e78",
 }
 
 

@@ -22,6 +22,9 @@ here, and so does one that only another unreached helper calls.
 backend.number is the one reader of a number in an input file.  No other
 function in src/tentbreak calls int() but those in INT_CALLERS, whose
 arguments are no file's text.
+
+Every name that a module in src/ or tests/ imports is read in that module,
+so a deletion leaves no stale import behind.
 """
 
 import ast
@@ -180,3 +183,26 @@ def test_every_test_helper_is_read():
     defined, reached = _test_names()
     unread = sorted(f"{module}.{name}" for module, name in defined - reached)
     assert not unread, f"defined in tests/ but never read: {unread}"
+
+
+def _stale_imports():
+    """module:name of every name a module in src/ or tests/ imports but
+    never reads; `from __future__ import ...` binds no name."""
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                stale.extend(f"{path.relative_to(ROOT)}:{name}"
+                             for alias in node.names
+                             if (name := alias.asname or alias.name.split(".")[0])
+                             not in read)
+    return stale
+
+
+def test_every_import_is_read():
+    stale = _stale_imports()
+    assert not stale, f"imported but never read: {stale}"

@@ -51,27 +51,29 @@ def test_skew_tent_domain():
     p = tentmap.TentParams(fp(1, 2), fp(7, 10))
     inside = r" must lie strictly inside \(0, 1\)$"
     with pytest.raises(DomainError, match=r"^x outside \[0, 1\]$"):
-        tentmap.iterate_orbit(FP.one + 1, p, 1, FP)
+        list(islice(tentmap.orbit_stream(FP.one + 1, p, FP), 2))
     with pytest.raises(ParameterError, match="^alpha" + inside):
-        tentmap.iterate_orbit(fp(1, 2), tentmap.TentParams(FP.zero, p.beta), 1, FP)
+        list(islice(tentmap.orbit_stream(
+            fp(1, 2), tentmap.TentParams(FP.zero, p.beta), FP), 2))
     # 1/2 -> 1 at alpha = 1/2, where the restart checks beta
     with pytest.raises(ParameterError, match="^beta" + inside):
-        tentmap.iterate_orbit(fp(1, 2), tentmap.TentParams(fp(1, 2), FP.one), 2, FP)
+        list(islice(tentmap.orbit_stream(
+            fp(1, 2), tentmap.TentParams(fp(1, 2), FP.one), FP), 3))
 
 
 def test_extended_redirects_boundary():
     beta = fp(7, 10)
     p = tentmap.TentParams(fp(1, 2), beta)
-    assert tentmap.iterate_orbit(FP.zero, p, 1, FP) == [beta]
-    assert tentmap.iterate_orbit(FP.one, p, 1, FP) == [beta]
+    assert list(islice(tentmap.orbit_stream(FP.zero, p, FP), 1, 2)) == [beta]
+    assert list(islice(tentmap.orbit_stream(FP.one, p, FP), 1, 2)) == [beta]
     # interior points follow the plain map
     left, _ = FP.tent_branches(fp(1, 2))
-    assert tentmap.iterate_orbit(fp(1, 4), p, 1, FP) == [left(fp(1, 4))]
+    assert list(islice(tentmap.orbit_stream(fp(1, 4), p, FP), 1, 2)) == [left(fp(1, 4))]
 
 
 def test_orbit_from_zero_goes_through_beta():
     p = tentmap.TentParams(fp(9, 10), fp(7, 10))
-    orbit = tentmap.iterate_orbit(FP.zero, p, 3, FP)
+    orbit = list(islice(tentmap.orbit_stream(FP.zero, p, FP), 1, 4))
     assert orbit[0] == p.beta
 
 
@@ -79,7 +81,7 @@ def test_halving_cycle_fixture():
     # alpha = 1/2, beta = 3/8: each step strips one bit of precision, the
     # orbit of x0 = 3/8 is the exact 4-cycle 3/4, 1/2, 1, 3/8, ...
     p = tentmap.TentParams(fp(1, 2), fp(3, 8))
-    orbit = tentmap.iterate_orbit(fp(3, 8), p, 8, FP)
+    orbit = list(islice(tentmap.orbit_stream(fp(3, 8), p, FP), 1, 9))
     expected = [Fraction(3, 4), Fraction(1, 2), Fraction(1, 1), Fraction(3, 8)] * 2
     assert [frac(x) for x in orbit] == expected
 
