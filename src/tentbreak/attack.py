@@ -423,9 +423,11 @@ def load_state(path) -> RecoveredState:
         if key in state.provenance:
             raise ValueError(f"{key} given twice")
         if key == "reg1":
-            y, z = (_bounded(number(x, 16), 0, top, "reg1 value")
-                    for x in tail.split())
-            state.reg1 = (y, z)
+            values = tail.split()
+            if len(values) != 2:
+                raise ValueError(f"expected two hex values, got {tail.strip()!r}")
+            state.reg1 = tuple(_bounded(number(x, 16), 0, top, "reg1 value")
+                               for x in values)
         elif key[0] == "f":
             j = _bounded(j, 0, r - 1, "f index")
             state.perms[j] = BitPermutation([number(x, 10) for x in tail.split()], n)

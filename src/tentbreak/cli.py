@@ -10,6 +10,7 @@ import argparse
 import os
 import random
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
@@ -37,22 +38,25 @@ def _seed(args) -> int:
         raise ParameterError(f"TENTBREAK_SEED={env!r} is not an integer") from None
 
 
-def _n(args) -> int:
-    if not 1 <= args.n <= 16:
-        raise ParameterError(f"--n must be in 1..16, got {args.n}")
-    return args.n
+def _int_in(lo: int, hi: int | None = None):
+    """The argparse type of an integer flag in lo..hi (lo up if hi is None)."""
+    expected = f"an integer in {lo}..{hi}" if hi else f"an integer >= {lo}"
+
+    def read(text: str) -> int:
+        with suppress(ValueError):      # int() reads the text as type=int does
+            if lo <= (value := int(text)) <= (hi or value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return read
 
 
-def _r(args) -> int:
-    if not 1 <= args.r <= 65536:
-        raise ParameterError(f"--r must be in 1..65536, got {args.r}")
-    return args.r
-
-
-def _t(args) -> int:
-    if args.t < 1:
-        raise ParameterError(f"--t must be a positive integer, got {args.t}")
-    return args.t
+def _open_unit(text: str) -> float:
+    """The argparse type of a float flag strictly inside (0, 1)."""
+    with suppress(ValueError):
+        if 0 < (value := float(text)) < 1:      # nan is not inside
+            return value
+    raise argparse.ArgumentTypeError(f"expected a number strictly inside (0, 1), "
+                                     f"got {text!r}")
 
 
 def _check_drawn(key, backend, args) -> None:
@@ -100,25 +104,24 @@ def cmd_keygen(args) -> int:
     backend = get_backend(args.backend)
     rng = random.Random(_seed(args))
     if args.alpha is not None:
-        alpha = backend.from_float(args.alpha) if 0 < args.alpha < 1 else None
-        if alpha is None or not backend.zero < alpha < backend.one:
-            raise ParameterError(f"--alpha must be in (0, 1) at {args.backend} "
-                                 f"precision, got {args.alpha}")
+        alpha = backend.from_float(args.alpha)
+        if not backend.zero < alpha < backend.one:
+            raise ParameterError(f"--alpha {args.alpha} rounds to 0 or 1 at "
+                                 f"--backend {args.backend}")
     else:
         # safe sampling range: 0 < |alpha - 0.5| < 0.01
         off = rng.uniform(0.0005, 0.0095) * rng.choice((-1, 1))
         alpha = backend.from_float(0.5 + off)
-    n = _n(args)
     key = cipher.KeyMaterial(
         alpha=alpha,
         beta=backend.from_float(rng.uniform(0.05, 0.95)),
         gamma=backend.from_float(rng.uniform(0.05, 0.95)),
-        K=rng.randrange(1 << (4 * n)),
+        K=rng.randrange(1 << (4 * args.n)),
     )
     _check_drawn(key, backend, args)
     if not args.allow_weak:
         _warn(*cipher.check_key_strength(key, backend))
-    cipher.save_key(key, n, backend, args.out)
+    cipher.save_key(key, args.n, backend, args.out)
     print(f"wrote key file {args.out}")
     return EXIT_OK
 
@@ -137,7 +140,6 @@ def _warn_session(session) -> None:
 
 
 def cmd_encrypt(args) -> int:
-    t = _t(args)
     key, n, backend = cipher.load_key(args.key)
     with open(args.infile, "rb") as fh:
         data = fh.read()
@@ -145,18 +147,21 @@ def cmd_encrypt(args) -> int:
         blocks = blocks_from_bytes(data, n)
     except ParameterError as exc:
         raise ParameterError(f"{args.infile}: {exc} (n={n} in {args.key})") from None
-    session = cipher.init_session(key, t, n, max(len(blocks), 1),
+    session = cipher.init_session(key, args.t, n, max(len(blocks), 1),
                                   backend, table=_load_table(args))
     _warn_session(session)
-    out = cipher.encrypt(session, cipher.Message(blocks, t))
+    out = cipher.encrypt(session, cipher.Message(blocks, args.t))
     cipher.save_ciphertext(out, n, args.out)
-    print(f"encrypted {len(blocks)} blocks -> {args.out} (t={t})")
+    print(f"encrypted {len(blocks)} blocks -> {args.out} (t={args.t})")
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
     key, n, backend = cipher.load_key(args.key)
     msg, n_file = cipher.load_ciphertext(args.infile)
+    if len(msg.blocks) * 4 * n_file % 8:
+        raise ParameterError(f"{args.infile}: {len(msg.blocks)} blocks of "
+                             f"{4 * n_file} bits are not a whole number of bytes")
     if n_file != n:
         raise ParameterError(f"{args.infile}: ciphertext n={n_file} does not "
                              f"match key n={n} of {args.key}")
@@ -165,8 +170,9 @@ def cmd_decrypt(args) -> int:
     _warn_session(session)
     blocks = cipher.decrypt(session, msg).blocks
     del session, msg            # drop f^-1 and the ciphertext before packing
+    data = blocks_to_bytes(blocks, n)   # before --out is opened and emptied
     with open(args.out, "wb") as fh:
-        fh.write(blocks_to_bytes(blocks, n))
+        fh.write(data)
     print(f"decrypted {len(blocks)} blocks -> {args.out}")
     return EXIT_OK
 
@@ -183,17 +189,17 @@ def _victim_session(args):
     else:
         backend = get_backend(args.backend)
         rng = random.Random(f"victim:{_seed(args)}")
-        n = _n(args)
+        n = args.n
         key = cipher.KeyMaterial(
             backend.from_float(rng.uniform(0.02, 0.98)),
             backend.from_float(rng.uniform(0.02, 0.98)),
             backend.from_float(rng.uniform(0.02, 0.98)),
             rng.randrange(1 << (4 * n)),
         )
-    t, r, table = _t(args), _r(args), _load_table(args)
+    table = _load_table(args)
     if not args.key:
         _check_drawn(key, backend, args)
-    return cipher.init_session(key, t, n, r, backend, table=table)
+    return cipher.init_session(key, args.t, n, args.r, backend, table=table)
 
 
 def cmd_attack(args) -> int:
@@ -252,12 +258,6 @@ def cmd_analyze(figure, args) -> int:
     return EXIT_OK
 
 
-def _samples(args) -> int:
-    if not 1 <= args.samples <= 10**6:
-        raise ParameterError(f"--samples must be in 1..1000000, got {args.samples}")
-    return args.samples
-
-
 def analyze_fig1(args):
     backend = get_backend(args.backend)
     p = tentmap.TentParams(backend.from_float(0.1), backend.from_float(0.7))
@@ -265,7 +265,7 @@ def analyze_fig1(args):
         raise ParameterError(f"fig1's alpha 0.1 rounds to 0 at --backend "
                              f"{args.backend}")
     hist = analysis.sample_histogram(p, backend.from_float(0.3), 2,
-                                     _samples(args), backend, mended=args.mended)
+                                     args.samples, backend, mended=args.mended)
     return (("value", "count", "frequency", "theoretical"),
             ((a, c, c / hist.samples,
               analysis.theoretical_prob(a, Fraction(1, 10), hist.n))
@@ -273,7 +273,7 @@ def analyze_fig1(args):
 
 
 def analyze_fig2(args):
-    return ("alpha", "log2_com"), analysis.complexity_curve(_n(args))
+    return ("alpha", "log2_com"), analysis.complexity_curve(args.n)
 
 
 def analyze_fig3(args):
@@ -286,8 +286,6 @@ def analyze_fig3(args):
 
 def analyze_beta(args):
     L = args.precision
-    if not 2 <= L <= 64:
-        raise ParameterError(f"--precision must be in 2..64 for beta, got {L}")
     p, expected, dec_bytes = analysis.beta_impact(L)
     return ("key", "value"), {
         "precision_bits": L,
@@ -300,15 +298,11 @@ def analyze_beta(args):
 
 
 def analyze_census(args):
-    samples, L = _samples(args), args.precision
-    if not 0 < args.alpha < 1:
-        raise ParameterError(f"--alpha must be in (0, 1), got {args.alpha}")
-    if not 1 <= L <= 24:
-        raise ParameterError(f"--precision must be in 1..24 for census, got {L}")
+    L = args.precision
     if not 0 < FixedPointBackend(L).from_float(args.alpha) < 1 << L:
         raise ParameterError(f"--alpha {args.alpha} rounds to 0 or 1 at "
                              f"--precision {L}")
-    mean, lengths = analysis.orbit_length_census(L, args.alpha, samples,
+    mean, lengths = analysis.orbit_length_census(L, args.alpha, args.samples,
                                                  seed=_seed(args))
     return ("key", "value"), {
         "precision_bits": L,
@@ -340,8 +334,6 @@ def cmd_solve_u(args) -> int:
     if not 2 <= args.j <= state.r or f is None:
         raise ParameterError(f"--j {args.j} must name a block 2..{state.r} "
                              f"whose f{args.j - 1} is in {args.state} (r={state.r})")
-    if args.alpha_est is not None and not 0 < args.alpha_est < 1:
-        raise ParameterError(f"--alpha-est must be in (0, 1), got {args.alpha_est}")
     try:
         sols = attack.solve_uj(pairs, f, state.n)
     except ParameterError as exc:  # bad input, not a failed verification
@@ -358,33 +350,34 @@ def cmd_solve_u(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-# Every flag, once.  A command lists the flags it reads, and may change
-# their entries here for its own default or required.
+# Every flag, once, with the range of a number as its type.  A command lists
+# the flags it reads, and may change their entries here for its own default,
+# range or required.
 FLAGS = {
     "--backend": dict(default="fp62",
                       help="arithmetic backend: fpNN or f64 (default fp62)"),
-    "--n": dict(type=int, default=2, help="block parameter (4n-bit blocks; "
-                                          "default %(default)s)"),
-    "--r": dict(type=int, default=16, help="precomputation bound r of the "
-                                           "victim session (default 16)"),
+    "--n": dict(type=_int_in(1, 16), default=2,
+                help="block parameter (4n-bit blocks; default %(default)s)"),
+    "--r": dict(type=_int_in(1, 65536), default=16,
+                help="precomputation bound r of the victim session (default 16)"),
     "--seed": dict(type=int, help="RNG seed (fallback: TENTBREAK_SEED)"),
     "--table": dict(help="quarter-permutation table file"),
     "--key": dict(required=True),
-    "--t": dict(type=int, required=True, help="timestamp"),
+    "--t": dict(type=_int_in(1), required=True, help="timestamp"),
     "infile": dict(),
     "--out": dict(required=True),
-    "--alpha": dict(type=float, help="alpha in (0, 1)"),
+    "--alpha": dict(type=_open_unit, help="alpha in (0, 1)"),
     "--allow-weak": dict(action="store_true"),
     "--mode": dict(choices=("cpa", "cca", "full"), default="full"),
     "--drift": dict(action="store_true",
                     help="negative test: victim clock drifts between queries"),
-    "--samples": dict(type=int),
-    "--precision": dict(type=int, help="precision L in bits (default %(default)s)"),
+    "--samples": dict(type=_int_in(1, 10**6)),
+    "--precision": dict(help="precision L in bits (default %(default)s)"),
     "--mended": dict(action="store_true"),
     "--state": dict(required=True, help="recovered-state file"),
     "--pairs": dict(required=True, help="file of hex lines: Pprev Pj Cprev Cj"),
     "--j": dict(type=int, required=True, help="block index (>= 2)"),
-    "--alpha-est": dict(type=float,
+    "--alpha-est": dict(type=_open_unit,
                         help="list the solved candidates in prioritized "
                              "order (only ranks them; does not change which "
                              "are found)"),
@@ -419,10 +412,10 @@ COMMANDS = {
         "fig2": (analyze_fig2, "--n --out", {"--n": dict(default=16)}),
         "fig3": (analyze_fig3, "--backend --out", {}),
         "beta": (analyze_beta, "--seed --precision --out",
-                 {"--precision": dict(default=62)}),
+                 {"--precision": dict(type=_int_in(2, 64), default=62)}),
         "census": (analyze_census, "--seed --samples --alpha --precision --out",
                    {"--samples": dict(default=500), "--alpha": dict(default=0.37),
-                    "--precision": dict(default=16)}),
+                    "--precision": dict(type=_int_in(1, 24), default=16)}),
     },
     "solve-u": (cmd_solve_u, "--state --pairs --j --alpha-est", {}),
 }

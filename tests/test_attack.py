@@ -449,7 +449,10 @@ def test_state_file_rejects_garbage(tmp_path):
                        (f"f0: {identity}", "line 3: f0 given twice"),
                        ("U3: 0x12\nU3: 0x13", "line 4: U3 given twice"),
                        ("reg1: 0x1 0x2\n\nreg1: 0x1 0x2",
-                        "line 5: reg1 given twice")):
+                        "line 5: reg1 given twice"),
+                       ("reg1: 0x1", "line 3: expected two hex values, got '0x1'"),
+                       ("reg1: 0x1 0x2 0x3  # solved",
+                        "line 3: expected two hex values, got '0x1 0x2 0x3'")):
         path.write_text(f"YTSREC n=2 r=4\nf0: {identity}\n{bad}\n")
         with pytest.raises(ParameterError, match=re.escape(f"{path}: {error}")):
             attack.load_state(path)

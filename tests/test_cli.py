@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, file flows and exit codes."""
 
-import argparse
 import hashlib
 import os
 import random
@@ -249,6 +248,29 @@ def test_decrypt_mismatched_n(tmp_path):
     assert run(["decrypt", "--key", key2, ct, "--out", tmp_path / "x"]) == 2
 
 
+def test_decrypt_error_names_the_file_and_keeps_the_output(tmp_path, capsys,
+                                                           monkeypatch):
+    key, ct, out = tmp_path / "key.txt", tmp_path / "ct.txt", tmp_path / "m.out"
+    assert run(["keygen", "--n", 1, "--seed", 3, "--out", key]) == 0
+    out.write_text("precious")
+    # three 4-bit blocks are a byte and a half
+    ct.write_text("YTS1 t=5 n=1 len=3\na\nb\nc\n")
+    capsys.readouterr()
+    assert run(["decrypt", "--key", key, ct, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ct}: 3 blocks of 4 bits are not a whole number of bytes\n")
+    assert out.read_text() == "precious"
+    # an error while packing the plaintext leaves --out as it was too
+    ct.write_text("YTS1 t=5 n=1 len=2\na\nb\n")
+
+    def fail(blocks, n):
+        raise ParameterError("cannot pack")
+    monkeypatch.setattr(cli, "blocks_to_bytes", fail)
+    assert run(["decrypt", "--key", key, ct, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: cannot pack\n"
+    assert out.read_text() == "precious"
+
+
 def test_missing_input_is_usage_error(tmp_path):
     assert run(["decrypt", "--key", tmp_path / "nope", tmp_path / "nope2",
                 "--out", tmp_path / "x"]) == 2
@@ -365,8 +387,10 @@ def test_analyze_beta_defaults_to_62_bits(tmp_path):
 ])
 def test_analyze_bad_flag_is_usage_error(tmp_path, capsys, flags, flag):
     out = tmp_path / "a.csv"
-    assert run(["analyze", *flags, "--out", out]) == 2
-    assert flag in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", *flags, "--out", out])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -382,6 +406,7 @@ def test_analyze_census(tmp_path):
     ("analyze census --alpha 0.99 --precision 2",
      "--alpha 0.99 rounds to 0 or 1 at --precision 2"),
     ("analyze fig1 --backend fp2", "fig1's alpha 0.1 rounds to 0 at --backend fp2"),
+    ("keygen --alpha 1e-30", "--alpha 1e-30 rounds to 0 or 1 at --backend fp62"),
     ("keygen --backend fp1 --seed 2", "drawn beta must lie strictly inside "
      "(0, 1) at fp1 precision; try another --seed"),
     # seed 5 draws alpha and gamma outside, seed 7 beta
@@ -590,10 +615,12 @@ def test_key_file_bad_values_name_the_file_and_field(tmp_path, capsys):
 
 
 def test_keygen_rejects_alpha_out_of_range(tmp_path, capsys):
-    for alpha in (0, 1, -0.5, 1.5, "nan", 1e-30):
+    for alpha in (0, 1, -0.5, 1.5, "nan"):
         out = tmp_path / "key.txt"
-        assert run(["keygen", "--alpha", alpha, "--seed", 1, "--out", out]) == 2
-        assert "--alpha" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["keygen", "--alpha", alpha, "--seed", 1, "--out", out])
+        assert exc.value.code == 2
+        assert "error: argument --alpha: " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -643,33 +670,31 @@ def test_solve_u_rejects_out_of_range_state(tmp_path, capsys):
 
 
 def test_census_negative_samples_is_usage_error(tmp_path, capsys):
-    assert run(["analyze", "census", "--precision", 8, "--samples", -5,
-                "--out", tmp_path / "c.csv"]) == 2
-    assert "--samples" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "census", "--precision", 8, "--samples", -5,
+             "--out", tmp_path / "c.csv"])
+    assert exc.value.code == 2
+    assert "error: argument --samples: " in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
 
 
 def test_attack_r_out_of_range_is_usage_error(tmp_path, capsys):
     for r in (0, 65537):
-        assert run(["attack", "--mode", "cpa", "--r", r,
-                    "--out", tmp_path / "s.txt"]) == 2
-        assert f"--r must be in 1..65536, got {r}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["attack", "--mode", "cpa", "--r", r, "--out", tmp_path / "s.txt"])
+        assert exc.value.code == 2
+        assert f"error: argument --r: expected an integer in 1..65536, got '{r}'" \
+            in capsys.readouterr().err
         assert not (tmp_path / "s.txt").exists()
-
-
-def test_work_size_flags_accept_their_bounds():
-    # checked without the work that the largest values ask for
-    for r in (1, 65536):
-        assert cli._r(argparse.Namespace(r=r)) == r
-    for samples in (1, 10**6):
-        assert cli._samples(argparse.Namespace(samples=samples)) == samples
 
 
 def test_keygen_rejects_block_parameter_out_of_range(tmp_path, capsys):
     for n in (0, 17):
         out = tmp_path / f"key{n}.txt"
-        assert run(["keygen", "--n", n, "--seed", 1, "--out", out]) == 2
-        assert "--n" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["keygen", "--n", n, "--seed", 1, "--out", out])
+        assert exc.value.code == 2
+        assert "error: argument --n: " in capsys.readouterr().err
         assert not out.exists()
 
 

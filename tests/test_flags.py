@@ -7,9 +7,15 @@ code, stdout, stderr or the written files differ.  A flag missing from
 VALUES fails the test, and so does an entry for a flag no command takes.
 The flags that no command read, but every command accepted before the flag
 table, are usage errors (test_flags_nothing_reads_are_usage_errors).
+
+Every numeric flag has its range in its parser type, except the two in
+UNBOUNDED (test_no_numeric_flag_is_unbounded), and the parser alone
+accepts the ends of each range and rejects a value one step outside
+either end (test_every_bounded_flag_accepts_its_ends_only).
 """
 
 import argparse
+import math
 import random
 import shutil
 
@@ -99,6 +105,32 @@ VALID = {"--backend": "fp62", "--n": 2, "--r": 4, "--seed": 1, "--table": "table
          "--alpha": 0.3, "--precision": 10, "--samples": 5, "--mended": True}
 
 
+# (command, flag) -> the lowest and highest value of each bounded flag,
+# None for no highest; (0, 1) is open, so a float flag's ends are the floats
+# next to 0 and 1
+BOUNDED = {
+    ("keygen", "--n"): (1, 16),
+    ("keygen", "--alpha"): (0.0, 1.0),
+    ("encrypt", "--t"): (1, None),
+    ("attack", "--n"): (1, 16),
+    ("attack", "--r"): (1, 65536),
+    ("attack", "--t"): (1, None),
+    ("analyze fig1", "--samples"): (1, 10**6),
+    ("analyze fig2", "--n"): (1, 16),
+    ("analyze beta", "--precision"): (2, 64),
+    ("analyze census", "--samples"): (1, 10**6),
+    ("analyze census", "--alpha"): (0.0, 1.0),
+    ("analyze census", "--precision"): (1, 24),
+    ("solve-u", "--alpha-est"): (0.0, 1.0),
+}
+
+# the numeric flags whose type is a bare int, each with why it has no range
+UNBOUNDED = {
+    "--seed": "every integer is a seed",
+    "--j": "its range comes from the state file",
+}
+
+
 def _commands(parser, path=()):
     """(command path, parser) of every command that runs a handler."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -109,10 +141,14 @@ def _commands(parser, path=()):
             yield from _commands(child, (*path, name))
 
 
+def _actions():
+    """(command, action) of every argument each command accepts."""
+    return ((command, a) for command, parser in _commands(cli.build_parser())
+            for a in parser._actions if not isinstance(a, argparse._HelpAction))
+
+
 def _accepted() -> set:
-    return {(command, (a.option_strings or [a.dest])[0])
-            for command, parser in _commands(cli.build_parser())
-            for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    return {(command, (a.option_strings or [a.dest])[0]) for command, a in _actions()}
 
 
 def _argv(command, flags) -> list:
@@ -198,3 +234,34 @@ def test_flags_nothing_reads_are_usage_errors(inputs, monkeypatch, capsys):
         assert exc.value.code == 2
         assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (inputs / "out").exists()
+
+
+def test_no_numeric_flag_is_unbounded():
+    # a bare int or float type takes any value: --r and --samples once had
+    # one, and a huge value ran until it was killed
+    bare = {a.option_strings[0] for _, a in _actions() if a.type in (int, float)}
+    assert bare == set(UNBOUNDED)
+    typed = {(command, a.option_strings[0]) for command, a in _actions()
+             if a.type not in (None, int, float)}
+    assert typed == set(BOUNDED)
+
+
+def test_every_bounded_flag_accepts_its_ends_only(capsys):
+    # through the parser alone: no file is read and no work runs, even at
+    # the largest values
+    parse = cli.build_parser().parse_args
+    for (command, flag), (lo, hi) in BOUNDED.items():
+        if isinstance(lo, float):
+            inside = (math.nextafter(lo, hi), math.nextafter(hi, lo))
+            outside = (lo, hi, "nan", "x")
+        else:
+            inside = (lo, hi or 2**64)
+            outside = (lo - 1, 1.5, "x") if hi is None else (lo - 1, hi + 1, 1.5, "x")
+        for value in inside:
+            args = parse(_argv(command, {**BASE[command], flag: value}))
+            assert getattr(args, flag[2:].replace("-", "_")) == value, (command, flag)
+        for value in outside:
+            with pytest.raises(SystemExit) as exc:
+                parse(_argv(command, {**BASE[command], flag: value}))
+            assert exc.value.code == 2
+            assert f"error: argument {flag}: expected " in capsys.readouterr().err
