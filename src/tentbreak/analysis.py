@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import attack, keystream, tentmap
 from .backend import FixedPointBackend, ParameterError
 
 
-@dataclass
-class Histogram:
-    n: int
-    counts: list
-    samples: int
+class Histogram(namedtuple("Histogram", "n counts samples")):
+    __slots__ = ()
 
 
 def sample_histogram(p: tentmap.TentParams, x0, n: int, samples: int, backend,

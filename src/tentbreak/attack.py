@@ -33,7 +33,7 @@ the blocks the recovered material covers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import cipher, keystream
 from .backend import ParameterError, number, open_text, read_lines
@@ -83,16 +83,18 @@ EncryptionOracle = DecryptionOracle = Oracle
 # ---------------------------------------------------------------------------
 # recovered state
 
-@dataclass
 class RecoveredState:
     """Everything needed for keyless decryption, with per-item provenance."""
 
-    n: int
-    r: int
-    perms: dict = field(default_factory=dict)       # j -> f_j
-    noise: dict = field(default_factory=dict)       # j -> U_j  (j >= 3)
-    reg1: tuple | None = None                        # (C_0 [+] U_2, P_0 [+] U_2)
-    provenance: dict = field(default_factory=dict)   # item name -> method tag
+    def __init__(self, n: int, r: int, perms: dict | None = None,
+                 noise: dict | None = None, reg1: tuple | None = None,
+                 provenance: dict | None = None):
+        self.n, self.r = n, r
+        self.perms = {} if perms is None else perms   # j -> f_j
+        self.noise = {} if noise is None else noise   # j -> U_j  (j >= 3)
+        self.reg1 = reg1                              # (C_0 [+] U_2, P_0 [+] U_2)
+        # item name -> method tag
+        self.provenance = {} if provenance is None else provenance
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +310,11 @@ def _settled(sols, n: int) -> bool:
     return len({x % (1 << (4 * n - 1)) for x in sols}) <= 1
 
 
-@dataclass
-class AttackReport:
-    state: RecoveredState
-    recovery_queries: int
-    extra_queries: int
-    candidate_sets: dict
-    stopped: str            # "settled", or "budget" if max_extra_queries ran out
+class AttackReport(namedtuple("AttackReport", "state recovery_queries "
+                               "extra_queries candidate_sets stopped")):
+    """The recovered state and the query counts spent on it; stopped is
+    "settled", or "budget" if max_extra_queries ran out."""
+    __slots__ = ()
 
 
 def full_attack(oracle: Oracle, known_messages, r: int, n: int,

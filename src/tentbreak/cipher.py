@@ -16,7 +16,7 @@ maps x = C to y = P with perms = f^{-1} and starts from (C_0, P_0) =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import keystream, tentmap
@@ -29,34 +29,23 @@ class WeakKeyWarning(UserWarning):
     Nothing raises it: check_key_strength returns the notes instead."""
 
 
-@dataclass(frozen=True)
-class KeyMaterial:
+class KeyMaterial(namedtuple("KeyMaterial", "alpha beta gamma K")):
     """The 4-tuple key: three map parameters plus the 4n-bit sub-key K."""
-
-    alpha: object
-    beta: object
-    gamma: object
-    K: int
+    __slots__ = ()
 
 
-@dataclass
-class Message:
+class Message(namedtuple("Message", "blocks t")):
     """A sequence of 4n-bit blocks bound to the timestamp of its session."""
-
-    blocks: list
-    t: int
+    __slots__ = ()
 
 
-@dataclass
 class Session:
-    key: KeyMaterial
-    t: int
-    n: int
-    r: int
-    backend: object
-    table: QuarterPermTable
-    U: list  # U_0 .. U_{r+1}
-    degenerate: bool = False
+    def __init__(self, key: KeyMaterial, t: int, n: int, r: int, backend,
+                 table: QuarterPermTable, U: list, degenerate: bool = False):
+        self.key, self.t, self.n, self.r = key, t, n, r
+        self.backend, self.table = backend, table
+        self.U = U  # U_0 .. U_{r+1}
+        self.degenerate = degenerate
 
     @cached_property
     def F(self) -> list:

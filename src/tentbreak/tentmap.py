@@ -13,26 +13,20 @@ one generic stepper of G, and restart its one boundary rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .backend import DomainError, ParameterError
 
 
-@dataclass(frozen=True)
-class TentParams:
+class TentParams(namedtuple("TentParams", "alpha beta")):
     """Peak position alpha and boundary-restart value beta (backend values)."""
-
-    alpha: object
-    beta: object
+    __slots__ = ()
 
 
-@dataclass
-class OrbitReport:
+class OrbitReport(namedtuple("OrbitReport", "transient_len period conclusive",
+                             defaults=(True,))):
     """Outcome of cycle detection on a digital orbit."""
-
-    transient_len: int
-    period: int
-    conclusive: bool = True
+    __slots__ = ()
 
 
 def check_open_unit(v, backend, name):
@@ -46,6 +40,8 @@ def derive_x0(t: int, gamma, n: int, backend):
     s = 10**floor(log10 t) / t is in (0.1, 1]; the plain skew tent map with
     peak gamma is then applied 4n times.  Powers of ten give s = 1, which the
     map sends to 0 on the first step; that degenerate chain is allowed.
+    t is read only through s, so t, 10t, 100t, ... give the same x0, and
+    with it the same session.
     """
     if t < 1:
         raise DomainError(f"timestamp must be a positive integer, got {t}")

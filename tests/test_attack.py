@@ -410,6 +410,15 @@ def test_state_file_roundtrip(tmp_path):
     assert attack.keyless_decrypt(loaded, fresh_c) == fresh
 
 
+def test_recovered_states_share_no_items():
+    a, b = attack.RecoveredState(2, 4), attack.RecoveredState(2, 4)
+    assert a.perms is not b.perms
+    assert a.noise is not b.noise
+    assert a.provenance is not b.provenance
+    a.noise[3] = 1
+    assert b.noise == {} and b.reg1 is None
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

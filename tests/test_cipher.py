@@ -197,7 +197,26 @@ def test_key_file_roundtrip(tmp_path, case):
     key, n, name = case
     backend = get_backend(name)
     cipher.save_key(key, n, backend, tmp_path / "key.txt")
-    assert cipher.load_key(tmp_path / "key.txt") == (key, n, backend)
+    loaded = cipher.load_key(tmp_path / "key.txt")
+    assert loaded == (key, n, backend)
+    # a key is a read-only value: equal keys hash alike
+    assert hash(loaded[0]) == hash(key)
+    with pytest.raises(AttributeError):
+        loaded[0].K = 0
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_timestamps_a_power_of_ten_apart_share_a_session(n):
+    # derive_x0 reads t only through 10^floor(log10 t) / t
+    rng = random.Random(n)
+    blocks = [rng.randrange(1 << (4 * n)) for _ in range(8)]
+
+    def encrypt_at(t):
+        return cipher.encrypt(make_session(t=t, n=n), Message(blocks, t)).blocks
+
+    c = encrypt_at(1234)
+    assert encrypt_at(12340) == c and encrypt_at(123400) == c
+    assert encrypt_at(1235) != c
 
 
 def test_key_file_missing_field(tmp_path):

@@ -24,15 +24,22 @@ function in src/tentbreak calls int() but those in INT_CALLERS, whose
 arguments are no file's text.
 
 Every name that a module in src/ or tests/ imports is read in that module,
-so a deletion leaves no stale import behind.
+so a deletion leaves no stale import behind.  Importing the CLI loads none
+of the standard modules in SLOW_IMPORTS: every tentbreak command pays for
+its imports first.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tentbreak"
 TESTS = ROOT / "tests"
+
+# standard modules that cost a fresh process milliseconds to import
+SLOW_IMPORTS = ("dataclasses", "inspect", "typing")
 
 # definitions that only the tests call, each mapped to the reason it stays
 ALLOWED = {}
@@ -207,3 +214,13 @@ def _stale_imports():
 def test_every_import_is_read():
     stale = _stale_imports()
     assert not stale, f"imported but never read: {stale}"
+
+
+def test_start_up_loads_no_slow_module():
+    # -S: no site module, so only the CLI's own imports count
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import tentbreak.cli; "
+            f"print(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert not out, f"importing tentbreak.cli loads {out}"

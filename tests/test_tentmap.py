@@ -77,6 +77,14 @@ def test_orbit_from_zero_goes_through_beta():
     assert orbit[0] == p.beta
 
 
+def test_tent_params_are_read_only():
+    p = tentmap.TentParams(fp(1, 2), fp(7, 10))
+    assert p == tentmap.TentParams(fp(1, 2), fp(7, 10))
+    assert hash(p) == hash(tentmap.TentParams(fp(1, 2), fp(7, 10)))
+    with pytest.raises(AttributeError):
+        p.alpha = fp(1, 4)
+
+
 def test_halving_cycle_fixture():
     # alpha = 1/2, beta = 3/8: each step strips one bit of precision, the
     # orbit of x0 = 3/8 is the exact 4-cycle 3/4, 1/2, 1, 3/8, ...
