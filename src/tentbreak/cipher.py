@@ -91,22 +91,26 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
                    U=U, degenerate=degenerate)
 
 
-def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int) -> list:
-    """y_1..y_m of the register chain for blocks x_1..x_m (module doc).
+def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int,
+          start: int = 0) -> list:
+    """y_{start+1}..y_m of the register chain for blocks x_{start+1}..x_m
+    (module doc).
 
     perms holds one BitPermutation per precomputed block and U is indexed
-    by j + 1; x_prev and y_prev are the starting registers x_0 and y_0.
+    by j + 1; x_prev and y_prev are the registers x_start and y_start.  A
+    chain resumed after a known prefix of `start` blocks is given only the
+    blocks after it, and counts and numbers them as the whole message does.
     The chain inlines keystream.apply: the rotation classes of perms[j-1]
     have disjoint masks, each xored into y_j from the doubled input.
     """
-    if len(blocks) > len(perms):
+    if start + len(blocks) > len(perms):
         raise ParameterError(
-            f"message has {len(blocks)} blocks but the session only "
+            f"message has {start + len(blocks)} blocks but the session only "
             f"precomputed r={len(perms)}")
     width = 4 * n
     mask = (1 << width) - 1
     out = []
-    for j, x in enumerate(blocks, start=1):
+    for j, x in enumerate(blocks, start=start + 1):
         if x >> width:
             raise ParameterError(f"block {j} wider than 4n bits")
         u = U[j + 1]

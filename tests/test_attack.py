@@ -81,6 +81,139 @@ def test_drifting_clock_detected():
         attack.recover_all_f(oracle, 8, 2)
 
 
+def _outcome(answer, blocks):
+    """answer(blocks), or the type and message of what it raised."""
+    try:
+        return answer(blocks)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference(s, blocks, decrypting):
+    """The answer of a fresh cipher.encrypt/decrypt, without any oracle."""
+    run = cipher.decrypt if decrypting else cipher.encrypt
+    return _outcome(lambda b: run(s, Message(list(b), s.t)).blocks, blocks)
+
+
+def _next_query(data, prev, n, r):
+    """A query shaped like the oracle's callers send them, most sharing a
+    prefix with the one before: a battery message, an edit of the last
+    query, a shorter or longer one, the empty message or a fresh one."""
+    word = st.integers(0, (1 << (4 * n)) - 1)
+    kind = data.draw(st.sampled_from(
+        ("battery", "edit", "shorter", "longer", "empty", "fresh")))
+    if kind == "battery":
+        j = data.draw(st.integers(1, r))
+        return data.draw(st.sampled_from(attack.gen_cpa_battery(j, n)))
+    if kind == "edit" and prev:
+        i = data.draw(st.integers(0, len(prev) - 1))
+        return prev[:i] + [data.draw(word)] + prev[i + 1:]
+    if kind == "shorter":
+        return prev[:data.draw(st.integers(0, len(prev)))]
+    if kind == "longer":
+        return prev + data.draw(st.lists(word, max_size=r - len(prev)))
+    if kind == "empty":
+        return []
+    return data.draw(st.lists(word, max_size=r))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_reused_oracle_answers_as_fresh_encryption(data):
+    # one oracle answers a run of prefix-sharing queries in both directions,
+    # each exactly as cipher.encrypt/decrypt of a fresh Message would, and
+    # what the caller does to its lists afterwards changes no later answer
+    n = data.draw(st.sampled_from((1, 2, 4, 16)))
+    backend = get_backend(data.draw(st.sampled_from(("fp62", "f64"))))
+    r = data.draw(st.integers(1, 6))
+    s = random_session(random.Random(data.draw(st.integers(0, 99))), n, r,
+                       backend)
+    oracle = attack.Oracle(s)
+    prev = []
+    for q in range(1, data.draw(st.integers(1, 12)) + 1):
+        query = _next_query(data, prev, n, r)
+        decrypting = data.draw(st.booleans())
+        sent = list(query)
+        answer = oracle.decrypt_blocks if decrypting else oracle.encrypt_blocks
+        got = answer(sent)
+        assert got == _reference(s, query, decrypting)
+        assert oracle.query_count == q
+        got[:] = [b ^ 1 for b in got] + [0]
+        sent[:] = [b ^ 1 for b in sent]
+        prev = query
+
+
+@pytest.mark.parametrize("decrypting", [False, True])
+def test_reused_oracle_fails_as_the_reference(decrypting):
+    # a failing query raises what the reference raises, counts as a query,
+    # and leaves the next answer exact; an equal value of another type in
+    # the shared prefix is still met by the chain
+    n, r = 2, 4
+    s = random_session(random.Random(9), n, r)
+    oracle = attack.Oracle(s)
+    answer = oracle.decrypt_blocks if decrypting else oracle.encrypt_blocks
+    good = [1, 0x2a, 3]
+    for query in ([1, 0x2a, 3, 4, 5],          # more blocks than r
+                  [1, 0x2a, 1 << 8],           # too wide after the prefix
+                  [1, 5, 1 << 8],              # the same, sharing less
+                  [1.0, 0x2a, 3],              # 1.0 == 1, but not an int
+                  [1, 0x2a, 3.0, 7]):
+        assert answer(good) == _reference(s, good, decrypting)
+        want = _reference(s, query, decrypting)
+        assert isinstance(want, tuple), query
+        count = oracle.query_count
+        assert _outcome(answer, query) == want
+        assert oracle.query_count == count + 1
+        for after in ([int(b) for b in query[:2]] + [7], good, good[:2] + [7]):
+            assert answer(after) == _reference(s, after, decrypting)
+    assert _reference(s, [1.0], decrypting) == \
+        (TypeError, "unsupported operand type(s) for >>: 'float' and 'int'")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.lists(st.integers(0, 2), max_size=8),
+       b=st.lists(st.integers(0, 2), max_size=8))
+def test_shared_prefix_is_the_longest(a, b):
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    assert attack._shared_prefix(a, b) == k
+
+
+@pytest.mark.parametrize("n, r", [(1, 5), (2, 8), (16, 4)])
+def test_battery_steps_linear_blocks(monkeypatch, n, r):
+    # each battery query but the first of a block resumes after its shared
+    # prefix and steps one block; the first steps two (one at j = 1)
+    stepped, chain = [], cipher.chain
+
+    def counted(perms, x, y, U, blocks, n, start=0):
+        stepped.append(len(blocks))
+        return chain(perms, x, y, U, blocks, n, start)
+
+    monkeypatch.setattr(cipher, "chain", counted)
+    s = random_session(random.Random(f"steps:{n}"), n, r)
+    for recover, oracle in ((attack.recover_all_f, attack.Oracle(s)),
+                            (attack.recover_all_finv, attack.Oracle(s))):
+        stepped.clear()
+        recover(oracle, r, n)
+        assert len(stepped) == oracle.query_count == (4 * n + 1) * r
+        assert sum(stepped) == (4 * n + 1) * r + r - 1
+
+
+def test_drifting_oracle_answers_at_each_query_timestamp():
+    # under drift query q is answered by the session at t + q, so a prefix
+    # shared with the query before is never reused
+    rng = random.Random(10)
+    for n in (1, 2, 4):
+        s = random_session(rng, n, 3)
+        oracle = attack.Oracle(s, drift=True)
+        for q, query in enumerate(([0, 0, 1], [0, 0, 2], [0, 0], [0, 0, 2],
+                                   [0, 5, 2], []), start=1):
+            at = cipher.init_session(s.key, s.t + q, n, 3, s.backend)
+            assert oracle.encrypt_blocks(query) == _reference(at, query, False)
+            assert oracle.query_count == q
+
+
 def test_single_bit_check():
     with pytest.raises(OracleModelViolation):
         attack._single_bit_index(0, "test")

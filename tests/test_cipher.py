@@ -86,11 +86,21 @@ def test_chain_matches_apply_per_block(data):
         want.append(y)
         x = block
     assert cipher.chain(perms, x_prev, y_prev, U, blocks, n) == want
+    # resumed after block k from the registers (x_k, y_k) it continues the
+    # same chain, and counts and numbers blocks as the whole message does
+    k = data.draw(st.integers(0, len(blocks)))
+    x, y = (blocks[k - 1], want[k - 1]) if k else (x_prev, y_prev)
+    assert cipher.chain(perms, x, y, U, blocks[k:], n, k) == want[k:]
     if m:
         bad = blocks[:m - 1] + [-1]
+        start = data.draw(st.integers(0, len(bad) - 1))
         with pytest.raises(ParameterError,
                            match=f"^block {len(bad)} wider than 4n bits$"):
-            cipher.chain(perms, x_prev, y_prev, U, bad, n)
+            cipher.chain(perms, x_prev, y_prev, U, bad[start:], n, start)
+    with pytest.raises(ParameterError, match=(
+            f"^message has {m + 1} blocks but the session only "
+            f"precomputed r={m}$")):
+        cipher.chain(perms, x_prev, y_prev, U, [0] * (m + 1 - k), n, k)
 
 
 def test_registers_start_at_noise_vectors():
