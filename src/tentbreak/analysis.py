@@ -208,16 +208,8 @@ def _worker_chunks(total: int, workers: int):
 # CSV emission
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
+    if isinstance(v, float) or isinstance(v, Fraction) and v.denominator != 1:
         return f"{float(v):.12g}"
-    if isinstance(v, float):
-        return f"{v:.12g}"
     return str(v)
 
 

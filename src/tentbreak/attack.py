@@ -8,9 +8,10 @@ each of the 4n positions reconstructs f_{j-1} exactly with 4n+1 queries.
 The chosen-ciphertext attack is the dual: the same battery submitted as
 ciphertexts reads off f_{j-1}^{-1}.  recover_perm is that one routine for
 both directions.  The simulated victim, Oracle, resumes its register chain
-after the blocks a query shares with the one before, so a battery, whose
-queries differ only in their last block, costs it O(r) chain steps rather
-than O(r^2); a drifting oracle reuses nothing.
+after all but the last block of the query before when a query starts with
+those blocks, so a battery, whose queries differ only in their last block,
+costs it O(r) chain steps rather than O(r^2); a drifting oracle reuses
+nothing.
 
 Once the permutations are known, the noise vectors U_{j+1} (j >= 2) are
 the solutions x of
@@ -57,17 +58,20 @@ class Oracle:
     every query re-derives the session at a fresh timestamp instead,
     violating the fixed-clock assumption.
 
-    The chain's state after block k is (x_k, y_k), so a query that shares
-    its first k blocks with the last one answered in the same direction
-    shares its first k answers: the oracle keeps that one query and resumes
-    cipher.chain at block k + 1.  Under drift it keeps nothing, and a query
-    that raises leaves the kept one in place."""
+    The chain's state after block k is (x_k, y_k).  The oracle keeps the
+    direction of the last query, all its blocks but the last, k of them,
+    and their answers.  A query in the same direction that starts with
+    those k blocks shares their answers, and cipher.chain resumes at block
+    k + 1; any other query runs from block 1.  Battery queries differ only
+    in their last block.  Under drift it keeps nothing, and a query that
+    raises leaves the kept one in place."""
 
     def __init__(self, session: cipher.Session, drift: bool = False):
         self._session = session
         self._drift = drift
         self.query_count = 0
-        self._last = None   # (decrypting, blocks, answer) of the last query
+        # (decrypting, blocks[:-1], answer[:-1]) of the last query
+        self._kept = (None, [], [])
 
     def _answer(self, blocks, decrypting: bool) -> list:
         self.query_count += 1
@@ -82,40 +86,22 @@ class Oracle:
             perms, x, y = s.F, s.U[1], s.U[0]
         # 1.0 == 1 but answers differently (it raises): keep plain ints only
         keep = not self._drift and {*map(type, blocks)} <= {int}
-        last, k = self._last, 0
-        if keep and last is not None and last[0] == decrypting:
-            k = _shared_prefix(blocks, last[1])
+        kept_dir, kept_in, head = self._kept
+        k = len(kept_in)
+        if not (keep and kept_dir == decrypting and blocks[:k] == kept_in):
+            k, head = 0, []
         if k:
-            out = last[2][:k]
-            x, y = blocks[k - 1], out[k - 1]
-        else:
-            out = []
-        out += cipher.chain(perms, x, y, s.U, blocks[k:], s.n, k)
+            x, y = blocks[k - 1], head[k - 1]
+        out = head + cipher.chain(perms, x, y, s.U, blocks[k:], s.n, k)
         if keep:
-            self._last = (decrypting, blocks, out)
-        return out[:]
+            self._kept = (decrypting, blocks[:-1], out[:-1])
+        return out
 
     def encrypt_blocks(self, blocks) -> list:
         return self._answer(blocks, False)
 
     def decrypt_blocks(self, blocks) -> list:
         return self._answer(blocks, True)
-
-
-def _shared_prefix(blocks: list, prev: list) -> int:
-    """The length of the longest common prefix of two block lists, found by
-    slice comparisons in C; battery queries differ in their last block."""
-    k = len(blocks) - 1
-    if k >= 0 and blocks[:k] == prev[:k]:
-        return k + (blocks[k:] == prev[k:k + 1])
-    lo, hi = 0, min(k, len(prev))   # blocks[:lo] == prev[:lo] holds
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if blocks[:mid] == prev[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 # the names the benchmark harness builds and traces oracles by
@@ -373,16 +359,21 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     any of them completes the key.  The report's `stopped` says whether that
     happened ("settled") or the max_extra_queries budget ran out first
     ("budget").  `recovery_queries` counts the permutation battery's own
-    queries, not any the oracle answered before the call.
+    queries, not any the oracle answered before the call.  The known
+    messages are checked before the first query.
     """
-    before = oracle.query_count
-    state = recover_all_f(oracle, r, n)
-    recovery_queries = oracle.query_count - before
     if not known_messages:
         raise ParameterError("at least one known message is needed")
+    for p, c in known_messages:
+        if len(p) != len(c):
+            raise ParameterError(f"a known message has {len(p)} plaintext "
+                                 f"blocks and {len(c)} ciphertext blocks")
     longest = max(len(p) for p, _ in known_messages)
     if longest > r:
         raise ParameterError(f"a known message has {longest} blocks, more than r={r}")
+    before = oracle.query_count
+    state = recover_all_f(oracle, r, n)
+    recovery_queries = oracle.query_count - before
     first_pairs = [(p[0], c[0]) for p, c in known_messages if p]
     state.reg1 = solve_block1_registers(first_pairs, state.perms[0], n)
     state.provenance["reg1"] = "affine"

@@ -170,20 +170,11 @@ def test_reused_oracle_fails_as_the_reference(decrypting):
         (TypeError, "unsupported operand type(s) for >>: 'float' and 'int'")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(a=st.lists(st.integers(0, 2), max_size=8),
-       b=st.lists(st.integers(0, 2), max_size=8))
-def test_shared_prefix_is_the_longest(a, b):
-    k = 0
-    while k < min(len(a), len(b)) and a[k] == b[k]:
-        k += 1
-    assert attack._shared_prefix(a, b) == k
-
-
 @pytest.mark.parametrize("n, r", [(1, 5), (2, 8), (16, 4)])
 def test_battery_steps_linear_blocks(monkeypatch, n, r):
-    # each battery query but the first of a block resumes after its shared
-    # prefix and steps one block; the first steps two (one at j = 1)
+    # each battery query but the first of a block resumes after all but the
+    # last block of the one before and steps one block; the first steps two
+    # (one at j = 1)
     stepped, chain = [], cipher.chain
 
     def counted(perms, x, y, U, blocks, n, start=0):
@@ -198,6 +189,18 @@ def test_battery_steps_linear_blocks(monkeypatch, n, r):
         recover(oracle, r, n)
         assert len(stepped) == oracle.query_count == (4 * n + 1) * r
         assert sum(stepped) == (4 * n + 1) * r + r - 1
+    # the query before less its last block steps none; a query that shares
+    # fewer than all but the last block of the one before steps all of its
+    prev = [b % (1 << 4 * n) for b in range(3, 3 + r)]
+    edited = prev[:-2] + [prev[-2] ^ 1, prev[-1]]
+    for decrypting in (False, True):
+        oracle = attack.Oracle(s)
+        answer = oracle.decrypt_blocks if decrypting else oracle.encrypt_blocks
+        for query, steps in ((prev, r), (edited, r), (edited[:-1], 0)):
+            stepped.clear()
+            got = answer(query)
+            assert stepped == [steps]
+            assert got == _reference(s, query, decrypting)
 
 
 def test_drifting_oracle_answers_at_each_query_timestamp():
@@ -483,10 +486,27 @@ def test_full_attack_reports_budget_stop():
 def test_full_attack_rejects_a_known_message_longer_than_r():
     rng = random.Random(4)
     s = random_session(rng, r=6)
+    oracle = attack.EncryptionOracle(s)
     with pytest.raises(ParameterError,
                        match=r"^a known message has 6 blocks, more than r=4$"):
-        attack.full_attack(attack.EncryptionOracle(s), encrypt_random(rng, s, 2),
-                           4, 2)
+        attack.full_attack(oracle, encrypt_random(rng, s, 2), 4, 2)
+    assert oracle.query_count == 0
+
+
+def test_full_attack_checks_known_messages_before_any_query():
+    rng = random.Random(5)
+    s = random_session(rng, r=6)
+    (p, c), = encrypt_random(rng, s, 1)
+    for known, message in (
+            ([], r"^at least one known message is needed$"),
+            ([(p, c[:2])], r"^a known message has 6 plaintext blocks and "
+                           r"2 ciphertext blocks$"),
+            ([(p, c), (p[:3], c[:4])], r"^a known message has 3 plaintext "
+                                       r"blocks and 4 ciphertext blocks$")):
+        oracle = attack.EncryptionOracle(s)
+        with pytest.raises(ParameterError, match=message):
+            attack.full_attack(oracle, known, 6, 2)
+        assert oracle.query_count == 0
 
 
 def test_cipher_and_attack_leave_no_reference_cycles():

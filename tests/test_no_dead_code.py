@@ -50,7 +50,6 @@ INT_CALLERS = {
     "cli.blocks_from_bytes": "the hex digits of bytes.hex()",
     "cli._seed": "TENTBREAK_SEED, as argparse reads --seed",
     "cli._int_in": "a flag's text, as argparse reads type=int",
-    "analysis._fmt": "a bool",
     "keystream.build_noise_vectors": "the bit digits of a vector",
 }
 
