@@ -6,12 +6,12 @@ single bit of their last block produce ciphertexts that differ in a single
 bit of the corresponding block; reading off where the flipped bit lands for
 each of the 4n positions reconstructs f_{j-1} exactly with 4n+1 queries.
 The chosen-ciphertext attack is the dual: the same battery submitted as
-ciphertexts reads off f_{j-1}^{-1}.  recover_perm is that one routine for
-both directions.  The simulated victim, Oracle, resumes its register chain
-after all but the last block of the query before when a query starts with
-those blocks, so a battery, whose queries differ only in their last block,
-costs it O(r) chain steps rather than O(r^2); a drifting oracle reuses
-nothing.
+ciphertexts reads off f_{j-1}^{-1}.  recover_all_f is that one routine,
+run in either direction.  The simulated victim, Oracle, resumes its
+register chain after all but the last block of the query before when a
+query starts with those blocks, so a battery, whose queries differ only in
+their last block, costs it O(r) chain steps rather than O(r^2); a drifting
+oracle reuses nothing.
 
 Once the permutations are known, the noise vectors U_{j+1} (j >= 2) are
 the solutions x of
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from functools import partial
 
 from . import cipher, keystream
 from .backend import ParameterError, number, open_text, read_lines
@@ -104,25 +105,18 @@ class Oracle:
         return self._answer(blocks, True)
 
 
-# the names the benchmark harness builds and traces oracles by
-EncryptionOracle = DecryptionOracle = Oracle
-
-
 # ---------------------------------------------------------------------------
 # recovered state
 
 class RecoveredState:
     """Everything needed for keyless decryption, with per-item provenance."""
 
-    def __init__(self, n: int, r: int, perms: dict | None = None,
-                 noise: dict | None = None, reg1: tuple | None = None,
-                 provenance: dict | None = None):
+    def __init__(self, n: int, r: int):
         self.n, self.r = n, r
-        self.perms = {} if perms is None else perms   # j -> f_j
-        self.noise = {} if noise is None else noise   # j -> U_j  (j >= 3)
-        self.reg1 = reg1                              # (C_0 [+] U_2, P_0 [+] U_2)
-        # item name -> method tag
-        self.provenance = {} if provenance is None else provenance
+        self.perms = {}         # j -> f_j
+        self.noise = {}         # j -> U_j  (j >= 3)
+        self.reg1 = None        # (C_0 [+] U_2, P_0 [+] U_2)
+        self.provenance = {}    # item name -> method tag
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +152,25 @@ def recover_perm(query, j: int, n: int, what: str) -> BitPermutation:
     return BitPermutation(tuple(dest), n)
 
 
-def recover_all_f(oracle: Oracle, r: int, n: int) -> RecoveredState:
-    """f_0..f_{r-1} from chosen plaintexts, (4n+1)r queries."""
-    state = RecoveredState(n=n, r=r)
+def recover_all_f(oracle: Oracle, r: int, n: int,
+                  decrypting: bool = False) -> RecoveredState:
+    """f_0..f_{r-1} from chosen plaintexts, or from chosen ciphertexts when
+    decrypting, (4n+1)r queries."""
+    if decrypting:
+        query, what, tag = oracle.decrypt_blocks, "plaintext", "cca"
+    else:
+        query, what, tag = oracle.encrypt_blocks, "ciphertext", "cpa"
+    state = RecoveredState(n, r)
     for j in range(r):
-        state.perms[j] = recover_perm(oracle.encrypt_blocks, j + 1, n, "ciphertext")
-        state.provenance[f"f{j}"] = "cpa"
+        f = recover_perm(query, j + 1, n, what)
+        state.perms[j] = keystream.invert(f) if decrypting else f
+        state.provenance[f"f{j}"] = tag
     return state
 
 
-def recover_all_finv(oracle: Oracle, r: int, n: int) -> RecoveredState:
-    """f_0..f_{r-1} from chosen ciphertexts, (4n+1)r queries."""
-    state = RecoveredState(n=n, r=r)
-    for j in range(r):
-        state.perms[j] = keystream.invert(
-            recover_perm(oracle.decrypt_blocks, j + 1, n, "plaintext"))
-        state.provenance[f"f{j}"] = "cca"
-    return state
+# the names the benchmark harness builds, runs and traces these by
+EncryptionOracle = DecryptionOracle = Oracle
+recover_all_finv = partial(recover_all_f, decrypting=True)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +249,11 @@ def solve_uj(pairs, f: BitPermutation, n: int) -> list:
 def solve_block1_registers(pairs, f0: BitPermutation, n: int) -> tuple:
     """A register pair (y, z) with y ~ C_0 [+] U_2 and z ~ P_0 [+] U_2.
 
-    pairs are (P_1, C_1) tuples from known messages.  Since f_0 is
-    XOR-linear, (0, C_1 xor f_0(P_1)) reproduces every pair; the remaining
-    pairs are used as a consistency check of the recovered f_0: each must
-    satisfy the block equation with x = 0 and registers (z, y).
+    pairs, at least one, are (P_1, C_1) tuples from known messages.  Since
+    f_0 is XOR-linear, (0, C_1 xor f_0(P_1)) reproduces every pair; the
+    remaining pairs are used as a consistency check of the recovered f_0:
+    each must satisfy the block equation with x = 0 and registers (z, y).
     """
-    if not pairs:
-        raise ParameterError("at least one first-block pair is needed")
     p1, c1 = pairs[0]
     y = 0
     z = c1 ^ keystream.apply(f0, p1)
@@ -341,12 +335,16 @@ def _settled(sols, n: int) -> bool:
 class AttackReport(namedtuple("AttackReport", "state recovery_queries "
                                "extra_queries candidate_sets stopped")):
     """The recovered state and the query counts spent on it; stopped is
-    "settled", or "budget" if max_extra_queries ran out."""
+    "settled", or "budget" if EXTRA_QUERIES ran out."""
     __slots__ = ()
 
 
+# the disambiguation budget of full_attack, in chosen-plaintext queries
+EXTRA_QUERIES = 512
+
+
 def full_attack(oracle: Oracle, known_messages, r: int, n: int,
-                seed: int = 0, max_extra_queries: int = 512) -> AttackReport:
+                seed: int = 0) -> AttackReport:
     """Recover permutations, then the noise vectors, for keyless decryption.
 
     Every known (P, C) message must come from the fixed-clock session the
@@ -357,7 +355,7 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     with extra chosen-plaintext queries until each candidate set collapses
     to one equivalence family; members of a family decrypt identically, so
     any of them completes the key.  The report's `stopped` says whether that
-    happened ("settled") or the max_extra_queries budget ran out first
+    happened ("settled") or the EXTRA_QUERIES budget ran out first
     ("budget").  `recovery_queries` counts the permutation battery's own
     queries, not any the oracle answered before the call.  The known
     messages are checked before the first query.
@@ -371,6 +369,8 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     longest = max(len(p) for p, _ in known_messages)
     if longest > r:
         raise ParameterError(f"a known message has {longest} blocks, more than r={r}")
+    if not longest:
+        raise ParameterError("every known message is empty")
     before = oracle.query_count
     state = recover_all_f(oracle, r, n)
     recovery_queries = oracle.query_count - before
@@ -387,7 +387,7 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     extra = 0
     stopped = "settled"
     while any(not _settled(sets[j], n) for j in sets):
-        if extra == max_extra_queries:
+        if extra == EXTRA_QUERIES:
             stopped = "budget"
             break
         p = [rng.randrange(mask + 1) for _ in range(r)]

@@ -206,11 +206,9 @@ def cmd_attack(args) -> int:
     session = _victim_session(args)
     n, r = session.n, session.r
     oracle = attack.Oracle(session, drift=args.drift)
-    if args.mode == "cpa":
-        state = attack.recover_all_f(oracle, r, n)
-    elif args.mode == "cca":
-        state = attack.recover_all_finv(oracle, r, n)
-    else:  # full
+    if args.mode != "full":
+        state = attack.recover_all_f(oracle, r, n, args.mode == "cca")
+    else:
         rng = random.Random(f"known:{_seed(args)}")
         known = []
         for _ in range(2):

@@ -472,12 +472,12 @@ def test_full_attack_counts_only_its_recovery_queries():
     assert oracle.query_count == 5 + 72 + report.extra_queries
 
 
-def test_full_attack_reports_budget_stop():
+def test_full_attack_reports_budget_stop(monkeypatch):
     rng = random.Random(8)
     s = random_session(rng)
+    monkeypatch.setattr(attack, "EXTRA_QUERIES", 0)
     report = attack.full_attack(attack.EncryptionOracle(s),
-                                encrypt_random(rng, s, 1), 8, 2,
-                                max_extra_queries=0)
+                                encrypt_random(rng, s, 1), 8, 2)
     assert report.extra_queries == 0
     assert report.stopped == "budget"
     assert "ambiguous" in report.state.provenance.values()
@@ -502,11 +502,17 @@ def test_full_attack_checks_known_messages_before_any_query():
             ([(p, c[:2])], r"^a known message has 6 plaintext blocks and "
                            r"2 ciphertext blocks$"),
             ([(p, c), (p[:3], c[:4])], r"^a known message has 3 plaintext "
-                                       r"blocks and 4 ciphertext blocks$")):
+                                       r"blocks and 4 ciphertext blocks$"),
+            ([([], [])], r"^every known message is empty$"),
+            ([([], []), ([], [])], r"^every known message is empty$")):
         oracle = attack.EncryptionOracle(s)
         with pytest.raises(ParameterError, match=message):
             attack.full_attack(oracle, known, 6, 2)
         assert oracle.query_count == 0
+    # an empty message beside a non-empty one is only skipped
+    report = attack.full_attack(attack.EncryptionOracle(s), [([], []), (p, c)], 6, 2)
+    assert report.recovery_queries == 54
+    assert attack.keyless_decrypt(report.state, c) == p
 
 
 def test_cipher_and_attack_leave_no_reference_cycles():

@@ -34,9 +34,9 @@ def _ref_full_attack(oracle, known_messages, r, n, seed=0, max_extra_queries=512
     max_extra_queries are spent."""
     F = [spec.recover(oracle.encrypt_blocks, j + 1, n) for j in range(r)]
     recovery_queries = oracle.query_count
-    state = RecoveredState(n=n, r=r,
-                           perms={j: BitPermutation(f, n) for j, f in enumerate(F)},
-                           provenance={f"f{j}": "cpa" for j in range(r)})
+    state = RecoveredState(n, r)
+    state.perms = {j: BitPermutation(f, n) for j, f in enumerate(F)}
+    state.provenance = {f"f{j}": "cpa" for j in range(r)}
     p1, c1 = next((p[0], c[0]) for p, c in known_messages if p)
     state.reg1 = (0, c1 ^ spec.apply(F[0], p1))
     state.provenance["reg1"] = "affine"
@@ -93,10 +93,11 @@ def _recording(query, sent):
 def _exact_state(s):
     """The recovered state that reproduces session s exactly."""
     mask = (1 << (4 * s.n)) - 1
-    return RecoveredState(
-        n=s.n, r=s.r, perms=dict(enumerate(s.F)),
-        noise={j: s.U[j] for j in range(3, s.r + 2)},
-        reg1=((s.U[0] + s.U[2]) & mask, (s.U[1] + s.U[2]) & mask))
+    state = RecoveredState(s.n, s.r)
+    state.perms = dict(enumerate(s.F))
+    state.noise = {j: s.U[j] for j in range(3, s.r + 2)}
+    state.reg1 = ((s.U[0] + s.U[2]) & mask, (s.U[1] + s.U[2]) & mask)
+    return state
 
 
 def _report_fields(report):
@@ -231,7 +232,7 @@ def test_recovery_drift_matches_reference():
 
 
 @pytest.mark.parametrize("n, r", [(2, 8), (4, 8)])
-def test_full_attack_matches_reference(n, r):
+def test_full_attack_matches_reference(n, r, monkeypatch):
     rng = random.Random(f"full:{n}")
     top = 1 << (4 * n)
     for trial in range(6):
@@ -240,8 +241,8 @@ def test_full_attack_matches_reference(n, r):
                  for m in encrypt_random(rng, s, 1, length)]
         for budget in (0, 512):
             got, want = attack.EncryptionOracle(s), attack.EncryptionOracle(s)
-            a = attack.full_attack(got, known, r, n, seed=trial,
-                                   max_extra_queries=budget)
+            monkeypatch.setattr(attack, "EXTRA_QUERIES", budget)
+            a = attack.full_attack(got, known, r, n, seed=trial)
             b = _ref_full_attack(want, known, r, n, seed=trial,
                                  max_extra_queries=budget)
             assert _report_fields(a) == _report_fields(b)

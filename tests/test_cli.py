@@ -307,8 +307,8 @@ def test_attack_full_names_blocks_left_ambiguous(tmp_path, capsys, monkeypatch):
     # one pair per block and no disambiguation queries leave blocks ambiguous
     full_attack = attack.full_attack
     monkeypatch.setattr(attack, "full_attack", lambda oracle, known, r, n, seed:
-                        full_attack(oracle, known[:1], r, n, seed,
-                                    max_extra_queries=0))
+                        full_attack(oracle, known[:1], r, n, seed))
+    monkeypatch.setattr(attack, "EXTRA_QUERIES", 0)
     out = tmp_path / "rec.txt"
     # an ambiguous block may decrypt wrongly (exit 4); the state is written
     assert run(["attack", "--mode", "full", "--r", 6, "--seed", 4,

@@ -11,6 +11,13 @@ Python itself and are skipped.  Code that only the tests call lives under
 tests/ (for example rank_reference.py), so ALLOWED is empty; a name added
 to it needs its reason.
 
+Every defaulted parameter of a function or method in src/ is passed, by
+keyword or by position, by some call in src/ or bench/: an option that only
+the tests set is a constant (a test that needs another value monkeypatches
+it).  Calls match by bare name, as above, and an __init__ by its class's
+name; partial(f, name=...) passes name to f.  Dunder methods other than
+__init__ are skipped.
+
 A top-level name in tests/ other than a test_ function (a helper, strategy,
 constant or fixture) counts as read when a test_ function reaches it: reads
 it, or reads a name that reads it, and so on, as a global of its module or
@@ -64,8 +71,7 @@ def _definitions():
                 yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not (
-                            item.name.startswith("__") and item.name.endswith("__")):
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                         yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
@@ -119,6 +125,78 @@ def _unused() -> set:
 def test_every_definition_has_a_caller():
     unused = sorted(_unused() - ALLOWED.keys())
     assert not unused, f"defined in src/tentbreak but never used: {unused}"
+
+
+def _unpassed_options(modules: dict, callers) -> list:
+    """module.function(param) of every defaulted parameter of a function or
+    method in `modules` (module name -> source text) that no call in
+    `callers` (source texts) passes, by keyword or by position.  A call
+    matches by bare name and an __init__ by its class's; partial(f, ...)
+    passes its arguments to f.  Other dunder methods are skipped."""
+    passed = {}     # bare name -> positions and keywords some call passes
+    for text in callers:
+        for call in ast.walk(ast.parse(text)):
+            if isinstance(call, ast.Call):
+                func, args = call.func, call.args
+                if _called(func) == "partial" and args:
+                    func, args = args[0], args[1:]
+                passed.setdefault(_called(func), set()).update(
+                    range(len(args)), (k.arg for k in call.keywords if k.arg))
+    unpassed = []
+    for module, text in modules.items():
+        # (qualified name, the name its calls read, leading parameters that
+        # no call passes, definition)
+        scopes = []
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                scopes.append((f"{module}.{node.name}", node.name, 0, node))
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    scopes.append((f"{module}.{node.name}", node.name, 1, item))
+                elif not _dunder(item.name):
+                    scopes.append((f"{module}.{node.name}.{item.name}",
+                                   item.name, 1, item))
+        for qual, name, bound, fn in scopes:
+            a, calls = fn.args, passed.get(name, set())
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            unpassed += [f"{qual}({arg.arg})"
+                         for k, arg in enumerate(positional[first:], first)
+                         if not {k - bound, arg.arg} & calls]
+            unpassed += [f"{qual}({arg.arg})"
+                         for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                         if default is not None and arg.arg not in calls]
+    return unpassed
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _called(func):
+    """The bare name a call's function expression reads."""
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_every_option_is_passed():
+    src = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    unpassed = _unpassed_options(src, [*src.values(), *bench])
+    assert not unpassed, f"defaulted but set by no call in src/ or bench/: {unpassed}"
+
+
+def test_option_check_sees_each_way_to_pass():
+    module = {"m": "def f(x, y=1):\n    return x + y\n"}
+    assert _unpassed_options(module, ["f(1)", "g(1, 2)"]) == ["m.f(y)"]
+    for call in ("f(1, 2)", "f(1, y=2)", "partial(f, y=2)",
+                 "obj.f(1, 2)", "functools.partial(f, y=2)(1)"):
+        assert _unpassed_options(module, [call]) == [], call
+    # a call passes no self; calls of __init__ name its class
+    cls = {"m": "class C:\n    def __init__(self, x, y=1):\n        pass\n"}
+    assert _unpassed_options(cls, ["C(1)", "__init__(1, 2)"]) == ["m.C(y)"]
+    assert _unpassed_options(cls, ["C(1, 2)"]) == []
 
 
 def test_allowlist_is_current():
