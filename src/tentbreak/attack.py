@@ -7,11 +7,10 @@ bit of the corresponding block; reading off where the flipped bit lands for
 each of the 4n positions reconstructs f_{j-1} exactly with 4n+1 queries.
 The chosen-ciphertext attack is the dual: the same battery submitted as
 ciphertexts reads off f_{j-1}^{-1}.  recover_all_f is that one routine,
-run in either direction.  The simulated victim, Oracle, resumes its
-register chain after all but the last block of the query before when a
-query starts with those blocks, so a battery, whose queries differ only in
-their last block, costs it O(r) chain steps rather than O(r^2); a drifting
-oracle reuses nothing.
+run in either direction.  A battery's queries share their first j-1
+blocks, so the simulated victim, Oracle, answers it in one call that
+steps the shared prefix once, resuming after block j-1 of the battery
+before, and then one block per query: (4n+1)r chain steps in all.
 
 Once the permutations are known, the noise vectors U_{j+1} (j >= 2) are
 the solutions x of
@@ -59,20 +58,24 @@ class Oracle:
     every query re-derives the session at a fresh timestamp instead,
     violating the fixed-clock assumption.
 
-    The chain's state after block k is (x_k, y_k).  The oracle keeps the
-    direction of the last query, all its blocks but the last, k of them,
-    and their answers.  A query in the same direction that starts with
-    those k blocks shares their answers, and cipher.chain resumes at block
-    k + 1; any other query runs from block 1.  Battery queries differ only
-    in their last block.  Under drift it keeps nothing, and a query that
-    raises leaves the kept one in place."""
+    encrypt_blocks and decrypt_blocks run one query from block 1.
+    last_blocks answers a battery, the queries prefix + [b]: the oracle
+    keeps the direction, blocks and registers (x_k, y_k) of the first query
+    of the battery before, a prefix that starts with those blocks resumes
+    cipher.chain after them, and each query then steps one block.  Under
+    drift it keeps nothing and answers query by query."""
 
     def __init__(self, session: cipher.Session, drift: bool = False):
         self._session = session
         self._drift = drift
         self.query_count = 0
-        # (decrypting, blocks[:-1], answer[:-1]) of the last query
-        self._kept = (None, [], [])
+        # (decrypting, blocks, (x_k, y_k)) of the last battery's first query
+        self._kept = (None, [], None)
+
+    @staticmethod
+    def _start(s: cipher.Session, decrypting: bool) -> tuple:
+        """The permutations and the registers (x_0, y_0) of one direction."""
+        return (s.Finv, s.U[0], s.U[1]) if decrypting else (s.F, s.U[1], s.U[0])
 
     def _answer(self, blocks, decrypting: bool) -> list:
         self.query_count += 1
@@ -80,29 +83,44 @@ class Oracle:
         if self._drift:
             s = cipher.init_session(s.key, s.t + self.query_count, s.n, s.r,
                                     s.backend, table=s.table)
-        blocks = list(blocks)
-        if decrypting:
-            perms, x, y = s.Finv, s.U[0], s.U[1]
-        else:
-            perms, x, y = s.F, s.U[1], s.U[0]
-        # 1.0 == 1 but answers differently (it raises): keep plain ints only
-        keep = not self._drift and {*map(type, blocks)} <= {int}
-        kept_dir, kept_in, head = self._kept
-        k = len(kept_in)
-        if not (keep and kept_dir == decrypting and blocks[:k] == kept_in):
-            k, head = 0, []
-        if k:
-            x, y = blocks[k - 1], head[k - 1]
-        out = head + cipher.chain(perms, x, y, s.U, blocks[k:], s.n, k)
-        if keep:
-            self._kept = (decrypting, blocks[:-1], out[:-1])
-        return out
+        return cipher.chain(*self._start(s, decrypting), s.U, blocks, s.n)
 
     def encrypt_blocks(self, blocks) -> list:
         return self._answer(blocks, False)
 
     def decrypt_blocks(self, blocks) -> list:
         return self._answer(blocks, True)
+
+    def last_blocks(self, prefix, lasts, decrypting: bool):
+        """The last answer block of each query prefix + [b], b in lasts,
+        lazily and in order; a query counts when it is answered, and one
+        that raises ends the call.  The answers, and the errors, are those
+        of the queries sent one by one."""
+        s, prefix = self._session, list(prefix)
+        perms, x, y = self._start(s, decrypting)
+        kept_dir, kept, registers = self._kept
+        k = len(kept) if kept_dir == decrypting and prefix[:len(kept)] == kept else 0
+        if k:
+            x, y = registers
+        # 1.0 == 1 but answers differently (it raises): resume on plain ints
+        resume = not self._drift and {*map(type, prefix)} <= {int}
+        try:
+            if resume and prefix[k:]:
+                x, y = prefix[-1], cipher.chain(perms, x, y, s.U, prefix[k:],
+                                                s.n, k)[-1]
+        except ParameterError:      # too long or too wide: each query raises
+            resume = False
+        if not resume:
+            for b in lasts:
+                yield self._answer(prefix + [b], decrypting)[-1]
+            return
+        k = len(prefix)
+        for i, b in enumerate(lasts):
+            self.query_count += 1
+            c = cipher.chain(perms, x, y, s.U, [b], s.n, k)[0]
+            if not i:
+                self._kept = (decrypting, prefix + [b], (b, c))
+            yield c
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +140,6 @@ class RecoveredState:
 # ---------------------------------------------------------------------------
 # differential recovery of the permutations
 
-def gen_cpa_battery(j: int, n: int) -> list:
-    """The 4n+1 chosen plaintexts of j blocks: a base message and one
-    single-bit variant of the last block per bit position."""
-    if j < 1:
-        raise ParameterError("block index must be >= 1")
-    return [[0] * j] + [[0] * (j - 1) + [1 << l] for l in range(4 * n)]
-
-
 def _single_bit_index(delta: int, what: str) -> int:
     if delta == 0 or delta & (delta - 1):
         raise OracleModelViolation(
@@ -138,31 +148,31 @@ def _single_bit_index(delta: int, what: str) -> int:
     return delta.bit_length() - 1
 
 
-def recover_perm(query, j: int, n: int, what: str) -> BitPermutation:
-    """The bit permutation block j applies to a single-bit difference, read
-    off the 4n+1 query battery: f_{j-1} when `query` encrypts, f_{j-1}^{-1}
-    when it decrypts.  `query` maps a block list to the oracle's response
-    blocks; `what` names the response in errors."""
-    battery = gen_cpa_battery(j, n)
-    base = query(battery[0])[j - 1]
-    dest = [_single_bit_index(base ^ query(msg)[j - 1], what)
-            for msg in battery[1:]]
-    if sorted(dest) != list(range(4 * n)):
-        raise OracleModelViolation("recovered map is not a bijection")
-    return BitPermutation(tuple(dest), n)
+def recover_perm(oracle: Oracle, j: int, n: int,
+                 decrypting: bool) -> BitPermutation:
+    """The bit permutation block j applies to a single-bit difference:
+    f_{j-1} read off 4n+1 chosen plaintexts, or f_{j-1}^{-1} off chosen
+    ciphertexts when decrypting.  The battery is one oracle call: j-1 zero
+    blocks, then a zero or single-bit last block, base first."""
+    what = "plaintext" if decrypting else "ciphertext"
+    answers = oracle.last_blocks([0] * (j - 1),
+                                 [0] + [1 << l for l in range(4 * n)], decrypting)
+    base = next(answers)
+    dest = [_single_bit_index(base ^ c, what) for c in answers]
+    try:
+        return BitPermutation(dest, n)
+    except ParameterError:
+        raise OracleModelViolation("recovered map is not a bijection") from None
 
 
 def recover_all_f(oracle: Oracle, r: int, n: int,
                   decrypting: bool = False) -> RecoveredState:
     """f_0..f_{r-1} from chosen plaintexts, or from chosen ciphertexts when
     decrypting, (4n+1)r queries."""
-    if decrypting:
-        query, what, tag = oracle.decrypt_blocks, "plaintext", "cca"
-    else:
-        query, what, tag = oracle.encrypt_blocks, "ciphertext", "cpa"
+    tag = "cca" if decrypting else "cpa"
     state = RecoveredState(n, r)
     for j in range(r):
-        f = recover_perm(query, j + 1, n, what)
+        f = recover_perm(oracle, j + 1, n, decrypting)
         state.perms[j] = keystream.invert(f) if decrypting else f
         state.provenance[f"f{j}"] = tag
     return state

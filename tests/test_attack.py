@@ -1,6 +1,7 @@
 """Differential recovery, noise solving and keyless decryption."""
 
 import gc
+import itertools
 import math
 import random
 import re
@@ -23,9 +24,9 @@ FP = get_backend("fp62")
 
 
 def test_battery_shape():
-    battery = attack.gen_cpa_battery(2, 1)
+    battery = spec.battery(2, 1)
     assert battery == [[0, 0], [0, 1], [0, 2], [0, 4], [0, 8]]
-    battery = attack.gen_cpa_battery(3, 2)
+    battery = spec.battery(3, 2)
     assert len(battery) == 9
     assert all(len(m) == 3 for m in battery)
 
@@ -33,7 +34,7 @@ def test_battery_shape():
 def test_recover_single_permutation():
     s = random_session(random.Random(1))
     oracle = attack.EncryptionOracle(s)
-    f = attack.recover_perm(oracle.encrypt_blocks, 1, 2, "ciphertext")
+    f = attack.recover_perm(oracle, 1, 2, False)
     assert f.dest == s.F[0].dest
     assert oracle.query_count == 9  # 4n + 1
 
@@ -104,7 +105,7 @@ def _next_query(data, prev, n, r):
         ("battery", "edit", "shorter", "longer", "empty", "fresh")))
     if kind == "battery":
         j = data.draw(st.integers(1, r))
-        return data.draw(st.sampled_from(attack.gen_cpa_battery(j, n)))
+        return data.draw(st.sampled_from(spec.battery(j, n)))
     if kind == "edit" and prev:
         i = data.draw(st.integers(0, len(prev) - 1))
         return prev[:i] + [data.draw(word)] + prev[i + 1:]
@@ -170,36 +171,165 @@ def test_reused_oracle_fails_as_the_reference(decrypting):
         (TypeError, "unsupported operand type(s) for >>: 'float' and 'int'")
 
 
+def _battery_call(data, n, r, prev):
+    """A battery's prefix and last blocks, shaped like recover_perm's and
+    like none: the prefix extends the first query of the battery before
+    (prev), repeats or cuts its prefix, or is zeros or fresh, and now and
+    then a float or an over-wide block sits in it or in the last blocks."""
+    word = st.integers(0, (1 << (4 * n)) - 1)
+    before, first = prev
+    kind = data.draw(st.sampled_from(
+        ("extend", "extend", "same", "shorter", "zeros", "fresh")))
+    if kind == "extend":
+        prefix = before + first + data.draw(st.lists(word, max_size=2))
+    elif kind == "same":
+        prefix = list(before)
+    elif kind == "shorter":
+        prefix = before[:data.draw(st.integers(0, len(before)))]
+    elif kind == "zeros":
+        prefix = [0] * data.draw(st.integers(0, r))
+    else:
+        prefix = data.draw(st.lists(word, max_size=r + 1))
+    prefix = prefix[:r + 1]
+    if data.draw(st.booleans()):
+        lasts = [0] + [1 << l for l in range(4 * n)]
+    else:
+        lasts = data.draw(st.lists(word, min_size=1, max_size=4))
+    where = data.draw(st.sampled_from((None, None, None, "prefix", "lasts")))
+    target = {"prefix": prefix, "lasts": lasts}.get(where)
+    if target:
+        i = data.draw(st.integers(0, len(target) - 1))
+        v = int(target[i])
+        target[i] = data.draw(st.sampled_from((float(v), v | 1 << (4 * n), -1)))
+    return prefix, lasts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_battery_call_answers_as_each_query_sent_alone(data):
+    # one oracle answers batteries and single queries in both directions;
+    # each last block is that of cipher.encrypt/decrypt of prefix + [b] at
+    # the query's timestamp, or the call raises what that raises and ends;
+    # an abandoned call counts only the answers taken, and what the caller
+    # does to the prefix once the call has begun, or to its lists once it
+    # has ended, changes no later answer
+    n = data.draw(st.sampled_from((1, 2, 4, 16)))
+    backend = get_backend(data.draw(st.sampled_from(("fp62", "f64"))))
+    r = data.draw(st.integers(1, 5))
+    drift = data.draw(st.integers(0, 3)) == 0
+    s = random_session(random.Random(data.draw(st.integers(0, 99))), n, r,
+                       backend)
+    oracle = attack.Oracle(s, drift)
+    q, prev = 0, ([], [])
+
+    def at(q):
+        return cipher.init_session(s.key, s.t + q, n, r, s.backend) \
+            if drift else s
+
+    for _ in range(6):
+        decrypting = data.draw(st.booleans())
+        if data.draw(st.integers(0, 4)) == 0:      # a single query
+            query = prev[0] + prev[1] + data.draw(st.lists(
+                st.integers(0, (1 << (4 * n)) - 1), max_size=2))
+            answer = oracle.decrypt_blocks if decrypting else oracle.encrypt_blocks
+            q += 1
+            assert _outcome(answer, query) == _reference(at(q), query, decrypting)
+            assert oracle.query_count == q
+            continue
+        prefix, lasts = _battery_call(data, n, r, prev)
+        sent = (list(prefix), list(lasts))
+        take = len(lasts) if data.draw(st.booleans()) else \
+            data.draw(st.integers(0, len(lasts)))
+        want = []
+        for b in lasts[:take]:
+            q += 1
+            out = _reference(at(q), prefix + [b], decrypting)
+            want.append(out if isinstance(out, tuple) else out[-1])
+            if isinstance(out, tuple):
+                break
+        got, answers = [], oracle.last_blocks(prefix, lasts, decrypting)
+        try:
+            for c in itertools.islice(answers, take):
+                got.append(c)
+                prefix.append(1)
+        except Exception as exc:
+            got.append((type(exc), str(exc)))
+        answers.close()
+        assert got == want
+        assert oracle.query_count == q
+        prefix[:] = [1] * len(prefix)
+        lasts[:] = [1]
+        prev = (sent[0], sent[1][:1])
+
+
+def test_battery_call_counts_each_query_as_it_is_answered():
+    # a call counts a query when it answers it; one abandoned after k
+    # answers leaves k, and a query that raises counts once and ends it
+    s = random_session(random.Random(11), 2, 4)
+    for drift in (False, True):
+        oracle = attack.Oracle(s, drift)
+        answers = oracle.last_blocks([0, 0], [0, 1, 2, 4], False)
+        assert oracle.query_count == 0
+        for k in (1, 2):
+            next(answers)
+            assert oracle.query_count == k
+        answers.close()
+        assert oracle.query_count == 2
+        answers = oracle.last_blocks([0, 0], [1, 1 << 8, 2], True)
+        next(answers)
+        with pytest.raises(ParameterError, match="^block 3 wider than 4n bits$"):
+            next(answers)
+        assert oracle.query_count == 4
+        assert list(answers) == []
+        # a prefix that raises sends nothing until a query is taken
+        answers = oracle.last_blocks([0] * 5, [0, 1], False)
+        assert oracle.query_count == 4
+        with pytest.raises(ParameterError, match=(
+                "^message has 6 blocks but the session only precomputed r=4$")):
+            next(answers)
+        assert oracle.query_count == 5
+        assert list(oracle.last_blocks([1 << 8], [], False)) == []
+        assert oracle.query_count == 5
+
+
 @pytest.mark.parametrize("n, r", [(1, 5), (2, 8), (16, 4)])
 def test_battery_steps_linear_blocks(monkeypatch, n, r):
-    # each battery query but the first of a block resumes after all but the
-    # last block of the one before and steps one block; the first steps two
-    # (one at j = 1)
+    # block j's battery resumes after the first query of block j - 1's,
+    # which is its prefix, so each query steps one chain block and nothing
+    # else; the blocks handed to the oracle total sum_j (j - 1) + (4n+1)r
     stepped, chain = [], cipher.chain
+    sent, last_blocks = [], attack.Oracle.last_blocks
 
     def counted(perms, x, y, U, blocks, n, start=0):
         stepped.append(len(blocks))
         return chain(perms, x, y, U, blocks, n, start)
 
+    def handed(self, prefix, lasts, decrypting):
+        sent.append(len(prefix) + len(lasts))
+        return last_blocks(self, prefix, lasts, decrypting)
+
     monkeypatch.setattr(cipher, "chain", counted)
+    monkeypatch.setattr(attack.Oracle, "last_blocks", handed)
     s = random_session(random.Random(f"steps:{n}"), n, r)
-    for recover, oracle in ((attack.recover_all_f, attack.Oracle(s)),
-                            (attack.recover_all_finv, attack.Oracle(s))):
+    queries = (4 * n + 1) * r
+    for decrypting in (False, True):
+        oracle = attack.Oracle(s)
         stepped.clear()
-        recover(oracle, r, n)
-        assert len(stepped) == oracle.query_count == (4 * n + 1) * r
-        assert sum(stepped) == (4 * n + 1) * r + r - 1
-    # the query before less its last block steps none; a query that shares
-    # fewer than all but the last block of the one before steps all of its
+        sent.clear()
+        attack.recover_all_f(oracle, r, n, decrypting)
+        assert oracle.query_count == queries
+        assert stepped == [1] * queries
+        assert sum(sent) == r * (r - 1) // 2 + queries
+    # a single query steps every one of its blocks
     prev = [b % (1 << 4 * n) for b in range(3, 3 + r)]
     edited = prev[:-2] + [prev[-2] ^ 1, prev[-1]]
     for decrypting in (False, True):
         oracle = attack.Oracle(s)
         answer = oracle.decrypt_blocks if decrypting else oracle.encrypt_blocks
-        for query, steps in ((prev, r), (edited, r), (edited[:-1], 0)):
+        for query in (prev, edited, edited[:-1]):
             stepped.clear()
             got = answer(query)
-            assert stepped == [steps]
+            assert stepped == [len(query)]
             assert got == _reference(s, query, decrypting)
 
 

@@ -82,11 +82,12 @@ def _spec_keyless(state, blocks):
                                 state.noise, state.reg1, blocks, state.n)
 
 
-def _recording(query, sent):
-    """query, appending each message it is sent to `sent`."""
-    def record(blocks):
-        sent.append(list(blocks))
-        return query(blocks)
+def _recording(last_blocks, sent):
+    """Oracle.last_blocks, appending each query of a call to `sent` as
+    (message, decrypting)."""
+    def record(prefix, lasts, decrypting):
+        sent.extend((list(prefix) + [b], decrypting) for b in lasts)
+        return last_blocks(prefix, lasts, decrypting)
     return record
 
 
@@ -196,12 +197,12 @@ def test_recovery_matches_reference(kind):
                 (attack.recover_all_finv, attack.DecryptionOracle(s),
                  "decrypt_blocks", "cca")):
             query, sent = getattr(oracle, method), []
-            setattr(oracle, method, _recording(query, sent))
+            oracle.last_blocks = _recording(oracle.last_blocks, sent)
             state = recover(oracle, r, n)
             assert {j: f.dest for j, f in state.perms.items()} == F
             assert list(state.provenance.items()) == \
                 [(f"f{j}", tag) for j in range(r)]
-            assert sent == battery
+            assert sent == [(m, tag == "cca") for m in battery]
             assert oracle.query_count == (4 * n + 1) * r
             # the spec reads the same maps off the same oracle
             maps = [spec.recover(query, j, n) for j in range(1, r + 1)]
