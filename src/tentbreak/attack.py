@@ -7,10 +7,10 @@ bit of the corresponding block; reading off where the flipped bit lands for
 each of the 4n positions reconstructs f_{j-1} exactly with 4n+1 queries.
 The chosen-ciphertext attack is the dual: the same battery submitted as
 ciphertexts reads off f_{j-1}^{-1}.  recover_all_f is that one routine,
-run in either direction.  A battery's queries share their first j-1
-blocks, so the simulated victim, Oracle, answers it in one call that
-steps the shared prefix once, resuming after block j-1 of the battery
-before, and then one block per query: (4n+1)r chain steps in all.
+run in either direction.  Block j's battery is j-1 zero blocks and one
+last block, so every battery lies along one trunk of r-1 zero blocks: the
+simulated victim, Oracle, answers them all in one walk that steps each
+trunk block once and then one block per query, (4n+1)r chain calls in all.
 
 Once the permutations are known, the noise vectors U_{j+1} (j >= 2) are
 the solutions x of
@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import partial
+from itertools import islice
 
 from . import cipher, keystream
 from .backend import ParameterError, number, open_text, read_lines
@@ -58,31 +59,31 @@ class Oracle:
     every query re-derives the session at a fresh timestamp instead,
     violating the fixed-clock assumption.
 
-    encrypt_blocks and decrypt_blocks run one query from block 1.
-    last_blocks answers a battery, the queries prefix + [b]: the oracle
-    keeps the direction, blocks and registers (x_k, y_k) of the first query
-    of the battery before, a prefix that starts with those blocks resumes
-    cipher.chain after them, and each query then steps one block.  Under
-    drift it keeps nothing and answers query by query."""
+    It keeps nothing between calls but query_count.  encrypt_blocks and
+    decrypt_blocks run one query from block 1; walk answers the queries
+    trunk[:k] + [b] along one trunk, stepping each trunk block once."""
 
     def __init__(self, session: cipher.Session, drift: bool = False):
         self._session = session
         self._drift = drift
         self.query_count = 0
-        # (decrypting, blocks, (x_k, y_k)) of the last battery's first query
-        self._kept = (None, [], None)
 
     @staticmethod
     def _start(s: cipher.Session, decrypting: bool) -> tuple:
         """The permutations and the registers (x_0, y_0) of one direction."""
         return (s.Finv, s.U[0], s.U[1]) if decrypting else (s.F, s.U[1], s.U[0])
 
-    def _answer(self, blocks, decrypting: bool) -> list:
-        self.query_count += 1
+    def _drifted(self) -> cipher.Session:
+        """The session that answers query query_count: at t + query_count if drift."""
         s = self._session
         if self._drift:
             s = cipher.init_session(s.key, s.t + self.query_count, s.n, s.r,
                                     s.backend, table=s.table)
+        return s
+
+    def _answer(self, blocks, decrypting: bool) -> list:
+        self.query_count += 1
+        s = self._drifted()
         return cipher.chain(*self._start(s, decrypting), s.U, blocks, s.n)
 
     def encrypt_blocks(self, blocks) -> list:
@@ -91,36 +92,26 @@ class Oracle:
     def decrypt_blocks(self, blocks) -> list:
         return self._answer(blocks, True)
 
-    def last_blocks(self, prefix, lasts, decrypting: bool):
-        """The last answer block of each query prefix + [b], b in lasts,
-        lazily and in order; a query counts when it is answered, and one
-        that raises ends the call.  The answers, and the errors, are those
-        of the queries sent one by one."""
-        s, prefix = self._session, list(prefix)
+    def walk(self, trunk, lasts, decrypting: bool):
+        """For k = 0..len(trunk), lazily, the last answer block of each query
+        trunk[:k] + [b], b in lasts, as if sent alone; a query counts when it
+        is answered, and one that raises ends the walk.  The first query at k
+        also steps trunk[k-1]; under drift each steps trunk[:k] from x_0, y_0."""
+        s, done = self._session, 0      # (x, y) are the registers after trunk[:done]
         perms, x, y = self._start(s, decrypting)
-        kept_dir, kept, registers = self._kept
-        k = len(kept) if kept_dir == decrypting and prefix[:len(kept)] == kept else 0
-        if k:
-            x, y = registers
-        # 1.0 == 1 but answers differently (it raises): resume on plain ints
-        resume = not self._drift and {*map(type, prefix)} <= {int}
-        try:
-            if resume and prefix[k:]:
-                x, y = prefix[-1], cipher.chain(perms, x, y, s.U, prefix[k:],
-                                                s.n, k)[-1]
-        except ParameterError:      # too long or too wide: each query raises
-            resume = False
-        if not resume:
+        for k in range(len(trunk) + 1):
             for b in lasts:
-                yield self._answer(prefix + [b], decrypting)[-1]
-            return
-        k = len(prefix)
-        for i, b in enumerate(lasts):
-            self.query_count += 1
-            c = cipher.chain(perms, x, y, s.U, [b], s.n, k)[0]
-            if not i:
-                self._kept = (decrypting, prefix + [b], (b, c))
-            yield c
+                self.query_count += 1
+                if self._drift:
+                    s, done = self._drifted(), 0
+                    perms, x, y = self._start(s, decrypting)
+                if done < k:
+                    *_, y, c = cipher.chain(perms, x, y, s.U, [*trunk[done:k], b],
+                                            s.n, done)
+                    x, done = trunk[k - 1], k
+                else:
+                    c = cipher.chain(perms, x, y, s.U, [b], s.n, k)[0]
+                yield c
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +139,24 @@ def _single_bit_index(delta: int, what: str) -> int:
     return delta.bit_length() - 1
 
 
-def recover_perm(oracle: Oracle, j: int, n: int,
-                 decrypting: bool) -> BitPermutation:
-    """The bit permutation block j applies to a single-bit difference:
-    f_{j-1} read off 4n+1 chosen plaintexts, or f_{j-1}^{-1} off chosen
-    ciphertexts when decrypting.  The battery is one oracle call: j-1 zero
-    blocks, then a zero or single-bit last block, base first."""
-    what = "plaintext" if decrypting else "ciphertext"
-    answers = oracle.last_blocks([0] * (j - 1),
-                                 [0] + [1 << l for l in range(4 * n)], decrypting)
-    base = next(answers)
-    dest = [_single_bit_index(base ^ c, what) for c in answers]
-    try:
-        return BitPermutation(dest, n)
-    except ParameterError:
-        raise OracleModelViolation("recovered map is not a bijection") from None
-
-
 def recover_all_f(oracle: Oracle, r: int, n: int,
                   decrypting: bool = False) -> RecoveredState:
     """f_0..f_{r-1} from chosen plaintexts, or from chosen ciphertexts when
-    decrypting, (4n+1)r queries."""
-    tag = "cca" if decrypting else "cpa"
+    decrypting: one walk along r-1 zero blocks, whose last blocks 0, 1, 2,
+    .., 2^{4n-1} read f_{j-1} (or its inverse) off block j's single-bit
+    differences, (4n+1)r queries, each difference checked as it arrives."""
+    what, tag = ("plaintext", "cca") if decrypting else ("ciphertext", "cpa")
     state = RecoveredState(n, r)
+    answers = oracle.walk([0] * (r - 1), [0] + [1 << l for l in range(4 * n)],
+                          decrypting)
     for j in range(r):
-        f = recover_perm(oracle, j + 1, n, decrypting)
+        base = next(answers)
+        dest = [_single_bit_index(base ^ c, what)
+                for c in islice(answers, 4 * n)]
+        try:
+            f = BitPermutation(dest, n)
+        except ParameterError:
+            raise OracleModelViolation("recovered map is not a bijection") from None
         state.perms[j] = keystream.invert(f) if decrypting else f
         state.provenance[f"f{j}"] = tag
     return state

@@ -330,8 +330,9 @@ def cmd_solve_u(args) -> int:
     read_lines(args.pairs, pair)
     f = state.perms.get(args.j - 1)
     if not 2 <= args.j <= state.r or f is None:
+        whose = f"whose f{args.j - 1} is " if 2 <= args.j <= state.r else ""
         raise ParameterError(f"--j {args.j} must name a block 2..{state.r} "
-                             f"whose f{args.j - 1} is in {args.state} (r={state.r})")
+                             f"{whose}in {args.state} (r={state.r})")
     try:
         sols = attack.solve_uj(pairs, f, state.n)
     except ParameterError as exc:  # bad input, not a failed verification

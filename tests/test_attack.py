@@ -34,8 +34,8 @@ def test_battery_shape():
 def test_recover_single_permutation():
     s = random_session(random.Random(1))
     oracle = attack.EncryptionOracle(s)
-    f = attack.recover_perm(oracle, 1, 2, False)
-    assert f.dest == s.F[0].dest
+    state = attack.recover_all_f(oracle, 1, 2)
+    assert state.perms[0].dest == s.F[0].dest
     assert oracle.query_count == 9  # 4n + 1
 
 
@@ -97,9 +97,10 @@ def _reference(s, blocks, decrypting):
 
 
 def _next_query(data, prev, n, r):
-    """A query shaped like the oracle's callers send them, most sharing a
-    prefix with the one before: a battery message, an edit of the last
-    query, a shorter or longer one, the empty message or a fresh one."""
+    """A query shaped like the oracle's callers send them: a battery
+    message, an edit of the last query, a shorter or longer one, the empty
+    message or a fresh one.  Most share a prefix with the query before,
+    which a single query never reuses."""
     word = st.integers(0, (1 << (4 * n)) - 1)
     kind = data.draw(st.sampled_from(
         ("battery", "edit", "shorter", "longer", "empty", "fresh")))
@@ -121,9 +122,10 @@ def _next_query(data, prev, n, r):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_reused_oracle_answers_as_fresh_encryption(data):
-    # one oracle answers a run of prefix-sharing queries in both directions,
-    # each exactly as cipher.encrypt/decrypt of a fresh Message would, and
-    # what the caller does to its lists afterwards changes no later answer
+    # one oracle answers a run of queries in both directions, each from
+    # block 1 exactly as cipher.encrypt/decrypt of a fresh Message would,
+    # whatever prefix it shares with the query before; what the caller does
+    # to its lists afterwards changes no later answer
     n = data.draw(st.sampled_from((1, 2, 4, 16)))
     backend = get_backend(data.draw(st.sampled_from(("fp62", "f64"))))
     r = data.draw(st.integers(1, 6))
@@ -171,48 +173,12 @@ def test_reused_oracle_fails_as_the_reference(decrypting):
         (TypeError, "unsupported operand type(s) for >>: 'float' and 'int'")
 
 
-def _battery_call(data, n, r, prev):
-    """A battery's prefix and last blocks, shaped like recover_perm's and
-    like none: the prefix extends the first query of the battery before
-    (prev), repeats or cuts its prefix, or is zeros or fresh, and now and
-    then a float or an over-wide block sits in it or in the last blocks."""
-    word = st.integers(0, (1 << (4 * n)) - 1)
-    before, first = prev
-    kind = data.draw(st.sampled_from(
-        ("extend", "extend", "same", "shorter", "zeros", "fresh")))
-    if kind == "extend":
-        prefix = before + first + data.draw(st.lists(word, max_size=2))
-    elif kind == "same":
-        prefix = list(before)
-    elif kind == "shorter":
-        prefix = before[:data.draw(st.integers(0, len(before)))]
-    elif kind == "zeros":
-        prefix = [0] * data.draw(st.integers(0, r))
-    else:
-        prefix = data.draw(st.lists(word, max_size=r + 1))
-    prefix = prefix[:r + 1]
-    if data.draw(st.booleans()):
-        lasts = [0] + [1 << l for l in range(4 * n)]
-    else:
-        lasts = data.draw(st.lists(word, min_size=1, max_size=4))
-    where = data.draw(st.sampled_from((None, None, None, "prefix", "lasts")))
-    target = {"prefix": prefix, "lasts": lasts}.get(where)
-    if target:
-        i = data.draw(st.integers(0, len(target) - 1))
-        v = int(target[i])
-        target[i] = data.draw(st.sampled_from((float(v), v | 1 << (4 * n), -1)))
-    return prefix, lasts
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_battery_call_answers_as_each_query_sent_alone(data):
-    # one oracle answers batteries and single queries in both directions;
-    # each last block is that of cipher.encrypt/decrypt of prefix + [b] at
-    # the query's timestamp, or the call raises what that raises and ends;
-    # an abandoned call counts only the answers taken, and what the caller
-    # does to the prefix once the call has begun, or to its lists once it
-    # has ended, changes no later answer
+def _walks(data):
+    """Three walks of one drawn oracle, each over a drawn trunk and lasts,
+    maybe with a float, an over-wide block or -1 in either, and maybe
+    abandoned after `take` answers.  Yields, per walk, what it answered
+    (an error as its type and message), what the reference answers at each
+    query's timestamp, the oracle's query count and the queries taken."""
     n = data.draw(st.sampled_from((1, 2, 4, 16)))
     backend = get_backend(data.draw(st.sampled_from(("fp62", "f64"))))
     r = data.draw(st.integers(1, 5))
@@ -220,96 +186,95 @@ def test_battery_call_answers_as_each_query_sent_alone(data):
     s = random_session(random.Random(data.draw(st.integers(0, 99))), n, r,
                        backend)
     oracle = attack.Oracle(s, drift)
-    q, prev = 0, ([], [])
-
-    def at(q):
-        return cipher.init_session(s.key, s.t + q, n, r, s.backend) \
-            if drift else s
-
-    for _ in range(6):
+    word = st.integers(0, (1 << (4 * n)) - 1)
+    q = 0
+    for _ in range(3):
         decrypting = data.draw(st.booleans())
-        if data.draw(st.integers(0, 4)) == 0:      # a single query
-            query = prev[0] + prev[1] + data.draw(st.lists(
-                st.integers(0, (1 << (4 * n)) - 1), max_size=2))
-            answer = oracle.decrypt_blocks if decrypting else oracle.encrypt_blocks
-            q += 1
-            assert _outcome(answer, query) == _reference(at(q), query, decrypting)
-            assert oracle.query_count == q
-            continue
-        prefix, lasts = _battery_call(data, n, r, prev)
-        sent = (list(prefix), list(lasts))
-        take = len(lasts) if data.draw(st.booleans()) else \
-            data.draw(st.integers(0, len(lasts)))
+        length = data.draw(st.integers(0, r + 1))
+        trunk = [0] * length if data.draw(st.booleans()) else \
+            data.draw(st.lists(word, min_size=length, max_size=length))
+        if data.draw(st.booleans()):
+            lasts = [0] + [1 << l for l in range(4 * n)]
+        else:
+            lasts = data.draw(st.lists(word, min_size=1, max_size=4))
+        where = data.draw(st.sampled_from((None, None, "trunk", "lasts")))
+        target = {"trunk": trunk, "lasts": lasts}.get(where)
+        if target:
+            i = data.draw(st.integers(0, len(target) - 1))
+            v = target[i]
+            target[i] = data.draw(st.sampled_from((float(v), v | 1 << (4 * n), -1)))
+        queries = [trunk[:k] + [b] for k in range(length + 1) for b in lasts]
+        take = len(queries) if data.draw(st.booleans()) else \
+            data.draw(st.integers(0, len(queries)))
         want = []
-        for b in lasts[:take]:
+        for query in queries[:take]:
             q += 1
-            out = _reference(at(q), prefix + [b], decrypting)
+            at = cipher.init_session(s.key, s.t + q, n, r, s.backend) \
+                if drift else s
+            out = _reference(at, query, decrypting)
             want.append(out if isinstance(out, tuple) else out[-1])
             if isinstance(out, tuple):
                 break
-        got, answers = [], oracle.last_blocks(prefix, lasts, decrypting)
+        got, answers = [], oracle.walk(trunk, lasts, decrypting)
         try:
             for c in itertools.islice(answers, take):
                 got.append(c)
-                prefix.append(1)
         except Exception as exc:
             got.append((type(exc), str(exc)))
+            assert list(answers) == []
         answers.close()
+        yield got, want, oracle.query_count, q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_battery_call_answers_as_each_query_sent_alone(data):
+    # each answer of a walk is the last block of cipher.encrypt/decrypt of
+    # trunk[:k] + [b] at that query's timestamp, or the walk raises what
+    # that raises and ends
+    for got, want, _, _ in _walks(data):
         assert got == want
-        assert oracle.query_count == q
-        prefix[:] = [1] * len(prefix)
-        lasts[:] = [1]
-        prev = (sent[0], sent[1][:1])
 
 
-def test_battery_call_counts_each_query_as_it_is_answered():
-    # a call counts a query when it answers it; one abandoned after k
-    # answers leaves k, and a query that raises counts once and ends it
-    s = random_session(random.Random(11), 2, 4)
-    for drift in (False, True):
-        oracle = attack.Oracle(s, drift)
-        answers = oracle.last_blocks([0, 0], [0, 1, 2, 4], False)
-        assert oracle.query_count == 0
-        for k in (1, 2):
-            next(answers)
-            assert oracle.query_count == k
-        answers.close()
-        assert oracle.query_count == 2
-        answers = oracle.last_blocks([0, 0], [1, 1 << 8, 2], True)
-        next(answers)
-        with pytest.raises(ParameterError, match="^block 3 wider than 4n bits$"):
-            next(answers)
-        assert oracle.query_count == 4
-        assert list(answers) == []
-        # a prefix that raises sends nothing until a query is taken
-        answers = oracle.last_blocks([0] * 5, [0, 1], False)
-        assert oracle.query_count == 4
-        with pytest.raises(ParameterError, match=(
-                "^message has 6 blocks but the session only precomputed r=4$")):
-            next(answers)
-        assert oracle.query_count == 5
-        assert list(oracle.last_blocks([1 << 8], [], False)) == []
-        assert oracle.query_count == 5
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_battery_call_counts_each_query_as_it_is_answered(data):
+    # a walk abandoned after `take` answers counts those, and one that
+    # raised counts the query that raised too
+    for _, _, count, taken in _walks(data):
+        assert count == taken
+
+
+def test_recovery_rejects_a_map_that_is_not_a_bijection():
+    # single-bit differences that land on one bit twice are no permutation
+    class Landing:
+        def walk(self, trunk, lasts, decrypting):
+            return iter([0] + [1] * (len(lasts) - 1))
+
+    with pytest.raises(OracleModelViolation,
+                       match="^recovered map is not a bijection$"):
+        attack.recover_all_f(Landing(), 1, 2)
 
 
 @pytest.mark.parametrize("n, r", [(1, 5), (2, 8), (16, 4)])
 def test_battery_steps_linear_blocks(monkeypatch, n, r):
-    # block j's battery resumes after the first query of block j - 1's,
-    # which is its prefix, so each query steps one chain block and nothing
-    # else; the blocks handed to the oracle total sum_j (j - 1) + (4n+1)r
+    # one walk per direction along r - 1 zero blocks: the first query at
+    # each trunk block steps it and its last block, every other query its
+    # last block alone, so (4n+1)r chain calls step (4n+2)r - 1 blocks; the
+    # oracle is handed the trunk and the 4n+1 last blocks once
     stepped, chain = [], cipher.chain
-    sent, last_blocks = [], attack.Oracle.last_blocks
+    sent, walk = [], attack.Oracle.walk
 
     def counted(perms, x, y, U, blocks, n, start=0):
         stepped.append(len(blocks))
         return chain(perms, x, y, U, blocks, n, start)
 
-    def handed(self, prefix, lasts, decrypting):
-        sent.append(len(prefix) + len(lasts))
-        return last_blocks(self, prefix, lasts, decrypting)
+    def handed(self, trunk, lasts, decrypting):
+        sent.append(len(trunk) + len(lasts))
+        return walk(self, trunk, lasts, decrypting)
 
     monkeypatch.setattr(cipher, "chain", counted)
-    monkeypatch.setattr(attack.Oracle, "last_blocks", handed)
+    monkeypatch.setattr(attack.Oracle, "walk", handed)
     s = random_session(random.Random(f"steps:{n}"), n, r)
     queries = (4 * n + 1) * r
     for decrypting in (False, True):
@@ -317,9 +282,10 @@ def test_battery_steps_linear_blocks(monkeypatch, n, r):
         stepped.clear()
         sent.clear()
         attack.recover_all_f(oracle, r, n, decrypting)
-        assert oracle.query_count == queries
-        assert stepped == [1] * queries
-        assert sum(sent) == r * (r - 1) // 2 + queries
+        assert oracle.query_count == len(stepped) == queries
+        assert stepped == [1] * (4 * n + 1) + ([2] + [1] * 4 * n) * (r - 1)
+        assert sum(stepped) == (4 * n + 2) * r - 1
+        assert sent == [r - 1 + 4 * n + 1]
     # a single query steps every one of its blocks
     prev = [b % (1 << 4 * n) for b in range(3, 3 + r)]
     edited = prev[:-2] + [prev[-2] ^ 1, prev[-1]]

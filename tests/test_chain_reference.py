@@ -82,12 +82,13 @@ def _spec_keyless(state, blocks):
                                 state.noise, state.reg1, blocks, state.n)
 
 
-def _recording(last_blocks, sent):
-    """Oracle.last_blocks, appending each query of a call to `sent` as
+def _recording(walk, sent):
+    """Oracle.walk, appending each query of a walk to `sent` as
     (message, decrypting)."""
-    def record(prefix, lasts, decrypting):
-        sent.extend((list(prefix) + [b], decrypting) for b in lasts)
-        return last_blocks(prefix, lasts, decrypting)
+    def record(trunk, lasts, decrypting):
+        sent.extend((list(trunk[:k]) + [b], decrypting)
+                    for k in range(len(trunk) + 1) for b in lasts)
+        return walk(trunk, lasts, decrypting)
     return record
 
 
@@ -197,7 +198,7 @@ def test_recovery_matches_reference(kind):
                 (attack.recover_all_finv, attack.DecryptionOracle(s),
                  "decrypt_blocks", "cca")):
             query, sent = getattr(oracle, method), []
-            oracle.last_blocks = _recording(oracle.last_blocks, sent)
+            oracle.walk = _recording(oracle.walk, sent)
             state = recover(oracle, r, n)
             assert {j: f.dest for j, f in state.perms.items()} == F
             assert list(state.provenance.items()) == \

@@ -492,6 +492,11 @@ def test_solve_u_block_index_out_of_range(tmp_path, capsys):
                     "--j", j]) == 2
         err = capsys.readouterr().err
         assert "--j" in err and "r=4" in err
+    # only a block in 2..r has an f_{j-1} to name
+    for j, whose in ((0, ""), (5, ""), (3, "whose f2 is ")):
+        run(["solve-u", "--state", state_file, "--pairs", pairs, "--j", j])
+        assert capsys.readouterr().err == (
+            f"error: --j {j} must name a block 2..4 {whose}in {state_file} (r=4)\n")
 
 
 def test_state_file_without_r_names_the_file(tmp_path, capsys):
