@@ -6,11 +6,12 @@ single bit of their last block produce ciphertexts that differ in a single
 bit of the corresponding block; reading off where the flipped bit lands for
 each of the 4n positions reconstructs f_{j-1} exactly with 4n+1 queries.
 The chosen-ciphertext attack is the dual: the same battery submitted as
-ciphertexts reads off f_{j-1}^{-1}.  recover_all_f is that one routine,
-run in either direction.  Block j's battery is j-1 zero blocks and one
-last block, so every battery lies along one trunk of r-1 zero blocks: the
-simulated victim, Oracle, answers them all in one walk that steps each
-trunk block once and then one block per query, (4n+1)r chain calls in all.
+ciphertexts reads off f_{j-1}^{-1}, and f_{j-1} is built straight from
+what it reads.  recover_all_f is that one routine, run in either
+direction.  Block j's battery is j-1 zero blocks and one last block, so
+every battery lies along one trunk of r-1 zero blocks: the simulated
+victim, Oracle, answers them all in one walk that steps each trunk block
+once and then one block per query, (4n+1)r chain calls in all.
 
 Once the permutations are known, the noise vectors U_{j+1} (j >= 2) are
 the solutions x of
@@ -144,20 +145,27 @@ def recover_all_f(oracle: Oracle, r: int, n: int,
     """f_0..f_{r-1} from chosen plaintexts, or from chosen ciphertexts when
     decrypting: one walk along r-1 zero blocks, whose last blocks 0, 1, 2,
     .., 2^{4n-1} read f_{j-1} (or its inverse) off block j's single-bit
-    differences, (4n+1)r queries, each difference checked as it arrives."""
+    differences, (4n+1)r queries, each difference checked as it arrives.
+    A read-off inverse moves bit l to d, so f_{j-1} moves d to l: its dest
+    is written from the read-off positions, and no map is inverted."""
     what, tag = ("plaintext", "cca") if decrypting else ("ciphertext", "cpa")
+    width = 4 * n
     state = RecoveredState(n, r)
-    answers = oracle.walk([0] * (r - 1), [0] + [1 << l for l in range(4 * n)],
+    answers = oracle.walk([0] * (r - 1), [0] + [1 << l for l in range(width)],
                           decrypting)
     for j in range(r):
         base = next(answers)
         dest = [_single_bit_index(base ^ c, what)
-                for c in islice(answers, 4 * n)]
+                for c in islice(answers, width)]
+        if decrypting:      # an unread slot keeps width: no bijection
+            read, dest = dest, [width] * width
+            for l, d in enumerate(read):
+                if d < width:
+                    dest[d] = l
         try:
-            f = BitPermutation(dest, n)
+            state.perms[j] = BitPermutation(dest, n)
         except ParameterError:
             raise OracleModelViolation("recovered map is not a bijection") from None
-        state.perms[j] = keystream.invert(f) if decrypting else f
         state.provenance[f"f{j}"] = tag
     return state
 

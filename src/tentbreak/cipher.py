@@ -3,8 +3,9 @@
 A session is fully determined by the key (alpha, beta, gamma, K), the public
 timestamp t, the block parameter n and the precomputation bound r.  Per
 session the noise vectors U_0..U_{r+1} are derived once, the permutations
-f_0..f_{r-1} on the first encryption and their inverses, without f, on the
-first decryption.  Both directions run one register chain (see chain):
+f_0..f_{r-1} on the first encryption, and their inverses, composed
+straight from V_j with no f_j built or inverted, on the first decryption.
+Both directions run one register chain (see chain):
 
     y_j = perms[j-1](x_j xor (y_{j-1} [+] U_{j+1})) xor (x_{j-1} [+] U_{j+1})
 
@@ -56,9 +57,10 @@ class Session:
     @cached_property
     def Finv(self) -> list:
         """f_0^{-1} .. f_{r-1}^{-1}, built when first read: only decryption
-        needs them.  Each is inverted as it is composed, without F."""
-        return [keystream.invert(keystream.compose_fj(
-            u ^ self.key.K, self.table, self.n)) for u in self.U[:self.r]]
+        needs them.  Each is inverted as it is composed, in compose_fj's one
+        pass over V_j, with no f_j built first."""
+        return [keystream.compose_fj(u ^ self.key.K, self.table, self.n,
+                                     inverse=True) for u in self.U[:self.r]]
 
 
 def check_key_strength(key: KeyMaterial, backend) -> list[str]:

@@ -312,6 +312,9 @@ def analyze_census(args):
 
 def cmd_solve_u(args) -> int:
     state = attack.load_state(args.state)
+    if state.r < 2:
+        raise ParameterError(f"{args.state} (r={state.r}) has no block with a "
+                             "noise vector to solve: solve-u needs r >= 2")
     width = 4 * state.n
     pairs = []
 

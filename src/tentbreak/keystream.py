@@ -101,22 +101,25 @@ _S4_INDEX = {a: k for k, a in enumerate(_S4)}
 _S4_MUL = tuple(tuple(_S4_INDEX[tuple(a[q] for q in b)] for b in _S4)
                 for a in _S4)
 _S4_ID = _S4_INDEX[(0, 1, 2, 3)]
+_S4_INV = tuple(_S4_INDEX[tuple(sorted(range(4), key=a.__getitem__))]
+                for a in _S4)
 # sigma, the quarter cycle q -> q+1 that the carry of the <<< 1 applies
 _SIGMA_MUL = _S4_MUL[_S4_INDEX[(1, 2, 3, 0)]]
 # per element q, the four-cycle q^-1 o sigma o q; _CYCLES lists the 6 of
 # them, and _CONJUGATE ends up holding each q's index in _CYCLES
-_CONJUGATE = [_S4_MUL[_S4_INDEX[tuple(sorted(range(4), key=q.__getitem__))]][s]
-              for q, s in zip(_S4, _SIGMA_MUL)]
+_CONJUGATE = [_S4_MUL[_S4_INV[k]][s] for k, s in enumerate(_SIGMA_MUL)]
 _CYCLES = tuple(sorted(set(_CONJUGATE)))
 _CONJUGATE = tuple(map(_CYCLES.index, _CONJUGATE))
 
 
 @cache
-def _lanes(n: int) -> tuple:
+def _lanes(n: int, inverse: bool) -> tuple:
     """Per element a, the multiplier that copies an n-bit column mask to
-    offset a[q]*n of 4n-bit lane (a[q] - q) mod 4 for each quarter q."""
+    offset a[q]*n of 4n-bit lane (a[q] - q) mod 4 for each quarter q; with
+    inverse, that of a^-1 instead."""
+    elements = (_S4[k] for k in _S4_INV) if inverse else _S4
     return tuple(sum(1 << ((a[q] - q) % 4 * 4 + a[q]) * n for q in range(4))
-                 for a in _S4)
+                 for a in elements)
 
 
 class QuarterPermTable:
@@ -267,8 +270,10 @@ def invert(p: BitPermutation) -> BitPermutation:
     return p._inv
 
 
-def compose_fj(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
-    """f_j from the n 4-bit nibbles of V_j, most significant nibble first.
+def compose_fj(vj: int, table: QuarterPermTable, n: int,
+               inverse: bool = False) -> BitPermutation:
+    """f_j, or f_j^-1 when inverse, from the n 4-bit nibbles of V_j, most
+    significant nibble first.
 
     A round moves quarters by its table entry and then rotates <<< 1, which
     adds 1 to every bit's offset within its quarter; the bit at offset
@@ -284,7 +289,10 @@ def compose_fj(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
     columns into 6 classes, one per cycle, each with A_o = P o (its cycle).
     A bit that A_o moves up k quarters (mod 4) rotates by kn, so its output
     position joins the mask of that rotation class; one multiply by
-    _lanes(n)[A_o] puts a class's columns in all four masks (lanes of 4n bits).
+    _lanes(n, False)[A_o] puts a class's columns in all four masks (lanes of
+    4n bits).  f_j^-1 keeps the offsets too and permutes column o's quarters
+    by A_o^-1 = (P o cycle)^-1, so the same pass builds it with the
+    multipliers of the inverse elements, _lanes(n, True)[A_o].
     """
     width = 4 * n
     if vj >> width:
@@ -297,7 +305,7 @@ def compose_fj(vj: int, table: QuarterPermTable, n: int) -> BitPermutation:
         q = mul[maps[(vj >> shift) & 0xF]][q]
         col >>= 1
         classes[_CONJUGATE[q]] |= col
-    lanes, row = _lanes(n), mul[q]
+    lanes, row = _lanes(n, inverse), mul[q]
     packed = 0
     for c, cols in zip(_CYCLES, classes):
         packed += cols * lanes[row[c]]

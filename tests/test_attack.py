@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spec
-from tentbreak import attack, cipher
+from tentbreak import attack, cipher, keystream
 from tentbreak.attack import OracleModelViolation
 from tentbreak.keystream import BitPermutation
 from tentbreak.backend import ParameterError, get_backend
@@ -52,7 +52,9 @@ def test_recover_all_f_exact_with_query_budget():
 
 
 @pytest.mark.parametrize("n", range(1, 17))
-def test_recovery_exact_at_every_block_size(n):
+def test_recovery_exact_at_every_block_size(monkeypatch, n):
+    # neither direction inverts a map: CCA builds f_j from what it reads
+    monkeypatch.delattr(keystream, "invert")
     s = random_session(random.Random(f"recover:{n}"), n=n, r=3)
     for recover, oracle in ((attack.recover_all_f, attack.EncryptionOracle(s)),
                             (attack.recover_all_finv, attack.DecryptionOracle(s))):
@@ -246,14 +248,21 @@ def test_battery_call_counts_each_query_as_it_is_answered(data):
 
 
 def test_recovery_rejects_a_map_that_is_not_a_bijection():
-    # single-bit differences that land on one bit twice are no permutation
+    # single-bit differences that land on one bit twice, or on a bit at or
+    # past 4n, are no permutation, in either direction
     class Landing:
-        def walk(self, trunk, lasts, decrypting):
-            return iter([0] + [1] * (len(lasts) - 1))
+        def __init__(self, bits):
+            self.bits = bits
 
-    with pytest.raises(OracleModelViolation,
-                       match="^recovered map is not a bijection$"):
-        attack.recover_all_f(Landing(), 1, 2)
+        def walk(self, trunk, lasts, decrypting):
+            return iter([0] + [1 << b for b in self.bits])
+
+    n = 2
+    for bits in ([0] * 4 * n, range(1, 4 * n + 1), [*range(4 * n - 1), 9 * n]):
+        for decrypting in (False, True):
+            with pytest.raises(OracleModelViolation,
+                               match="^recovered map is not a bijection$"):
+                attack.recover_all_f(Landing(bits), 1, n, decrypting)
 
 
 @pytest.mark.parametrize("n, r", [(1, 5), (2, 8), (16, 4)])

@@ -43,10 +43,11 @@ def test_golden_vector_decrypts():
 
 def test_encrypt_only_session_builds_no_inverse(monkeypatch):
     # each direction composes only its own permutations, once, and nothing
-    # is composed before a direction first reads them
+    # is composed before a direction first reads them; decryption composes
+    # only inverses
     composed, compose = [], keystream.compose_fj
-    monkeypatch.setattr(keystream, "compose_fj",
-                        lambda *args: composed.append(args) or compose(*args))
+    monkeypatch.setattr(keystream, "compose_fj", lambda *args, **kw: (
+        composed.append(kw.get("inverse", False)) or compose(*args, **kw)))
     enc, dec = make_session(), make_session()
     assert composed == []
     assert cipher.encrypt(enc, Message(GOLDEN_PT, 1234)).blocks == GOLDEN_CT
@@ -54,12 +55,12 @@ def test_encrypt_only_session_builds_no_inverse(monkeypatch):
     assert all(f._inv is None for f in enc.F)
     assert cipher.decrypt(dec, Message(GOLDEN_CT, 1234)).blocks == GOLDEN_PT
     assert "F" not in vars(dec)
-    assert len(composed) == 2 * dec.r
+    assert composed == [False] * enc.r + [True] * dec.r
     for s in (enc, dec):
         F, Finv = s.F, s.Finv
         assert s.F is F and s.Finv is Finv
         assert [f.dest for f in Finv] == [keystream.invert(f).dest for f in F]
-    assert len(composed) == 4 * dec.r
+    assert composed == [False] * enc.r + [True] * dec.r * 2 + [False] * dec.r
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tentbreak import attack, cipher, cli
+from tentbreak import attack, cipher, cli, keystream
 from tentbreak.backend import ParameterError, get_backend
 
 FP = get_backend("fp62")
@@ -204,9 +204,9 @@ KAT_N16 = {
 
 
 @pytest.mark.parametrize("name", KAT_N16)
-def test_known_answer_n16(tmp_path, name):
+def test_known_answer_n16(tmp_path, monkeypatch, name):
     # the widest block: a changed noise vector, tent step or f_j changes
-    # the digest
+    # the digest; decryption composes each f_j^-1 and inverts no map
     params, digest = KAT_N16[name]
     key, msg = tmp_path / "key.txt", tmp_path / "m.bin"
     ct, back = tmp_path / "ct.txt", tmp_path / "m.out"
@@ -215,6 +215,7 @@ def test_known_answer_n16(tmp_path, name):
     assert run(["encrypt", "--key", key, "--t", 1697412345, msg, "--out", ct]) == 0
     assert ct.read_text().startswith("YTS1 t=1697412345 n=16 len=64\n")
     assert hashlib.sha256(ct.read_bytes()).hexdigest() == digest
+    monkeypatch.delattr(keystream, "invert")
     assert run(["decrypt", "--key", key, ct, "--out", back]) == 0
     assert back.read_bytes() == msg.read_bytes()
 
@@ -497,6 +498,19 @@ def test_solve_u_block_index_out_of_range(tmp_path, capsys):
         run(["solve-u", "--state", state_file, "--pairs", pairs, "--j", j])
         assert capsys.readouterr().err == (
             f"error: --j {j} must name a block 2..4 {whose}in {state_file} (r=4)\n")
+
+
+def test_solve_u_state_with_one_block_has_nothing_to_solve(tmp_path, capsys):
+    # U_{j+1} is solved for blocks 2..r, so a state with r = 1 has none
+    state, pairs = tmp_path / "state.txt", tmp_path / "pairs.txt"
+    state.write_text("YTSREC n=1 r=1\nf0: 1 2 3 0\n")
+    pairs.write_text("1 2 3 4\n")
+    for j in (2, 1):
+        assert run(["solve-u", "--state", state, "--pairs", pairs,
+                    "--j", j]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {state} (r=1) has no block with a noise vector to solve: "
+            "solve-u needs r >= 2\n")
 
 
 def test_state_file_without_r_names_the_file(tmp_path, capsys):

@@ -175,8 +175,9 @@ def test_invert_rotation():
 def test_bad_permutation_rejected():
     with pytest.raises(ParameterError):
         BitPermutation((0, 0, 1, 2), 1)
-    with pytest.raises(ParameterError):
-        keystream.compose_fj(0x100, DEFAULT_TABLE, 1)
+    for inverse in (False, True):
+        with pytest.raises(ParameterError, match="^V_j wider than 4n bits$"):
+            keystream.compose_fj(0x100, DEFAULT_TABLE, 1, inverse=inverse)
 
 
 def test_compose_fj_matches_reference():
@@ -293,6 +294,11 @@ def test_compose_fj_column_form_matches_references(case):
     finv, inv = keystream.invert(f), spec.invert(dest)
     assert finv.dest == inv
     assert keystream.apply(finv, x) == spec.apply(inv, x)
+    # composed as the inverse in the same pass, with no f_j built first
+    direct = keystream.compose_fj(vj, table, n, inverse=True)
+    assert direct.dest == inv
+    assert len(direct.classes) <= 4
+    assert keystream.apply(direct, x) == spec.apply(inv, x)
 
 
 @CHECKS
@@ -327,7 +333,9 @@ def test_permutation_equality_and_hash_are_on_dest():
 
 
 @pytest.mark.parametrize("name", ["fp62", "f64"])
-def test_session_matches_references(name):
+def test_session_matches_references(monkeypatch, name):
+    # Finv is composed from V_j, with keystream.invert never called
+    monkeypatch.delattr(keystream, "invert")
     be = get_backend(name)
     rng = random.Random(name)
     for n in (1, 2, 3, 5, 8, 13, 16):
