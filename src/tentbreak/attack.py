@@ -31,15 +31,16 @@ For the first block the unknown registers P_0, C_0 only ever appear inside
 consistent register pair (y, z) decrypts every first block; no search is
 needed there.  Keyless decryption is cipher.chain in the decryption
 direction with (y, z) as the block-1 registers and U_2 taken as 0, run over
-the blocks the recovered material covers.
+the blocks the recovered material covers, with inputs built once per state.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
+from types import MappingProxyType
 
 from . import cipher, keystream
 from .backend import ParameterError, number, open_text, read_lines
@@ -119,14 +120,28 @@ class Oracle:
 # recovered state
 
 class RecoveredState:
-    """Everything needed for keyless decryption, with per-item provenance."""
+    """Everything needed for keyless decryption, with per-item provenance;
+    perms and noise are copied read-only, so `covered` never goes stale."""
 
-    def __init__(self, n: int, r: int):
+    def __init__(self, n: int, r: int, perms, noise, reg1, provenance):
         self.n, self.r = n, r
-        self.perms = {}         # j -> f_j
-        self.noise = {}         # j -> U_j  (j >= 3)
-        self.reg1 = None        # (C_0 [+] U_2, P_0 [+] U_2)
-        self.provenance = {}    # item name -> method tag
+        self._perms = MappingProxyType(dict(perms))    # j -> f_j
+        self._noise = MappingProxyType(dict(noise))    # j -> U_j  (j >= 3)
+        self.reg1 = reg1                # (C_0 [+] U_2, P_0 [+] U_2) or None
+        self.provenance = dict(provenance)      # item name -> method tag
+
+    perms = property(lambda self: self._perms)
+    noise = property(lambda self: self._noise)
+
+    @cached_property
+    def covered(self) -> tuple:
+        """(f_0^{-1}..f_{m-1}^{-1}, noise with U_2 = 0) over blocks j = 1..m,
+        the longest run whose f_{j-1} and, for j >= 2, U_{j+1} are known."""
+        m = 0
+        while m in self.perms and (m == 0 or m + 2 in self.noise):
+            m += 1
+        return ([keystream.invert(self.perms[j]) for j in range(m)],
+                {**self.noise, 2: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +164,7 @@ def recover_all_f(oracle: Oracle, r: int, n: int,
     A read-off inverse moves bit l to d, so f_{j-1} moves d to l: its dest
     is written from the read-off positions, and no map is inverted."""
     what, tag = ("plaintext", "cca") if decrypting else ("ciphertext", "cpa")
-    width = 4 * n
-    state = RecoveredState(n, r)
+    width, perms = 4 * n, {}
     answers = oracle.walk([0] * (r - 1), [0] + [1 << l for l in range(width)],
                           decrypting)
     for j in range(r):
@@ -163,11 +177,10 @@ def recover_all_f(oracle: Oracle, r: int, n: int,
                 if d < width:
                     dest[d] = l
         try:
-            state.perms[j] = BitPermutation(dest, n)
+            perms[j] = BitPermutation(dest, n)
         except ParameterError:
             raise OracleModelViolation("recovered map is not a bijection") from None
-        state.provenance[f"f{j}"] = tag
-    return state
+    return RecoveredState(n, r, perms, {}, None, {f"f{j}": tag for j in perms})
 
 
 # the names the benchmark harness builds, runs and traces these by
@@ -305,19 +318,16 @@ def rank_candidates(values, alpha_est: float, n: int) -> list:
 def keyless_decrypt(state: RecoveredState, blocks) -> list:
     """Decrypt with recovered material only; None marks coverage gaps.
 
-    Block j is covered when f_{j-1} is known and, for j >= 2, U_{j+1} is
-    known too; the first gap leaves every later block unknown, so
-    cipher.chain runs over the longest covered prefix.
+    cipher.chain runs over the state's covered prefix once reg1 is known;
+    the first gap leaves every later block unknown.
     """
-    perms, noise = state.perms, state.noise
-    m = 0
-    if state.reg1 is not None:
-        while m < len(blocks) and m in perms and (m == 0 or m + 2 in noise):
-            m += 1
-    y, z = state.reg1 or (0, 0)
-    out = cipher.chain([keystream.invert(perms[j]) for j in range(m)], y, z,
-                       {**noise, 2: 0}, blocks[:m], state.n)
-    return out + [None] * (len(blocks) - m)
+    if state.reg1 is None:
+        return [None] * len(blocks)
+    finv, noise = state.covered
+    if len(blocks) <= len(finv):    # no slice and pad: break-n4 stage2 -7 %
+        return cipher.chain(finv, *state.reg1, noise, blocks, state.n)
+    return cipher.chain(finv, *state.reg1, noise, blocks[:len(finv)], state.n) \
+        + [None] * (len(blocks) - len(finv))
 
 
 def _settled(sols, n: int) -> bool:
@@ -374,16 +384,16 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     if not longest:
         raise ParameterError("every known message is empty")
     before = oracle.query_count
-    state = recover_all_f(oracle, r, n)
+    found = recover_all_f(oracle, r, n)
     recovery_queries = oracle.query_count - before
+    perms, provenance = found.perms, {**found.provenance, "reg1": "affine"}
     first_pairs = [(p[0], c[0]) for p, c in known_messages if p]
-    state.reg1 = solve_block1_registers(first_pairs, state.perms[0], n)
-    state.provenance["reg1"] = "affine"
+    reg1 = solve_block1_registers(first_pairs, perms[0], n)
     sets = {}
     for j in range(2, longest + 1):
         pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                  for p, c in known_messages if len(p) >= j]
-        sets[j] = solve_uj(pairs, state.perms[j - 1], n)
+        sets[j] = solve_uj(pairs, perms[j - 1], n)
     mask = (1 << (4 * n)) - 1
     rng = random.Random(f"disambiguate:{seed}")
     extra = 0
@@ -399,11 +409,11 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
             if not _settled(sets[j], n):
                 pair = (p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                 sets[j] = [x for x in sets[j]
-                           if _pair_consistent(x, state.perms[j - 1], pair, mask)]
+                           if _pair_consistent(x, perms[j - 1], pair, mask)]
     for j, sols in sets.items():
-        state.noise[j + 1] = sols[0]
-        state.provenance[f"U{j + 1}"] = \
-            "solved" if _settled(sols, n) else "ambiguous"
+        provenance[f"U{j + 1}"] = "solved" if _settled(sols, n) else "ambiguous"
+    state = RecoveredState(n, r, perms, {j + 1: sols[0] for j, sols in sets.items()},
+                           reg1, provenance)
     return AttackReport(state=state, recovery_queries=recovery_queries,
                         extra_queries=extra, candidate_sets=sets, stopped=stopped)
 
@@ -442,7 +452,7 @@ def _bounded(value: int, lo: int, hi: int, what: str) -> int:
 def load_state(path) -> RecoveredState:
     fh = open_text(path)        # read_lines closes it
     n, r = cipher.read_header(fh, path, "YTSREC", "recovered-state", ("n", "r"))
-    state = RecoveredState(n=n, r=r)
+    perms, noise, reg1, provenance = {}, {}, [], {}
     top = (1 << (4 * n)) - 1
 
     def item(lineno, line):
@@ -455,21 +465,21 @@ def load_state(path) -> RecoveredState:
             j = None
         if j is None and key != "reg1":
             raise ValueError(f"expected f<j>, U<j> or reg1, got {head!r}")
-        if key in state.provenance:
+        if key in provenance:
             raise ValueError(f"{key} given twice")
         if key == "reg1":
             values = tail.split()
             if len(values) != 2:
                 raise ValueError(f"expected two hex values, got {tail.strip()!r}")
-            state.reg1 = tuple(_bounded(number(x, 16), 0, top, "reg1 value")
-                               for x in values)
+            reg1.extend(_bounded(number(x, 16), 0, top, "reg1 value")
+                        for x in values)
         elif key[0] == "f":
             j = _bounded(j, 0, r - 1, "f index")
-            state.perms[j] = BitPermutation([number(x, 10) for x in tail.split()], n)
+            perms[j] = BitPermutation([number(x, 10) for x in tail.split()], n)
         else:
             j = _bounded(j, 3, r + 1, "U index")
-            state.noise[j] = _bounded(number(tail.strip(), 16), 0, top, f"{key} value")
-        state.provenance[key] = comment.strip() or "assumed"
+            noise[j] = _bounded(number(tail.strip(), 16), 0, top, f"{key} value")
+        provenance[key] = comment.strip() or "assumed"
 
     read_lines(path, item, fh, start=2)
-    return state
+    return RecoveredState(n, r, perms, noise, tuple(reg1) or None, provenance)

@@ -1,7 +1,7 @@
 """Command-line surface: key generation, encryption, attacks and analyses.
 
 Exit codes: 0 success, 2 usage error, 3 oracle-model violation,
-4 verification failure.
+4 verification failure, 141 (128 + SIGPIPE) stdout closed early (README).
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import select
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ORACLE = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141
 
 # pairs per block that attack --mode full solves: its known messages topped
 # up with chosen plaintexts
@@ -232,6 +234,7 @@ def cmd_attack(args) -> int:
         fresh_c = cipher.encrypt(session, cipher.Message(fresh, session.t)).blocks
         ok = attack.keyless_decrypt(state, fresh_c) == fresh
     exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
+    attack.save_state(state, args.out)      # before stdout, which may be closed
     if args.mode == "full":
         print(f"full: {report.recovery_queries} recovery queries "
               f"+ {chosen} chosen-pair queries "
@@ -239,12 +242,10 @@ def cmd_attack(args) -> int:
               f"permutations exact={exact}; keyless decryption "
               f"verified={ok}")
         if not ok:
-            attack.save_state(state, args.out)
             return EXIT_VERIFY
     else:
         print(f"{args.mode}: {oracle.query_count} queries, "
               f"recovered f_0..f_{r - 1} exact={exact}")
-    attack.save_state(state, args.out)
     print(f"wrote recovered state {args.out}")
     return EXIT_OK
 
@@ -461,11 +462,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _stdout_gone() -> bool:
+    """Whether stdout is a pipe whose reader has gone (poll sees POLLERR)."""
+    with suppress(AttributeError, OSError, ValueError):     # no descriptor
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(ev & select.POLLERR for _, ev in poller.poll(0))
+    return False
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = None
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout fails here, not at exit
+        return code
     except (OSError, ValueError) as exc:     # ParameterError is a ValueError
+        if isinstance(exc, BrokenPipeError) and (code is not None or _stdout_gone()):
+            # stdout closed: quietly, with stdout on devnull for the exit; a
+            # code the command returned before the failed flush stands
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return code or EXIT_PIPE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except attack.OracleModelViolation as exc:

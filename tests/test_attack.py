@@ -645,14 +645,40 @@ def test_cipher_and_attack_leave_no_reference_cycles():
 def test_keyless_decrypt_gap_case():
     rng = random.Random(9)
     s = random_session(rng)
-    state = attack.full_attack(attack.EncryptionOracle(s),
-                               encrypt_random(rng, s, 2), 8, 2).state
-    for j in (4, 5, 6, 7):                       # keep only f_0..f_3
-        del state.perms[j]
+    full = attack.full_attack(attack.EncryptionOracle(s),
+                              encrypt_random(rng, s, 2), 8, 2).state
+    state = attack.RecoveredState(                # keep only f_0..f_3
+        full.n, full.r, {j: full.perms[j] for j in range(4)}, full.noise,
+        full.reg1, full.provenance)
     [(fresh, fresh_c)] = encrypt_random(rng, s, 1)
     out = attack.keyless_decrypt(state, fresh_c)
     assert out[:4] == fresh[:4]
     assert out[4:] == [None] * 4
+
+
+def test_keyless_decrypt_builds_its_chain_once_per_state(monkeypatch):
+    # a break-n4-shaped state: 512 messages invert each of the r maps once
+    rng = random.Random(12)
+    s = random_session(rng, 4, 8)
+    state = attack.full_attack(attack.EncryptionOracle(s),
+                               encrypt_random(rng, s, 2), 8, 4).state
+    traffic = encrypt_random(rng, s, 512)
+    inverted = []
+    invert = keystream.invert
+    monkeypatch.setattr(keystream, "invert",
+                        lambda p: inverted.append(p) or invert(p))
+    assert [attack.keyless_decrypt(state, c) for _, c in traffic] == \
+        [p for p, _ in traffic]
+    assert 0 < len(inverted) <= 8
+    # so the items the chain was built from cannot change under it
+    for items, j in ((state.perms, 0), (state.noise, 3)):
+        with pytest.raises(TypeError):
+            items[j] = items[j]
+        with pytest.raises(TypeError):
+            del items[j]
+    for name in ("perms", "noise"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, {})
 
 
 def test_state_file_roundtrip(tmp_path):
@@ -675,11 +701,14 @@ def test_state_file_roundtrip(tmp_path):
 
 
 def test_recovered_states_share_no_items():
-    a, b = attack.RecoveredState(2, 4), attack.RecoveredState(2, 4)
+    # each state copies the items it is given
+    perms, noise, provenance = {}, {}, {}
+    a, b = (attack.RecoveredState(2, 4, perms, noise, None, provenance)
+            for _ in range(2))
     assert a.perms is not b.perms
     assert a.noise is not b.noise
     assert a.provenance is not b.provenance
-    a.noise[3] = 1
+    noise[3] = 1
     assert b.noise == {} and b.reg1 is None
 
 
@@ -692,16 +721,17 @@ def test_state_file_save_load_identity(tmp_path, data):
     value = st.integers(0, (1 << (4 * n)) - 1)
     tags = st.sampled_from(("cpa", "cca", "affine", "solved", "ambiguous",
                             "assumed"))
-    state = attack.RecoveredState(n=n, r=r)
+    perms, noise, reg1, provenance = {}, {}, None, {}
     for j in data.draw(st.sets(st.integers(0, r - 1))):
-        state.perms[j] = BitPermutation(data.draw(st.permutations(range(4 * n))), n)
-        state.provenance[f"f{j}"] = data.draw(tags)
+        perms[j] = BitPermutation(data.draw(st.permutations(range(4 * n))), n)
+        provenance[f"f{j}"] = data.draw(tags)
     for j in data.draw(st.sets(st.integers(3, r + 1))) if r >= 2 else ():
-        state.noise[j] = data.draw(value)
-        state.provenance[f"U{j}"] = data.draw(tags)
+        noise[j] = data.draw(value)
+        provenance[f"U{j}"] = data.draw(tags)
     if data.draw(st.booleans()):
-        state.reg1 = (data.draw(value), data.draw(value))
-        state.provenance["reg1"] = data.draw(tags)
+        reg1 = (data.draw(value), data.draw(value))
+        provenance["reg1"] = data.draw(tags)
+    state = attack.RecoveredState(n, r, perms, noise, reg1, provenance)
     attack.save_state(state, tmp_path / "state.txt")
     loaded = attack.load_state(tmp_path / "state.txt")
     assert (loaded.n, loaded.r, loaded.perms, loaded.noise, loaded.reg1,

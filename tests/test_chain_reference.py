@@ -34,16 +34,15 @@ def _ref_full_attack(oracle, known_messages, r, n, seed=0, max_extra_queries=512
     max_extra_queries are spent."""
     F = [spec.recover(oracle.encrypt_blocks, j + 1, n) for j in range(r)]
     recovery_queries = oracle.query_count
-    state = RecoveredState(n, r)
-    state.perms = {j: BitPermutation(f, n) for j, f in enumerate(F)}
-    state.provenance = {f"f{j}": "cpa" for j in range(r)}
+    perms = {j: BitPermutation(f, n) for j, f in enumerate(F)}
+    provenance = {f"f{j}": "cpa" for j in range(r)}
     p1, c1 = next((p[0], c[0]) for p, c in known_messages if p)
-    state.reg1 = (0, c1 ^ spec.apply(F[0], p1))
-    state.provenance["reg1"] = "affine"
+    reg1 = (0, c1 ^ spec.apply(F[0], p1))
+    provenance["reg1"] = "affine"
     top = 4 * n - 1
     sets = {j: attack.solve_uj([(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                                 for p, c in known_messages if len(p) >= j],
-                               state.perms[j - 1], n)
+                               perms[j - 1], n)
             for j in range(2, max(len(p) for p, _ in known_messages) + 1)}
 
     def settled(j):
@@ -66,9 +65,11 @@ def _ref_full_attack(oracle, known_messages, r, n, seed=0, max_extra_queries=512
                 pair = (p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                 f = partial(spec.apply, F[j - 1])
                 sets[j] = [x for x in sets[j] if spec.consistent(x, f, pair, n)]
+    noise = {}
     for j, sols in sets.items():
-        state.noise[j + 1] = sols[0]
-        state.provenance[f"U{j + 1}"] = "solved" if settled(j) else "ambiguous"
+        noise[j + 1] = sols[0]
+        provenance[f"U{j + 1}"] = "solved" if settled(j) else "ambiguous"
+    state = RecoveredState(n, r, perms, noise, reg1, provenance)
     return attack.AttackReport(state=state, recovery_queries=recovery_queries,
                                extra_queries=extra, candidate_sets=sets,
                                stopped=stopped)
@@ -92,14 +93,15 @@ def _recording(walk, sent):
     return record
 
 
-def _exact_state(s):
-    """The recovered state that reproduces session s exactly."""
+def _exact_state(s, drop=()):
+    """The recovered state that reproduces session s exactly, less the items
+    named in drop: "reg1", f"f{j}" or f"U{j}"."""
     mask = (1 << (4 * s.n)) - 1
-    state = RecoveredState(s.n, s.r)
-    state.perms = dict(enumerate(s.F))
-    state.noise = {j: s.U[j] for j in range(3, s.r + 2)}
-    state.reg1 = ((s.U[0] + s.U[2]) & mask, (s.U[1] + s.U[2]) & mask)
-    return state
+    perms = {j: f for j, f in enumerate(s.F) if f"f{j}" not in drop}
+    noise = {j: s.U[j] for j in range(3, s.r + 2) if f"U{j}" not in drop}
+    reg1 = None if "reg1" in drop else \
+        ((s.U[0] + s.U[2]) & mask, (s.U[1] + s.U[2]) & mask)
+    return RecoveredState(s.n, s.r, perms, noise, reg1, {})
 
 
 def _report_fields(report):
@@ -154,11 +156,9 @@ def test_keyless_chain_matches_reference(kind):
         top = 1 << (4 * n)
         [(p, c)] = encrypt_random(rng, s, 1)
         longer = c + [rng.randrange(top) for _ in range(2)]
-        states = [_exact_state(s) for _ in range(5)]
-        states[1].reg1 = None
-        del states[2].perms[rng.randrange(r)]
-        del states[3].noise[rng.randrange(3, r + 2)]
-        del states[4].perms[0]
+        states = [_exact_state(s, drop) for drop in (
+            (), ("reg1",), (f"f{rng.randrange(r)}",),
+            (f"U{rng.randrange(3, r + 2)}",), ("f0",))]
         for state in states:
             for blocks in ([], c[:1], c, longer):
                 got = attack.keyless_decrypt(state, blocks)

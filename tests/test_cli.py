@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -340,6 +342,78 @@ def test_attack_drift_exit_code(tmp_path):
         assert not out.exists()
 
 
+def test_drift_is_a_negative_test_only_where_the_battery_reads_apart(
+        tmp_path, monkeypatch, capsys):
+    # --drift answers query q from the session at t + q.  Block j's battery
+    # reads U_0..U_{j+1}, so drift shows only for a key whose session at
+    # t + q differs there from the one at t.  The default seed's key, that
+    # of the exit-3 tests, does; the key of --seed 3 (alpha = 0.977) does
+    # not at n = 2, r = 8, and its drifting attack succeeds.
+    monkeypatch.delenv("TENTBREAK_SEED", raising=False)
+
+    def apart(flags):
+        args = cli.build_parser().parse_args(["attack", *flags, "--out", "x"])
+        s = cli._victim_session(args)
+        battery, parted = 4 * s.n + 1, []
+        for q in range(1, battery * s.r + 1):
+            j = (q - 1) // battery + 1          # the block query q reads
+            drifted = cipher.init_session(s.key, s.t + q, s.n, s.r, s.backend)
+            if drifted.U[:j + 2] != s.U[:j + 2]:
+                parted.append(q)
+        return parted
+
+    assert apart(["--r", "4"]) and apart(["--r", "16"])
+    assert apart(["--r", "8", "--seed", "3"]) == []
+    out = tmp_path / "rec.txt"
+    assert run(["attack", "--mode", "cpa", "--n", 2, "--r", 8, "--drift",
+                "--seed", 3, "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("cpa: 72 queries, recovered "
+                                              "f_0..f_7 exact=True\n")
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_attack_with_stdout_closed_writes_its_state_and_exits_141(tmp_path,
+                                                                  buffered):
+    # stdout is a pipe whose reader is gone, so every write to it fails: at
+    # the first print unbuffered, at the flush after the command buffered,
+    # where the exit 4 the command returned stands
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    verify = cli.EXIT_VERIFY if buffered else cli.EXIT_PIPE
+    for mode, patch, code in (
+            ("cpa", "", cli.EXIT_PIPE), ("full", "", cli.EXIT_PIPE),
+            # a keyless decryption that fails verification
+            ("full", "attack.keyless_decrypt = lambda state, c: []", verify)):
+        out = tmp_path / "rec.txt"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom tentbreak import attack, cli\n"
+             f"{patch}\nsys.exit(cli.main(sys.argv[1:]))",
+             "attack", "--mode", mode, "--r", "4", "--out", str(out)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        assert out.read_text().startswith("YTSREC n=2 r=4\n")
+        out.unlink()
+    os.close(write)
+
+
+def test_attack_broken_pipe_as_out_is_an_error_not_a_closed_stdout(tmp_path):
+    # a pipe given as --out whose reader has gone, while stdout is open
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom tentbreak import attack, cli\n"
+         "def save_state(state, path):\n    raise BrokenPipeError(32, 'Broken pipe')\n"
+         "attack.save_state = save_state\nsys.exit(cli.main(sys.argv[1:]))",
+         "attack", "--mode", "cpa", "--r", "4", "--out", str(tmp_path / "p")],
+        capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (cli.EXIT_USAGE, b"", b"error: [Errno 32] Broken pipe\n")
+
+
 def test_attack_key_excludes_n_and_backend(tmp_path, capsys):
     key, out = tmp_path / "key.txt", tmp_path / "rec.txt"
     assert run(["keygen", "--seed", 3, "--out", key]) == 0
@@ -452,6 +526,50 @@ def test_analyze_figures_match_golden_digests(tmp_path, monkeypatch, figure):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[figure]
 
 
+# sha256 of the stdout of `tentbreak attack --mode MODE --n N --seed S --out
+# rec.txt`, run in the directory of rec.txt, followed by the state file it
+# wrote, at commit ea71fb8 (r = 16 and t as defaulted).  A changed query
+# count, recovered map, noise vector, register pair or provenance tag, or a
+# keyless decryption that no longer verifies, changes the digest.
+ATTACK_DIGESTS = {
+    "cpa --n 1 --seed 1": "9ad39ac54dd5e9ba0106da60d09b0db4fec18482c8ba2757a0682594673d0f3b",
+    "cpa --n 1 --seed 2": "5792eb59b0916be9403bf060ddde3173203d401b1bf1fd90e8eb561c8fd9966a",
+    "cpa --n 1 --seed 3": "fbe2c53bbca227877518c84a1553f7d588b22d2db730247fe73cfacbf0df2ab3",
+    "cpa --n 2 --seed 1": "4bb203485caa0e4a200c7454886512b763bde758ed2efa63c8640911e9f49ec9",
+    "cpa --n 2 --seed 2": "dfd8027340c7e66771fa3a09dfcccf5c4e75dcb89a5b79424fadae0acf570e70",
+    "cpa --n 2 --seed 3": "d82e7455596e1abe08e81ade4cd23f25e36eec03340eda56196de749d62b02d6",
+    "cpa --n 4 --seed 1": "5a650a1d9c594727a4e41b474f62e6c917bae3439f24c6bd1e4aac35c8fde6d5",
+    "cpa --n 4 --seed 2": "be7f48a56a362d057c88a934aac560a324da5cb2119cbfdb7b188cb634be48de",
+    "cpa --n 4 --seed 3": "87f5437bf8d9734d610f2ef2de12ae40476dc614d8ea4693a2cfa063fe25ccf5",
+    "cca --n 1 --seed 1": "8ad2bd93b174c1b43219856b58b0b9ab10646c4a38a1101a944fc32ca0eb9bc3",
+    "cca --n 1 --seed 2": "0f08d98e41881d0cd890ada8b7692239f405caa87530c51c38fff0f08b8ef7c4",
+    "cca --n 1 --seed 3": "cb922b1e8fb0a9660ee56593acb2e9074ac7fb65e0b2042bc8d0308aafe569f0",
+    "cca --n 2 --seed 1": "39a802857640eb6d5f5ce6d2c85631b772bfb37d175a98d8f0a43e8064c125e8",
+    "cca --n 2 --seed 2": "facdbe54afab56bc9485de32b7ed31755a5824c23efa6eb41c3dc0eebca73765",
+    "cca --n 2 --seed 3": "7ef8dde1d0059840a7d168a33e91adda24f00bd1e18d5c1b8486eec79782588b",
+    "cca --n 4 --seed 1": "e1b60dd3a51b79ac7e0880328ff5c7694b422f733d5c38e80cab3ed70aefbfe4",
+    "cca --n 4 --seed 2": "62abd2a6dcc4fad5f256ef9467ff4adc656f5e02257925ae54b9fb03c988a50a",
+    "cca --n 4 --seed 3": "9a8cb6b914b95272bfa235551ebd6ff83c4676551147767a70a929b9edbce07a",
+    "full --n 1 --seed 1": "9f7242681d8ea4b00ef30b18eac5fe34057313de23499e1931d23fcfb8ce5b9c",
+    "full --n 1 --seed 2": "d5770f30a0460e5b27a0866566772b4cf6d4a44f8c19cd5e6a51284b2051262b",
+    "full --n 1 --seed 3": "7cd312b2283b08876f5bbef50052e55daf13428bc71ce7026a07fffd71f51691",
+    "full --n 2 --seed 1": "fa7994e25a65d52a7b1d1df5a4a7c82f69702cdcf39d669cd821c6d6bd20f329",
+    "full --n 2 --seed 2": "569b73184c8c1bde08740286a41e9637a5ce348c19c3d09d45ef6073f715203d",
+    "full --n 2 --seed 3": "2bc2d6e5bdc0f19cbb9aa9822b0f3e157469ab386487dae26fd638f0295bffde",
+    "full --n 4 --seed 1": "511baaa27a9b78197f70aa6ff1c849f3898af3a649f681dbec9012298955964b",
+    "full --n 4 --seed 2": "264a929442cf3233081b8f3caaf2bcf108350a1af4a8782e8f59c75381d79c63",
+    "full --n 4 --seed 3": "7d9fe68ffc7604580e4038871bcf8d7610a9cd5910cc3e51d6eb0e02ebbd56eb",
+}
+
+
+@pytest.mark.parametrize("flags", ATTACK_DIGESTS)
+def test_attack_matches_golden_digests(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    assert run(["attack", "--mode", *flags.split(), "--out", "rec.txt"]) == 0
+    got = capsys.readouterr().out.encode() + (tmp_path / "rec.txt").read_bytes()
+    assert hashlib.sha256(got).hexdigest() == ATTACK_DIGESTS[flags]
+
+
 def test_solve_u_subcommand(tmp_path, capsys):
     # build a session, dump its permutations and one equation's pairs
     from tentbreak import attack
@@ -466,9 +584,7 @@ def test_solve_u_subcommand(tmp_path, capsys):
     j = 3
     pairs = tmp_path / "pairs.txt"
     pairs.write_text(f"{p[j-2]:02x} {p[j-1]:02x} {c[j-2]:02x} {c[j-1]:02x}\n")
-    state = attack.RecoveredState(n=2, r=6)
-    for i in range(6):
-        state.perms[i] = s.F[i]
+    state = attack.RecoveredState(2, 6, dict(enumerate(s.F)), {}, None, {})
     state_file = tmp_path / "state.txt"
     attack.save_state(state, state_file)
     assert run(["solve-u", "--state", state_file, "--pairs", pairs,
