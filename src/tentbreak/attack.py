@@ -29,9 +29,9 @@ costs a few integer operations per constraint however many pairs there are.
 For the first block the unknown registers P_0, C_0 only ever appear inside
 (P_0 [+] U_2) and (C_0 [+] U_2), and the permutation is XOR-linear, so any
 consistent register pair (y, z) decrypts every first block; no search is
-needed there.  Keyless decryption is cipher.chain in the decryption
-direction with (y, z) as the block-1 registers and U_2 taken as 0, run over
-the blocks the recovered material covers, with inputs built once per state.
+needed there.  With U_0, U_1 = y, z and U_2 = 0, a recovered state is a
+session over the blocks it covers (RecoveredState): keyless decryption is
+cipher.decrypt's own chain call, and the encryption direction forges.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class Oracle:
         self._drift = drift
         self.query_count = 0
 
-    @staticmethod
-    def _start(s: cipher.Session, decrypting: bool) -> tuple:
-        """The permutations and the registers (x_0, y_0) of one direction."""
-        return (s.Finv, s.U[0], s.U[1]) if decrypting else (s.F, s.U[1], s.U[0])
-
     def _drifted(self) -> cipher.Session:
         """The session that answers query query_count: at t + query_count if drift."""
         s = self._session
@@ -86,7 +81,7 @@ class Oracle:
     def _answer(self, blocks, decrypting: bool) -> list:
         self.query_count += 1
         s = self._drifted()
-        return cipher.chain(*self._start(s, decrypting), s.U, blocks, s.n)
+        return cipher.chain(*cipher.start(s, decrypting), s.U, blocks, s.n)
 
     def encrypt_blocks(self, blocks) -> list:
         return self._answer(blocks, False)
@@ -100,13 +95,13 @@ class Oracle:
         is answered, and one that raises ends the walk.  The first query at k
         also steps trunk[k-1]; under drift each steps trunk[:k] from x_0, y_0."""
         s, done = self._session, 0      # (x, y) are the registers after trunk[:done]
-        perms, x, y = self._start(s, decrypting)
+        perms, x, y = cipher.start(s, decrypting)
         for k in range(len(trunk) + 1):
             for b in lasts:
                 self.query_count += 1
                 if self._drift:
                     s, done = self._drifted(), 0
-                    perms, x, y = self._start(s, decrypting)
+                    perms, x, y = cipher.start(s, decrypting)
                 if done < k:
                     *_, y, c = cipher.chain(perms, x, y, s.U, [*trunk[done:k], b],
                                             s.n, done)
@@ -120,8 +115,11 @@ class Oracle:
 # recovered state
 
 class RecoveredState:
-    """Everything needed for keyless decryption, with per-item provenance;
-    perms and noise are copied read-only, so `covered` never goes stale."""
+    """Everything needed for keyless decryption, with per-item provenance.
+    To cipher.start it is a session over the covered prefix j = 1..m, the
+    longest run whose f_{j-1} and, for j >= 2, U_{j+1} are known once reg1
+    is: F = f_0..f_{m-1}, U = [y, z, 0, U_3..U_{m+1}] with reg1 = (y, z).
+    perms and noise are read-only copies, so F, U and Finv never go stale."""
 
     def __init__(self, n: int, r: int, perms, noise, reg1, provenance):
         self.n, self.r = n, r
@@ -129,19 +127,19 @@ class RecoveredState:
         self._noise = MappingProxyType(dict(noise))    # j -> U_j  (j >= 3)
         self.reg1 = reg1                # (C_0 [+] U_2, P_0 [+] U_2) or None
         self.provenance = dict(provenance)      # item name -> method tag
+        m = 0               # no reg1: nothing is covered, and U_0, U_1 go unread
+        while reg1 and m in self._perms and (m == 0 or m + 2 in self._noise):
+            m += 1
+        self.F = [self._perms[j] for j in range(m)]
+        self.U = [*(reg1 or (0, 0)), 0, *(self._noise[j] for j in range(3, m + 2))]
 
     perms = property(lambda self: self._perms)
     noise = property(lambda self: self._noise)
 
     @cached_property
-    def covered(self) -> tuple:
-        """(f_0^{-1}..f_{m-1}^{-1}, noise with U_2 = 0) over blocks j = 1..m,
-        the longest run whose f_{j-1} and, for j >= 2, U_{j+1} are known."""
-        m = 0
-        while m in self.perms and (m == 0 or m + 2 in self.noise):
-            m += 1
-        return ([keystream.invert(self.perms[j]) for j in range(m)],
-                {**self.noise, 2: 0})
+    def Finv(self) -> list:
+        """f_0^{-1}..f_{m-1}^{-1}, inverted when first read."""
+        return [keystream.invert(f) for f in self.F]
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +314,12 @@ def rank_candidates(values, alpha_est: float, n: int) -> list:
 
 
 def keyless_decrypt(state: RecoveredState, blocks) -> list:
-    """Decrypt with recovered material only; None marks coverage gaps.
-
-    cipher.chain runs over the state's covered prefix once reg1 is known;
-    the first gap leaves every later block unknown.
-    """
-    if state.reg1 is None:
-        return [None] * len(blocks)
-    finv, noise = state.covered
+    """Decrypt with recovered material only: cipher.decrypt's chain call over
+    the state's covered prefix, and None for every block past it."""
+    finv, x, y = cipher.start(state, True)
     if len(blocks) <= len(finv):    # no slice and pad: break-n4 stage2 -7 %
-        return cipher.chain(finv, *state.reg1, noise, blocks, state.n)
-    return cipher.chain(finv, *state.reg1, noise, blocks[:len(finv)], state.n) \
+        return cipher.chain(finv, x, y, state.U, blocks, state.n)
+    return cipher.chain(finv, x, y, state.U, blocks[:len(finv)], state.n) \
         + [None] * (len(blocks) - len(finv))
 
 

@@ -12,7 +12,8 @@ Both directions run one register chain (see chain):
 with [+] addition mod 2^{4n}.  Encryption maps x = P to y = C with
 perms = f and starts from (x_0, y_0) = (P_0, C_0) = (U_1, U_0); decryption
 maps x = C to y = P with perms = f^{-1} and starts from (C_0, P_0) =
-(U_0, U_1).
+(U_0, U_1): the one rule of start, which reads only U, F and Finv, so a
+recovered state (attack.RecoveredState) runs the chain as a session does.
 """
 
 from __future__ import annotations
@@ -126,14 +127,19 @@ def chain(perms, x_prev: int, y_prev: int, U, blocks, n: int,
     return out
 
 
+def start(s, decrypting: bool) -> tuple:
+    """One direction's permutations and registers (x_0, y_0) (module doc)."""
+    return (s.Finv, s.U[0], s.U[1]) if decrypting else (s.F, s.U[1], s.U[0])
+
+
 def encrypt(session: Session, plain: Message) -> Message:
-    return Message(chain(session.F, session.U[1], session.U[0], session.U,
-                         plain.blocks, session.n), session.t)
+    return Message(chain(*start(session, False), session.U, plain.blocks,
+                         session.n), session.t)
 
 
 def decrypt(session: Session, cipher: Message) -> Message:
-    return Message(chain(session.Finv, session.U[0], session.U[1], session.U,
-                         cipher.blocks, session.n), cipher.t)
+    return Message(chain(*start(session, True), session.U, cipher.blocks,
+                         session.n), cipher.t)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ Exit codes: 0 success, 2 usage error, 3 oracle-model violation,
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import random
-import select
 import sys
-from contextlib import suppress
+from contextlib import redirect_stdout, suppress
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
@@ -234,7 +234,7 @@ def cmd_attack(args) -> int:
         fresh_c = cipher.encrypt(session, cipher.Message(fresh, session.t)).blocks
         ok = attack.keyless_decrypt(state, fresh_c) == fresh
     exact = all(state.perms[j].dest == session.F[j].dest for j in range(r))
-    attack.save_state(state, args.out)      # before stdout, which may be closed
+    attack.save_state(state, args.out)
     if args.mode == "full":
         print(f"full: {report.recovery_queries} recovery queries "
               f"+ {chosen} chosen-pair queries "
@@ -462,33 +462,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _stdout_gone() -> bool:
-    """Whether stdout is a pipe whose reader has gone (poll sees POLLERR)."""
-    with suppress(AttributeError, OSError, ValueError):     # no descriptor
-        poller = select.poll()
-        poller.register(sys.stdout.fileno(), select.POLLOUT)
-        return any(ev & select.POLLERR for _, ev in poller.poll(0))
-    return False
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    code = None
+    """Runs a command.  Its stdout, argparse's help too, is written once at
+    the end: a closed stdout exits EXIT_PIPE there, quietly, unless the code
+    is already nonzero.  argparse's exits still raise SystemExit."""
+    held, args = io.StringIO(), None
+    with redirect_stdout(held):
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:       # from argparse: help or a usage error
+            code = exc.code
+        except (OSError, ValueError) as exc:     # ParameterError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
+        except attack.OracleModelViolation as exc:
+            print(f"oracle-model violation: {exc}", file=sys.stderr)
+            code = EXIT_ORACLE
     try:
-        code = args.func(args)
-        sys.stdout.flush()      # a closed stdout fails here, not at exit
-        return code
-    except (OSError, ValueError) as exc:     # ParameterError is a ValueError
-        if isinstance(exc, BrokenPipeError) and (code is not None or _stdout_gone()):
-            # stdout closed: quietly, with stdout on devnull for the exit; a
-            # code the command returned before the failed flush stands
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return code or EXIT_PIPE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except attack.OracleModelViolation as exc:
-        print(f"oracle-model violation: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+        sys.stdout.write(held.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:     # devnull takes the interpreter's exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = code or EXIT_PIPE
+    if args is None:
+        raise SystemExit(code)
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

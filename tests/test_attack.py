@@ -681,6 +681,49 @@ def test_keyless_decrypt_builds_its_chain_once_per_state(monkeypatch):
             setattr(state, name, {})
 
 
+def _broken(rng, s, r):
+    """full_attack's state for session s, from 32 known messages of r
+    blocks, after checking its maps and its (4n+1)r recovery queries."""
+    report = attack.full_attack(attack.Oracle(s), encrypt_random(rng, s, 32),
+                                r, s.n)
+    assert report.recovery_queries == (4 * s.n + 1) * r
+    assert [f.dest for f in report.state.perms.values()] == \
+        [f.dest for f in s.F[:r]]
+    return report.state
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_break_is_independent_of_the_tent_map(n):
+    # the paper's third claim: a session whose U_j come from random.Random,
+    # not from a tent-map orbit, falls to the same attack and queries
+    rng = random.Random(f"no tent map:{n}")
+    r, width = 6, 4 * n
+    key = KeyMaterial(FP.from_float(0.5), FP.from_float(0.5),
+                      FP.from_float(0.5), rng.randrange(1 << width))
+    U = [rng.randrange(1 << width) for _ in range(r + 2)]
+    s = cipher.Session(key, 77, n, r, FP, keystream.DEFAULT_TABLE, U)
+    state = _broken(rng, s, r)
+    for p, c in encrypt_random(rng, s, 20):
+        assert attack.keyless_decrypt(state, c) == p
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_recovered_state_forges_and_decrypts_as_a_session(n):
+    # the break is total: the encryption direction over a recovered state
+    # forges what the victim's key decrypts, and cipher.decrypt over it is
+    # keyless decryption
+    rng = random.Random(f"forge:{n}")
+    s = random_session(rng, n, 6)
+    state = _broken(rng, s, 6)
+    for length in (1, 3, 6):
+        p = [rng.randrange(1 << (4 * n)) for _ in range(length)]
+        c = cipher.chain(*cipher.start(state, False), state.U, p, n)
+        assert cipher.decrypt(s, Message(c, s.t)).blocks == p
+        [(fresh, fresh_c)] = encrypt_random(rng, s, 1, length)
+        assert cipher.decrypt(state, Message(fresh_c, s.t)).blocks == \
+            attack.keyless_decrypt(state, fresh_c) == fresh
+
+
 def test_state_file_roundtrip(tmp_path):
     rng = random.Random(10)
     s = random_session(rng)

@@ -374,20 +374,17 @@ def test_drift_is_a_negative_test_only_where_the_battery_reads_apart(
 @pytest.mark.parametrize("buffered", [False, True])
 def test_attack_with_stdout_closed_writes_its_state_and_exits_141(tmp_path,
                                                                   buffered):
-    # stdout is a pipe whose reader is gone, so every write to it fails: at
-    # the first print unbuffered, at the flush after the command buffered,
-    # where the exit 4 the command returned stands
+    # stdout is a pipe whose reader is gone, so main's one write of the
+    # command's stdout fails, buffered or not; the exit 4 a command
+    # returned stands
     read, write = os.pipe()
     os.close(read)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    verify = cli.EXIT_VERIFY if buffered else cli.EXIT_PIPE
+    env = _closed_stdout_env(buffered)
     for mode, patch, code in (
             ("cpa", "", cli.EXIT_PIPE), ("full", "", cli.EXIT_PIPE),
             # a keyless decryption that fails verification
-            ("full", "attack.keyless_decrypt = lambda state, c: []", verify)):
+            ("full", "attack.keyless_decrypt = lambda state, c: []",
+             cli.EXIT_VERIFY)):
         out = tmp_path / "rec.txt"
         proc = subprocess.run(
             [sys.executable, "-c", "import sys\nfrom tentbreak import attack, cli\n"
@@ -398,6 +395,39 @@ def test_attack_with_stdout_closed_writes_its_state_and_exits_141(tmp_path,
         assert out.read_text().startswith("YTSREC n=2 r=4\n")
         out.unlink()
     os.close(write)
+
+
+def _closed_stdout_env(buffered):
+    """The environment of a subprocess that imports the tentbreak under
+    test, with stdout buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_help_with_stdout_closed_exits_141_quietly(buffered):
+    # argparse's help is held as a command's stdout is, so it fails only at
+    # main's one write, not at interpreter exit
+    read, write = os.pipe()
+    os.close(read)
+    for argv in (["--help"], ["attack", "--help"], ["analyze", "fig1", "-h"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom tentbreak import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=_closed_stdout_env(buffered),
+            timeout=60)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b""), argv
+    os.close(write)
+
+
+def test_help_is_written_and_still_raises_system_exit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["attack", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tentbreak attack")
 
 
 def test_attack_broken_pipe_as_out_is_an_error_not_a_closed_stdout(tmp_path):

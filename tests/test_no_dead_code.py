@@ -30,6 +30,9 @@ backend.number is the one reader of a number in an input file.  No other
 function in src/tentbreak calls int() but those in INT_CALLERS, whose
 arguments are no file's text.
 
+cipher.start is the one rule of which registers a chain direction starts
+from: no module in src/tentbreak but cipher reads U[0] or U[1].
+
 Every name that a module in src/ or tests/ imports is read in that module,
 so a deletion leaves no stale import behind.  Importing the CLI loads none
 of the standard modules in SLOW_IMPORTS: every tentbreak command pays for
@@ -208,6 +211,20 @@ def test_allowlist_is_current():
 
 def test_one_reader_of_input_numbers():
     assert _int_callers() == {"backend.number", *INT_CALLERS}
+
+
+def _register_reads(text: str) -> list:
+    """The line of every U[0] or U[1], with U a name or an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Subscript) and _called(node.value) == "U"
+            and isinstance(node.slice, ast.Constant) and node.slice.value in (0, 1)]
+
+
+def test_one_direction_rule():
+    assert _register_reads("s.U[1]\nU[0]\nU[2]\nU[j + 1]\ns.U[:2]\nV[0]") == [1, 2]
+    reads = {path.stem: _register_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cipher"}
+    assert not any(reads.values()), f"U[0] or U[1] read outside cipher: {reads}"
 
 
 def _is_fixture(node) -> bool:
