@@ -353,7 +353,8 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     """Recover permutations, then the noise vectors, for keyless decryption.
 
     Every known (P, C) message must come from the fixed-clock session the
-    permutations are recovered from.  The solve step finds every candidate
+    permutations are recovered from: a block that no candidate fits is an
+    OracleModelViolation.  The solve step finds every candidate
     per block consistent with those messages (see solve_uj).  A single
     equation has ~2^n structurally related solutions (the branch degeneracy
     of the modular-addition/XOR mixture), so leftover ambiguity is resolved
@@ -381,12 +382,17 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     recovery_queries = oracle.query_count - before
     perms, provenance = found.perms, {**found.provenance, "reg1": "affine"}
     first_pairs = [(p[0], c[0]) for p, c in known_messages if p]
-    reg1 = solve_block1_registers(first_pairs, perms[0], n)
-    sets = {}
-    for j in range(2, longest + 1):
-        pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
-                 for p, c in known_messages if len(p) >= j]
-        sets[j] = solve_uj(pairs, perms[j - 1], n)
+    sets, j = {}, 1                     # j: the block being solved
+    try:
+        reg1 = solve_block1_registers(first_pairs, perms[0], n)
+        for j in range(2, longest + 1):
+            pairs = [(p[j - 2], p[j - 1], c[j - 2], c[j - 1])
+                     for p, c in known_messages if len(p) >= j]
+            sets[j] = solve_uj(pairs, perms[j - 1], n)
+    except ParameterError:
+        raise
+    except ValueError as exc:   # the pairs contradict the recovered maps
+        raise OracleModelViolation(f"block {j}: {exc}") from None
     mask = (1 << (4 * n)) - 1
     rng = random.Random(f"disambiguate:{seed}")
     extra = 0
@@ -403,6 +409,9 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
                 pair = (p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                 sets[j] = [x for x in sets[j]
                            if _pair_consistent(x, perms[j - 1], pair, mask)]
+                if not sets[j]:
+                    raise OracleModelViolation(f"block {j}: a chosen pair "
+                                               "rules out every candidate")
     for j, sols in sets.items():
         provenance[f"U{j + 1}"] = "solved" if _settled(sols, n) else "ambiguous"
     state = RecoveredState(n, r, perms, {j + 1: sols[0] for j, sols in sets.items()},

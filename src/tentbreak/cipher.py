@@ -4,7 +4,8 @@ A session is fully determined by the key (alpha, beta, gamma, K), the public
 timestamp t, the block parameter n and the precomputation bound r.  Per
 session the noise vectors U_0..U_{r+1} are derived once, the permutations
 f_0..f_{r-1} on the first encryption, and their inverses, composed
-straight from V_j with no f_j built or inverted, on the first decryption.
+straight from V_j with no f_j built or inverted, on the first decryption;
+a session for one message (Session.once) composes each as it is read.
 Both directions run one register chain (see chain):
 
     y_j = perms[j-1](x_j xor (y_{j-1} [+] U_{j+1})) xor (x_{j-1} [+] U_{j+1})
@@ -19,7 +20,7 @@ recovered state (attack.RecoveredState) runs the chain as a session does.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import keystream, tentmap
 from .backend import ParameterError, number, open_text, parse_value, read_lines
@@ -49,19 +50,34 @@ class Session:
         self.U = U  # U_0 .. U_{r+1}
         self.degenerate = degenerate
 
-    @cached_property
-    def F(self) -> list:
-        """f_0 .. f_{r-1}, built when first read: only encryption needs them."""
-        return [keystream.compose_fj(u ^ self.key.K, self.table, self.n)
-                for u in self.U[:self.r]]
+    # f_0 .. f_{r-1} and their inverses, each built when its direction first runs
+    F = cached_property(lambda self: list(Maps(self, inverse=False)))
+    Finv = cached_property(lambda self: list(Maps(self, inverse=True)))
 
-    @cached_property
-    def Finv(self) -> list:
-        """f_0^{-1} .. f_{r-1}^{-1}, built when first read: only decryption
-        needs them.  Each is inverted as it is composed, in compose_fj's one
-        pass over V_j, with no f_j built first."""
-        return [keystream.compose_fj(u ^ self.key.K, self.table, self.n,
-                                     inverse=True) for u in self.U[:self.r]]
+    def once(self) -> "Session":
+        """This session for one message: its F and Finv are Maps, kept by no one."""
+        return _Once(self.key, self.t, self.n, self.r, self.backend,
+                     self.table, self.U, self.degenerate)
+
+
+class Maps:
+    """A session's f_j, or f_j^-1, composed from V_j when read and kept nowhere."""
+
+    def __init__(self, session: Session, inverse: bool):
+        self._session, self._inverse = session, inverse
+
+    def __len__(self) -> int:
+        return self._session.r
+
+    def __getitem__(self, j: int) -> keystream.BitPermutation:
+        s = self._session       # range(r)[j] raises IndexError past f_{r-1}
+        return keystream.compose_fj(s.U[range(s.r)[j]] ^ s.key.K, s.table,
+                                    s.n, inverse=self._inverse)
+
+
+class _Once(Session):
+    F = property(partial(Maps, inverse=False))
+    Finv = property(partial(Maps, inverse=True))
 
 
 def check_key_strength(key: KeyMaterial, backend) -> list[str]:

@@ -152,7 +152,7 @@ def cmd_encrypt(args) -> int:
     session = cipher.init_session(key, args.t, n, max(len(blocks), 1),
                                   backend, table=_load_table(args))
     _warn_session(session)
-    out = cipher.encrypt(session, cipher.Message(blocks, args.t))
+    out = cipher.encrypt(session.once(), cipher.Message(blocks, args.t))
     cipher.save_ciphertext(out, n, args.out)
     print(f"encrypted {len(blocks)} blocks -> {args.out} (t={args.t})")
     return EXIT_OK
@@ -170,8 +170,8 @@ def cmd_decrypt(args) -> int:
     session = cipher.init_session(key, msg.t, n, max(len(msg.blocks), 1),
                                   backend, table=_load_table(args))
     _warn_session(session)
-    blocks = cipher.decrypt(session, msg).blocks
-    del session, msg            # drop f^-1 and the ciphertext before packing
+    blocks = cipher.decrypt(session.once(), msg).blocks
+    del session, msg            # drop U and the ciphertext before packing
     data = blocks_to_bytes(blocks, n)   # before --out is opened and emptied
     with open(args.out, "wb") as fh:
         fh.write(data)

@@ -38,7 +38,7 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
     Bit u_i is 1 when orbit state x_i exceeds alpha (the initial condition
     is x_0), or 1/2 when mended, and 0 otherwise, equality included;
     u_{4jn} is the most significant bit of U_j.  Each state's bit goes
-    into one buffer, read as digits once and cut into vectors, so no orbit
+    into one buffer as a digit 0 or 1, cut into vectors, so no orbit
     list is kept and no step past the last state is taken.  Any backend but
     fixed point reads the states of tentmap.orbit_stream.  A
     FixedPointBackend steps the same orbit in one flat loop per extractor
@@ -61,14 +61,14 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
     check_open_unit(alpha, backend, "alpha")
     threshold = backend.half if mended else alpha
     width, total = 4 * n, 4 * n * (j_max + 1)
-    bits = bytearray(total)             # u_i as bytes 0 and 1, MSB first
+    digits = bytearray(b"0") * total    # u_i as the digits 0 and 1, MSB first
     x, start = x0, 0                    # x is x_start
     if not zero < x0 < one:             # 0 and 1 go to beta, others raise
-        bits[0], x, start = x0 > threshold, restart(x0, beta, backend), 1
-    bits[start] = x > threshold
+        digits[0], x, start = 48 + (x0 > threshold), restart(x0, beta, backend), 1
+    digits[start] = 48 + (x > threshold)
     if not isinstance(backend, FixedPointBackend):
         orbit = islice(orbit_stream(x, p, backend), 1, total - start)
-        bits[start + 1:] = (x > threshold for x in orbit)
+        digits[start + 1:] = (48 + (x > threshold) for x in orbit)
     elif mended:
         m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
         for i in range(start + 1, total):
@@ -76,7 +76,8 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
                 x = (m1 * x + h1) >> s1
             else:
                 x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
-            bits[i] = x > threshold
+            if x > threshold:
+                digits[i] = 49
     else:
         m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
         for i in range(start, total - 1):       # steps x_i, writes u_i
@@ -84,9 +85,8 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
                 x = (m1 * x + h1) >> s1
             else:
                 x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
-                bits[i] = 1
-        bits[-1] = x > alpha
-    digits = bits.translate(bytes.maketrans(b"\0\1", b"01"))
+                digits[i] = 49
+        digits[-1] = 48 + (x > alpha)
     return [int(digits[k:k + width], 2) for k in range(0, total, width)]
 
 

@@ -61,6 +61,41 @@ def test_encrypt_only_session_builds_no_inverse(monkeypatch):
         assert s.F is F and s.Finv is Finv
         assert [f.dest for f in Finv] == [keystream.invert(f).dest for f in F]
     assert composed == [False] * enc.r + [True] * dec.r * 2 + [False] * dec.r
+    # a session read once composes each map when its chain reaches the block,
+    # once per chain and for no block past the message, and neither it nor
+    # its source keeps a list
+    composed.clear()
+    source = make_session()
+    once = source.once()
+    assert cipher.encrypt(once, Message(GOLDEN_PT, 1234)).blocks == GOLDEN_CT
+    assert cipher.decrypt(once, Message(GOLDEN_CT, 1234)).blocks == GOLDEN_PT
+    assert cipher.encrypt(once, Message(GOLDEN_PT[:3], 1234)).blocks == GOLDEN_CT[:3]
+    assert composed == [False] * once.r + [True] * once.r + [False] * 3
+    for s in (source, once):
+        assert not {"F", "Finv"} & set(vars(s))
+
+
+@pytest.mark.parametrize("name", ["fp62", "f64"])
+def test_session_read_once_matches_the_cached_session(name):
+    # Session.once is the same session: at every block size, both directions
+    # give the cached lists' blocks, and its maps are the lists' maps
+    be, rng = get_backend(name), random.Random(name)
+    for n in range(1, 17):
+        s = make_session(be, t=rng.randrange(1, 10**9), n=n, r=12)
+        for m in (12, 5):
+            P = [rng.randrange(1 << (4 * n)) for _ in range(m)]
+            C = cipher.encrypt(s, Message(P, s.t)).blocks
+            assert cipher.encrypt(s.once(), Message(P, s.t)).blocks == C
+            assert cipher.decrypt(s.once(), Message(C, s.t)).blocks == P
+            assert cipher.decrypt(s, Message(C, s.t)).blocks == P
+        for inverse, cached in ((False, s.F), (True, s.Finv)):
+            maps = cipher.Maps(s, inverse=inverse)
+            assert len(maps) == s.r
+            assert [f.classes for f in maps] == [f.classes for f in cached]
+            assert maps[-1].classes == cached[-1].classes
+            for j in (s.r, -s.r - 1):
+                with pytest.raises(IndexError):
+                    maps[j]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -222,6 +223,29 @@ def test_known_answer_n16(tmp_path, monkeypatch, name):
     assert back.read_bytes() == msg.read_bytes()
 
 
+def test_encrypt_and_decrypt_keep_no_maps_of_the_message(tmp_path):
+    # a message read once composes each f_j or f_j^-1 as the chain reaches
+    # it and keeps none.  At 2,048 blocks of n = 16 the kept maps alone took
+    # about 1 MB, the bound: in a fresh process the peaks were 1.5 MB
+    # (encrypt, which also builds the parser) and 1.0 MB (decrypt) with
+    # them, and are 0.6 and 0.3 MB without.  Under tracemalloc a tent step
+    # costs some 50 times more, so the message is kept this short.
+    key, msg = tmp_path / "key.txt", tmp_path / "m.bin"
+    ct, back = tmp_path / "ct.txt", tmp_path / "m.out"
+    key.write_text(KAT_N16["fp62"][0] + "K=0x0123456789abcdef\nn=16\n")
+    msg.write_bytes(random.Random(2048).randbytes(8 * 2048))
+    for argv in (["encrypt", "--key", key, "--t", 1697412345, msg, "--out", ct],
+                 ["decrypt", "--key", key, ct, "--out", back]):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6, (argv[0], peak)
+    assert back.read_bytes() == msg.read_bytes()
+
+
 def test_keygen_warns_of_a_weak_drawn_alpha(tmp_path, capsys):
     # at fp1 the drawn alpha rounds to exactly 1/2; the file is the same
     # whether or not keygen warns
@@ -340,6 +364,23 @@ def test_attack_drift_exit_code(tmp_path):
         assert run(["attack", "--mode", mode, "--r", 4, "--drift",
                     "--out", out]) == 3
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, why", [
+    (("--n", 2, "--seed", 3), "block 16: no candidate satisfies the pairs"),
+    (("--n", 1, "--r", 2, "--seed", 58),
+     "block 2: a chosen pair rules out every candidate")])
+def test_attack_full_drift_that_contradicts_the_maps_exits_3(tmp_path, capsys,
+                                                             flags, why):
+    # at these seeds the drifting sessions agree where the battery reads
+    # them, so the maps are recovered, but the pairs from later queries come
+    # from other sessions: the solver, or a disambiguating query, finds no
+    # candidate for a block.  That is the oracle-model violation, not bad
+    # input (exit 2) or a traceback
+    out = tmp_path / "rec.txt"
+    assert run(["attack", "--mode", "full", *flags, "--drift", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith(f"oracle-model violation: {why}")
+    assert not out.exists()
 
 
 def test_drift_is_a_negative_test_only_where_the_battery_reads_apart(
