@@ -123,10 +123,8 @@ def first_hit_model_trials(L: int, trials: int, seed: int = 0,
     # at L = 1 both states are boundary states and every first hit is at 1
     log_miss = math.log1p(-2.0 ** (1 - L)) if L > 1 else -math.inf
     total = 0
-    for chunk in _worker_chunks(trials, workers):
-        rng = random.Random(f"{seed}:{chunk['worker']}")
-        for _ in range(chunk["count"]):
-            total += 1 + math.floor(math.log(1.0 - rng.random()) / log_miss)
+    for rng in _substreams(trials, workers, seed):
+        total += 1 + math.floor(math.log(1.0 - rng.random()) / log_miss)
     return total / trials
 
 
@@ -174,34 +172,33 @@ def orbit_length_census(L: int, alpha, sample_count: int, seed: int = 0,
         backend.from_ratio(7, 10))
     rho = {}
     lengths = []
-    for chunk in _worker_chunks(sample_count, workers):
-        rng = random.Random(f"{seed}:{chunk['worker']}")
-        for _ in range(chunk["count"]):
-            x0 = rng.randrange(1, backend.one)
-            path = {}  # new state -> its index on this walk
-            for x in tentmap.orbit_stream(x0, params, backend):
-                if x in rho or x in path:
-                    break
-                path[x] = len(path)
-            if x in path:  # the walk closed its own cycle at path[x]
-                stop, end = path[x], len(path) - path[x]
-            else:          # the walk joined a known orbit at x
-                stop, end = len(path), rho[x]
-            for s, i in path.items():
-                rho[s] = end + max(stop - i, 0)
-            lengths.append(rho[x0])
+    for rng in _substreams(sample_count, workers, seed):
+        x0 = rng.randrange(1, backend.one)
+        path = {}  # new state -> its index on this walk
+        for x in tentmap.orbit_stream(x0, params, backend):
+            if x in rho or x in path:
+                break
+            path[x] = len(path)
+        if x in path:  # the walk closed its own cycle at path[x]
+            stop, end = path[x], len(path) - path[x]
+        else:          # the walk joined a known orbit at x
+            stop, end = len(path), rho[x]
+        for s, i in path.items():
+            rho[s] = end + max(stop - i, 0)
+        lengths.append(rho[x0])
     return sum(lengths) / len(lengths), lengths
 
 
-def _worker_chunks(total: int, workers: int):
-    """Deterministic split of `total` samples over worker substreams."""
+def _substreams(total: int, workers: int, seed: int):
+    """The RNG of each of `total` samples: worker w draws total // workers,
+    one more if w < total % workers, from Random(f"{seed}:{w}")."""
     if workers < 1:
         raise ParameterError("worker count must be >= 1")
     base, extra = divmod(total, workers)
-    for w in range(workers):
-        count = base + (1 if w < extra else 0)
-        if count:
-            yield {"worker": w, "count": count}
+    for w in range(min(workers, total)):
+        rng = random.Random(f"{seed}:{w}")
+        for _ in range(base + (w < extra)):
+            yield rng
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ class Oracle:
     """The victim's encryption and decryption machine.  The attacker pins its
     clock, and the timestamp field of every submitted ciphertext too, since
     the attacker controls the channel.  With drift=True (a negative test)
-    every query re-derives the session at a fresh timestamp instead,
-    violating the fixed-clock assumption.
+    every query re-derives the session at a fresh timestamp instead, in
+    _answer alone, violating the fixed-clock assumption.
 
     It keeps nothing between calls but query_count.  encrypt_blocks and
     decrypt_blocks run one query from block 1; walk answers the queries
@@ -70,17 +70,13 @@ class Oracle:
         self._drift = drift
         self.query_count = 0
 
-    def _drifted(self) -> cipher.Session:
-        """The session that answers query query_count: at t + query_count if drift."""
+    def _answer(self, blocks, decrypting: bool) -> list:
+        """One query from block 1, answered at t + query_count if drift."""
+        self.query_count += 1
         s = self._session
         if self._drift:
             s = cipher.init_session(s.key, s.t + self.query_count, s.n, s.r,
                                     s.backend, table=s.table)
-        return s
-
-    def _answer(self, blocks, decrypting: bool) -> list:
-        self.query_count += 1
-        s = self._drifted()
         return cipher.chain(*cipher.start(s, decrypting), s.U, blocks, s.n)
 
     def encrypt_blocks(self, blocks) -> list:
@@ -93,15 +89,15 @@ class Oracle:
         """For k = 0..len(trunk), lazily, the last answer block of each query
         trunk[:k] + [b], b in lasts, as if sent alone; a query counts when it
         is answered, and one that raises ends the walk.  The first query at k
-        also steps trunk[k-1]; under drift each steps trunk[:k] from x_0, y_0."""
+        also steps trunk[k-1]; under drift each is a whole query of _answer."""
         s, done = self._session, 0      # (x, y) are the registers after trunk[:done]
         perms, x, y = cipher.start(s, decrypting)
         for k in range(len(trunk) + 1):
             for b in lasts:
-                self.query_count += 1
                 if self._drift:
-                    s, done = self._drifted(), 0
-                    perms, x, y = cipher.start(s, decrypting)
+                    yield self._answer([*trunk[:k], b], decrypting)[-1]
+                    continue
+                self.query_count += 1
                 if done < k:
                     *_, y, c = cipher.chain(perms, x, y, s.U, [*trunk[done:k], b],
                                             s.n, done)
@@ -269,10 +265,9 @@ def solve_block1_registers(pairs, f0: BitPermutation, n: int) -> tuple:
     """
     p1, c1 = pairs[0]
     y = 0
-    z = c1 ^ keystream.apply(f0, p1)
-    mask = (1 << (4 * n)) - 1
+    z = c1 ^ cipher.chain((f0,), 0, 0, (0, 0, 0), (p1,), n)[0]
     for p, c in pairs:
-        if not _pair_consistent(0, f0, (z, p, y, c), mask):
+        if not _pair_consistent(0, f0, (z, p, y, c), n):
             raise ValueError("first-block pairs are inconsistent with f_0")
     return y, z
 
@@ -364,14 +359,20 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
     happened ("settled") or the EXTRA_QUERIES budget ran out first
     ("budget").  `recovery_queries` counts the permutation battery's own
     queries, not any the oracle answered before the call.  The known
-    messages are checked before the first query.
+    messages, block values included, are checked before the first query.
     """
     if not known_messages:
         raise ParameterError("at least one known message is needed")
-    for p, c in known_messages:
+    top = 1 << (4 * n)
+    for i, (p, c) in enumerate(known_messages, start=1):
         if len(p) != len(c):
             raise ParameterError(f"a known message has {len(p)} plaintext "
                                  f"blocks and {len(c)} ciphertext blocks")
+        for kind, blocks in (("plaintext", p), ("ciphertext", c)):
+            for j, v in enumerate(blocks, start=1):
+                if not 0 <= v < top:
+                    raise ParameterError(f"known message {i}: {kind} block {j} "
+                                         f"is outside the {4 * n}-bit block range")
     longest = max(len(p) for p, _ in known_messages)
     if longest > r:
         raise ParameterError(f"a known message has {longest} blocks, more than r={r}")
@@ -393,7 +394,6 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
         raise
     except ValueError as exc:   # the pairs contradict the recovered maps
         raise OracleModelViolation(f"block {j}: {exc}") from None
-    mask = (1 << (4 * n)) - 1
     rng = random.Random(f"disambiguate:{seed}")
     extra = 0
     stopped = "settled"
@@ -401,14 +401,14 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
         if extra == EXTRA_QUERIES:
             stopped = "budget"
             break
-        p = [rng.randrange(mask + 1) for _ in range(r)]
+        p = [rng.randrange(top) for _ in range(r)]
         c = oracle.encrypt_blocks(p)
         extra += 1
         for j in sets:
             if not _settled(sets[j], n):
                 pair = (p[j - 2], p[j - 1], c[j - 2], c[j - 1])
                 sets[j] = [x for x in sets[j]
-                           if _pair_consistent(x, perms[j - 1], pair, mask)]
+                           if _pair_consistent(x, perms[j - 1], pair, n)]
                 if not sets[j]:
                     raise OracleModelViolation(f"block {j}: a chosen pair "
                                                "rules out every candidate")
@@ -420,10 +420,10 @@ def full_attack(oracle: Oracle, known_messages, r: int, n: int,
                         extra_queries=extra, candidate_sets=sets, stopped=stopped)
 
 
-def _pair_consistent(x, f, pair, mask) -> bool:
+def _pair_consistent(x, f, pair, n: int) -> bool:
+    """The block equation at U_{j+1} = x: one chain step from P_{j-1}, C_{j-1}."""
     p_prev, p_j, c_prev, c_j = pair
-    return c_j ^ ((p_prev + x) & mask) == \
-        keystream.apply(f, p_j ^ ((c_prev + x) & mask))
+    return cipher.chain((f,), p_prev, c_prev, (0, 0, x), (p_j,), n) == [c_j]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import cache
 from itertools import islice, permutations
 
 from .backend import FixedPointBackend, ParameterError, number, read_lines
-from .tentmap import TentParams, check_open_unit, orbit_stream, restart
+from .tentmap import TentParams, orbit_stream, restart
 
 
 # ---------------------------------------------------------------------------
@@ -39,39 +39,30 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
     is x_0), or 1/2 when mended, and 0 otherwise, equality included;
     u_{4jn} is the most significant bit of U_j.  Each state's bit goes
     into one buffer as a digit 0 or 1, cut into vectors, so no orbit
-    list is kept and no step past the last state is taken.  Any backend but
-    fixed point reads the states of tentmap.orbit_stream.  A
-    FixedPointBackend steps the same orbit in one flat loop per extractor
-    that inlines the multiply-and-shift steps of backend.reciprocals and
-    checks 0, one and the domain only at x0: an interior state never steps
-    to 0 or out of [0, 1], and steps to one only from alpha.  With the
-    plain extractor, u_i is the branch test of x_i.
+    list is kept and no step past the last state is taken.  x_0..x_2, G's
+    start-up and its checks, come from tentmap.orbit_stream, as does the
+    rest on any backend but fixed point.  A FixedPointBackend steps on from
+    x_2 in one flat loop per extractor that inlines the multiply-and-shift
+    steps of backend.reciprocals and never checks 0 or the domain: an
+    interior state never steps to 0 or out of [0, 1], and steps to one only
+    from alpha.  With the plain extractor, u_i is the branch test of x_i.
     """
     if j_max < 0:
         raise ParameterError("j_max must be >= 0")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    zero, one, alpha, beta = backend.zero, backend.one, p.alpha, p.beta
-    # The orbit takes at least 4n - 1 >= 3 steps, so its first step from a
-    # state other than 0 and 1, where G first checks alpha, is step 0, or
-    # step 1 from beta when x0 is 0 or 1: checking here raises what the
-    # stepwise checks would, in the same order.
-    if x0 == zero or x0 == one:
-        check_open_unit(beta, backend, "beta")
-    check_open_unit(alpha, backend, "alpha")
+    one, alpha, beta = backend.one, p.alpha, p.beta
     threshold = backend.half if mended else alpha
     width, total = 4 * n, 4 * n * (j_max + 1)
     digits = bytearray(b"0") * total    # u_i as the digits 0 and 1, MSB first
-    x, start = x0, 0                    # x is x_start
-    if not zero < x0 < one:             # 0 and 1 go to beta, others raise
-        digits[0], x, start = 48 + (x0 > threshold), restart(x0, beta, backend), 1
-    digits[start] = 48 + (x > threshold)
+    orbit = orbit_stream(x0, p, backend)
+    for i, x in enumerate(islice(orbit, 3)):    # total >= 4: G's own start-up
+        digits[i] = 48 + (x > threshold)
     if not isinstance(backend, FixedPointBackend):
-        orbit = islice(orbit_stream(x, p, backend), 1, total - start)
-        digits[start + 1:] = (48 + (x > threshold) for x in orbit)
+        digits[3:] = (48 + (x > threshold) for x in islice(orbit, total - 3))
     elif mended:
         m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
-        for i in range(start + 1, total):
+        for i in range(3, total):
             if x <= alpha:
                 x = (m1 * x + h1) >> s1
             else:
@@ -80,7 +71,7 @@ def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
                 digits[i] = 49
     else:
         m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
-        for i in range(start, total - 1):       # steps x_i, writes u_i
+        for i in range(2, total - 1):           # steps x_i, writes u_i
             if x <= alpha:
                 x = (m1 * x + h1) >> s1
             else:
@@ -188,7 +179,7 @@ class BitPermutation:
     otherwise.  Equality and hashing are on (dest, n).
     """
 
-    __slots__ = ("n", "classes", "_dest", "_inv")
+    __slots__ = ("n", "classes", "_dest")
 
     def __init__(self, dest, n: int):
         dest = tuple(dest)
@@ -202,7 +193,6 @@ class BitPermutation:
         self.n = n
         self.classes = tuple(masks.items())
         self._dest = dest
-        self._inv = None
 
     @classmethod
     def _from_classes(cls, classes: tuple, n: int) -> "BitPermutation":
@@ -210,7 +200,6 @@ class BitPermutation:
         p.n = n
         p.classes = classes
         p._dest = None
-        p._inv = None
         return p
 
     @property
@@ -254,20 +243,16 @@ def apply(p: BitPermutation, x: int) -> int:
 
 def invert(p: BitPermutation) -> BitPermutation:
     """p^{-1}: the class rotating by k becomes the one rotating by 4n - k,
-    its mask rotated back onto the input positions.
-
-    The inverse is cached on p, so repeated inversions of one permutation
-    cost nothing; it holds no reference back to p.
-    """
-    if p._inv is None:
-        width = 4 * p.n
-        full = (1 << width) - 1
-        inverse = []
-        for t, m in p.classes:
-            t = width - t or width
-            inverse.append((t, ((m | m << width) >> t) & full))
-        p._inv = BitPermutation._from_classes(tuple(inverse), p.n)
-    return p._inv
+    its mask rotated back onto the input positions.  Each call builds a new
+    inverse; a caller that reads one many times keeps it (as
+    attack.RecoveredState.Finv does)."""
+    width = 4 * p.n
+    full = (1 << width) - 1
+    inverse = []
+    for t, m in p.classes:
+        t = width - t or width
+        inverse.append((t, ((m | m << width) >> t) & full))
+    return BitPermutation._from_classes(tuple(inverse), p.n)
 
 
 def compose_fj(vj: int, table: QuarterPermTable, n: int,

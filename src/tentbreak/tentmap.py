@@ -74,10 +74,10 @@ def orbit_stream(x0, p: TentParams, backend):
     outside [0, 1].  alpha is checked once, before the first step from a
     state other than 0 and 1.  A step runs only when its value is requested.
 
-    keystream.build_noise_vectors reads this orbit on any backend but fixed
-    point.  On a FixedPointBackend it steps the same map in loops of its
-    own, with no yield and resume per state and no closure call per step:
-    noise vectors are the largest per-message cost of the cipher.
+    keystream.build_noise_vectors reads G's start-up x_0..x_2 here, and the
+    rest too on any backend but fixed point.  There it steps on in loops of
+    its own, with no yield and resume per state and no closure call per
+    step: noise vectors are the largest per-message cost of the cipher.
     """
     zero, one, alpha, beta = backend.zero, backend.one, p.alpha, p.beta
     x = x0

@@ -129,10 +129,29 @@ def test_first_hit_model_scaling():
     assert 2 ** 6 < mean < 2 ** 9  # expectation 2^7
 
 
+def _first_hit_reference(L, trials, seed, workers):
+    """The beta-model mean trial by trial: worker w draws the next
+    trials // workers trials, and one more while w < trials % workers, from
+    Random(f"{seed}:{w}"), each a first hit by inversion of one uniform."""
+    log_miss = math.log1p(-2.0 ** (1 - L))
+    total = 0
+    for w in range(workers):
+        rng = random.Random(f"{seed}:{w}")
+        for _ in range(trials // workers + (w < trials % workers)):
+            total += 1 + math.floor(math.log(1.0 - rng.random()) / log_miss)
+    return total / trials
+
+
 def test_worker_substreams_reproducible():
     a = analysis.first_hit_model_trials(8, 400, seed=3, workers=4)
     b = analysis.first_hit_model_trials(8, 400, seed=3, workers=4)
     assert a == b
+    # the split over workers, with trial counts that 2, 3 and 4 do not
+    # divide and fewer trials than workers
+    for trials in (3, 13, 401):
+        for workers in (1, 2, 3, 4):
+            assert analysis.first_hit_model_trials(8, trials, 3, workers) == \
+                _first_hit_reference(8, trials, 3, workers)
 
 
 def test_degradation_report_fixture():

@@ -609,7 +609,17 @@ def test_full_attack_checks_known_messages_before_any_query():
             ([(p, c), (p[:3], c[:4])], r"^a known message has 3 plaintext "
                                        r"blocks and 4 ciphertext blocks$"),
             ([([], [])], r"^every known message is empty$"),
-            ([([], []), ([], [])], r"^every known message is empty$")):
+            ([([], []), ([], [])], r"^every known message is empty$"),
+            # a value outside 0..2^8-1, first or last block, either side
+            ([([p[0] | 1 << 40, *p[1:]], c)], r"^known message 1: plaintext "
+                                              r"block 1 is outside the 8-bit "
+                                              r"block range$"),
+            ([(p, c), ([*p[:5], 1 << 8], c)], r"^known message 2: plaintext "
+                                              r"block 6 is outside"),
+            ([(p, c), (p, [-1, *c[1:]])], r"^known message 2: ciphertext "
+                                          r"block 1 is outside"),
+            ([(p, [*c[:5], 1 << 8])], r"^known message 1: ciphertext "
+                                      r"block 6 is outside")):
         oracle = attack.EncryptionOracle(s)
         with pytest.raises(ParameterError, match=message):
             attack.full_attack(oracle, known, 6, 2)

@@ -195,8 +195,9 @@ def test_compose_fj_matches_reference():
 
 @pytest.mark.parametrize("name", ["fp1", "fp2", "fp8", "fp62", "fp63", "fp64", "f64"])
 def test_noise_vectors_match_reference(name):
-    # the spec's extractor on the spec's orbit, and an error where the
-    # orbit fails before the last bit
+    # the spec's extractor on the spec's orbit, and where the orbit fails
+    # before the last bit, the error of taking as many states of G from
+    # tentmap.orbit_stream: same type, same message
     be, g = get_backend(name), spec.Grid(name)
     rng = random.Random(name)
     boundary = [be.zero, be.one]
@@ -211,6 +212,9 @@ def test_noise_vectors_match_reference(name):
     cases += [(bad, interior(), x0) for bad in boundary
               for x0 in [interior()] + outside]
     cases += [(be.zero, be.one, x0) for x0 in boundary]   # alpha and beta bad
+    a = interior()
+    cases += [(a, interior(), a)]                           # x0 = alpha
+    cases += [(a, a, x0) for x0 in boundary + [a, interior()]]  # beta = alpha
     sizes = ((1, 40), (2, 9), (5, 3), (16, 2), (16, 70))
     longest = max(4 * n * (j_max + 1) for n, j_max in sizes)
     for alpha, beta, x0 in cases:
@@ -224,9 +228,13 @@ def test_noise_vectors_match_reference(name):
             for n, j_max in sizes:
                 total = 4 * n * (j_max + 1)
                 if len(states) < total:
-                    with pytest.raises(ValueError):
+                    with pytest.raises(ValueError) as want:
+                        list(islice(tentmap.orbit_stream(x0, p, be), total))
+                    with pytest.raises(ValueError) as got:
                         keystream.build_noise_vectors(x0, p, n, j_max, be,
                                                       mended=mended)
+                    assert (type(got.value), str(got.value)) == \
+                        (type(want.value), str(want.value))
                     continue
                 assert keystream.build_noise_vectors(
                     x0, p, n, j_max, be, mended=mended) == spec.extract(
