@@ -194,6 +194,8 @@ def _substreams(total: int, workers: int, seed: int):
     one more if w < total % workers, from Random(f"{seed}:{w}")."""
     if workers < 1:
         raise ParameterError("worker count must be >= 1")
+    if total < 1:
+        raise ParameterError("need at least one sample")
     base, extra = divmod(total, workers)
     for w in range(min(workers, total)):
         rng = random.Random(f"{seed}:{w}")

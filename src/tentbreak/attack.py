@@ -58,8 +58,8 @@ class Oracle:
     """The victim's encryption and decryption machine.  The attacker pins its
     clock, and the timestamp field of every submitted ciphertext too, since
     the attacker controls the channel.  With drift=True (a negative test)
-    every query re-derives the session at a fresh timestamp instead, in
-    _answer alone, violating the fixed-clock assumption.
+    _answer alone answers each query on a session of its own at a fresh
+    timestamp, read once (Session.once), violating the fixed-clock model.
 
     It keeps nothing between calls but query_count.  encrypt_blocks and
     decrypt_blocks run one query from block 1; walk answers the queries
@@ -76,7 +76,7 @@ class Oracle:
         s = self._session
         if self._drift:
             s = cipher.init_session(s.key, s.t + self.query_count, s.n, s.r,
-                                    s.backend, table=s.table)
+                                    s.backend, table=s.table).once()
         return cipher.chain(*cipher.start(s, decrypting), s.U, blocks, s.n)
 
     def encrypt_blocks(self, blocks) -> list:

@@ -12,8 +12,8 @@ A "value" is therefore either an int (fixed point raw) or a float, depending
 on the backend in use.  Both compare naturally with ``<=``, which is all the
 tent-map code needs besides the backend methods below.
 
-The module also holds what every other module shares: the error types and
-the grammar of the input files (key, ciphertext, state, table and pairs).
+The module also holds what every other module shares: the one bad-input
+error and the grammar of the key, ciphertext, state, table and pairs files.
 """
 
 from __future__ import annotations
@@ -26,12 +26,8 @@ from fractions import Fraction
 _NUMBER = {10: re.compile("0|[1-9][0-9]*"), 16: re.compile("(0x)?[0-9a-fA-F]+")}
 
 
-class DomainError(ValueError):
-    """Input outside the mathematical domain of an operation."""
-
-
 class ParameterError(ValueError):
-    """Map or key parameter outside its allowed open interval."""
+    """Bad input: a parameter, value, flag or file that an operation rejects."""
 
 
 def open_text(path) -> io.TextIOWrapper:
@@ -93,12 +89,12 @@ class FixedPointBackend:
     def from_ratio(self, num: int, den: int) -> int:
         """Nearest representable value of num/den (ties round up)."""
         if den <= 0 or num < 0:
-            raise DomainError("ratio must be nonnegative over a positive denominator")
+            raise ParameterError("ratio must be nonnegative over a positive denominator")
         return min((2 * num * self.one + den) // (2 * den), self.one)
 
     def from_float(self, v: float) -> int:
         if not 0.0 <= v <= 1.0:
-            raise DomainError(f"value {v!r} outside [0, 1]")
+            raise ParameterError(f"value {v!r} outside [0, 1]")
         fr = Fraction(v)
         return self.from_ratio(fr.numerator, fr.denominator)
 
@@ -150,7 +146,7 @@ class FixedPointBackend:
     def binary_precision(self, x: int) -> int:
         """Position of the least significant set bit after the binary point."""
         if x == 0:
-            raise DomainError("binary precision of 0 is undefined")
+            raise ParameterError("binary precision of 0 is undefined")
         trailing = (x & -x).bit_length() - 1
         return self.bits - trailing
 
@@ -177,12 +173,12 @@ class Binary64Backend:
 
     def from_ratio(self, num: int, den: int) -> float:
         if den <= 0 or num < 0:
-            raise DomainError("ratio must be nonnegative over a positive denominator")
+            raise ParameterError("ratio must be nonnegative over a positive denominator")
         return min(num / den, 1.0)
 
     def from_float(self, v: float) -> float:
         if not 0.0 <= v <= 1.0:
-            raise DomainError(f"value {v!r} outside [0, 1]")
+            raise ParameterError(f"value {v!r} outside [0, 1]")
         return float(v)
 
     def to_float(self, x: float) -> float:
@@ -204,7 +200,7 @@ class Binary64Backend:
 
     def binary_precision(self, x: float) -> int:
         if x == 0.0:
-            raise DomainError("binary precision of 0 is undefined")
+            raise ParameterError("binary precision of 0 is undefined")
         fr = Fraction(x)  # exact dyadic rational for any finite float
         return fr.denominator.bit_length() - 1
 
@@ -234,6 +230,6 @@ def parse_value(s: str):
         backend = FixedPointBackend(number(prefix[2:], 10))
         raw = number(payload, 16)
         if raw > backend.one:
-            raise DomainError(f"raw value {s!r} outside [0, 1]")
+            raise ParameterError(f"raw value {s!r} outside [0, 1]")
         return raw, backend
     raise ParameterError(f"unparseable value {s!r}")

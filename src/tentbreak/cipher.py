@@ -201,8 +201,10 @@ def load_key(path):
         raise ParameterError(f"key file {path} is missing field {missing[0]!r}")
     (alpha, backend), (beta, b2), (gamma, b3) = (
         values["alpha"], values["beta"], values["gamma"])
-    if not backend == b2 == b3:
-        raise ParameterError(f"key file {path} mixes arithmetic backends")
+    for name, other in (("beta", b2), ("gamma", b3)):
+        if other != backend:
+            raise ParameterError(f"{path}: line {lines[name]}: {name}: not on the "
+                                 f"arithmetic backend of alpha, line {lines['alpha']}")
     n, k = values["n"], values["K"]
     if k >> (4 * n):
         raise ParameterError(f"{path}: line {lines['K']}: K must be below "

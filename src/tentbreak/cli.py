@@ -72,9 +72,8 @@ def _check_drawn(key, backend, args) -> None:
 
 
 def _load_table(args):
-    if args.table:
-        return keystream.QuarterPermTable.load(args.table)
-    return keystream.DEFAULT_TABLE
+    """The --table file's table, or None for init_session's default."""
+    return keystream.QuarterPermTable.load(args.table) if args.table else None
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,16 @@ def _warn(*notes) -> None:
         print(f"warning: {note}", file=sys.stderr)
 
 
-def _warn_session(session) -> None:
-    """The weak-key notes of the session's key, then whether t is degenerate."""
-    _warn(*cipher.check_key_strength(session.key, session.backend))
+def _message_session(args, key, n, backend, t: int, count: int):
+    """The session read once (Session.once) of one message of `count` blocks
+    at t, after the key's weak-key notes and whether t is degenerate."""
+    session = cipher.init_session(key, t, n, max(count, 1), backend,
+                                  table=_load_table(args))
+    _warn(*cipher.check_key_strength(key, backend))
     if session.degenerate:
-        _warn(f"timestamp t={session.t} gives a degenerate initial condition "
+        _warn(f"timestamp t={t} gives a degenerate initial condition "
               "(x0 is 0 or 1), so the keystream does not depend on t or gamma")
+    return session.once()
 
 
 def cmd_encrypt(args) -> int:
@@ -149,10 +152,8 @@ def cmd_encrypt(args) -> int:
         blocks = blocks_from_bytes(data, n)
     except ParameterError as exc:
         raise ParameterError(f"{args.infile}: {exc} (n={n} in {args.key})") from None
-    session = cipher.init_session(key, args.t, n, max(len(blocks), 1),
-                                  backend, table=_load_table(args))
-    _warn_session(session)
-    out = cipher.encrypt(session.once(), cipher.Message(blocks, args.t))
+    session = _message_session(args, key, n, backend, args.t, len(blocks))
+    out = cipher.encrypt(session, cipher.Message(blocks, args.t))
     cipher.save_ciphertext(out, n, args.out)
     print(f"encrypted {len(blocks)} blocks -> {args.out} (t={args.t})")
     return EXIT_OK
@@ -167,10 +168,8 @@ def cmd_decrypt(args) -> int:
     if n_file != n:
         raise ParameterError(f"{args.infile}: ciphertext n={n_file} does not "
                              f"match key n={n} of {args.key}")
-    session = cipher.init_session(key, msg.t, n, max(len(msg.blocks), 1),
-                                  backend, table=_load_table(args))
-    _warn_session(session)
-    blocks = cipher.decrypt(session.once(), msg).blocks
+    session = _message_session(args, key, n, backend, msg.t, len(msg.blocks))
+    blocks = cipher.decrypt(session, msg).blocks
     del session, msg            # drop U and the ciphertext before packing
     data = blocks_to_bytes(blocks, n)   # before --out is opened and emptied
     with open(args.out, "wb") as fh:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .backend import DomainError, ParameterError
+from .backend import ParameterError
 
 
 class TentParams(namedtuple("TentParams", "alpha beta")):
@@ -44,7 +44,7 @@ def derive_x0(t: int, gamma, n: int, backend):
     with it the same session.
     """
     if t < 1:
-        raise DomainError(f"timestamp must be a positive integer, got {t}")
+        raise ParameterError(f"timestamp must be a positive integer, got {t}")
     check_open_unit(gamma, backend, "gamma")
     k = len(str(t)) - 1  # floor(log10 t), exact over integers
     x = backend.from_ratio(10 ** k, t)
@@ -62,7 +62,7 @@ def restart(x, beta, backend):
     if x == backend.zero or x == backend.one:
         check_open_unit(beta, backend, "beta")
         return beta
-    raise DomainError("x outside [0, 1]")
+    raise ParameterError("x outside [0, 1]")
 
 
 def orbit_stream(x0, p: TentParams, backend):
@@ -70,7 +70,7 @@ def orbit_stream(x0, p: TentParams, backend):
 
     An interior state x steps through backend.tent_branches(alpha): left for
     0 < x <= alpha, right for alpha < x < 1.  restart sends the boundary
-    states 0 and 1 to beta, checked at every hit, and raises DomainError
+    states 0 and 1 to beta, checked at every hit, and raises ParameterError
     outside [0, 1].  alpha is checked once, before the first step from a
     state other than 0 and 1.  A step runs only when its value is requested.
 

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,12 @@ def test_worker_substreams_reproducible():
         for workers in (1, 2, 3, 4):
             assert analysis.first_hit_model_trials(8, trials, 3, workers) == \
                 _first_hit_reference(8, trials, 3, workers)
+    # the one split rejects a total of no samples for both Monte Carlo runs
+    for call in (partial(analysis.first_hit_model_trials, 8, 0),
+                 partial(analysis.orbit_length_census, 8, 0.37, 0),
+                 partial(analysis.first_hit_model_trials, 8, -3, workers=2)):
+        with pytest.raises(ParameterError, match="^need at least one sample$"):
+            call()
 
 
 def test_degradation_report_fixture():

@@ -322,6 +322,23 @@ def test_drifting_oracle_answers_at_each_query_timestamp():
             assert oracle.query_count == q
 
 
+def test_drifting_query_composes_only_its_own_maps(monkeypatch):
+    # a drifting query's session is read once: a one-block query at r = 8
+    # composes f_0, or f_0^-1, and no map past its block
+    composed, compose = [], keystream.compose_fj
+    monkeypatch.setattr(keystream, "compose_fj", lambda *args, **kw: (
+        composed.append(kw.get("inverse", False)) or compose(*args, **kw)))
+    s = random_session(random.Random(11), 2, 8)
+    oracle = attack.Oracle(s, drift=True)
+    for decrypting in (False, True):
+        composed.clear()
+        answer = oracle.decrypt_blocks if decrypting else oracle.encrypt_blocks
+        got = answer([0x5a])
+        assert composed == [decrypting]
+        at = cipher.init_session(s.key, s.t + oracle.query_count, 2, 8, s.backend)
+        assert got == _reference(at, [0x5a], decrypting)
+
+
 def test_single_bit_check():
     with pytest.raises(OracleModelViolation):
         attack._single_bit_index(0, "test")

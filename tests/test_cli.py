@@ -29,6 +29,9 @@ def test_blocks_codec_roundtrip():
         cli.blocks_from_bytes(b"\x01", 3)   # 8 bits into 12-bit blocks
     with pytest.raises(ParameterError, match="block 2 "):
         cli.blocks_to_bytes([0x12, 0x1ff, 0x1ff], 2)   # 9-bit blocks at n = 2
+    with pytest.raises(ParameterError, match="^block stream is not a whole "
+                                             "number of bytes$"):
+        cli.blocks_to_bytes([0x1, 0x2, 0x3], 1)        # three 4-bit blocks
     for n in range(1, 17):
         data = rng.randbytes(n * 257)        # a whole number of blocks
         blocks = cli.blocks_from_bytes(data, n)
@@ -263,7 +266,7 @@ def test_keygen_warns_of_a_weak_drawn_alpha(tmp_path, capsys):
     assert capsys.readouterr() == (f"wrote key file {weak}\n", "")
 
 
-def test_decrypt_mismatched_n(tmp_path):
+def test_decrypt_mismatched_n(tmp_path, capsys):
     key1 = tmp_path / "k1.txt"
     key2 = tmp_path / "k2.txt"
     msg = tmp_path / "m.bin"
@@ -273,6 +276,15 @@ def test_decrypt_mismatched_n(tmp_path):
     msg.write_bytes(os.urandom(4))
     run(["encrypt", "--key", key1, "--t", 55, msg, "--out", ct])
     assert run(["decrypt", "--key", key2, ct, "--out", tmp_path / "x"]) == 2
+    # 32 bits are no whole number of 12-bit blocks: encrypt names both files
+    key3 = tmp_path / "k3.txt"
+    run(["keygen", "--n", 3, "--seed", 3, "--out", key3])
+    capsys.readouterr()
+    assert run(["encrypt", "--key", key3, "--t", 55, msg, "--out", tmp_path / "y"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {msg}: input of 4 bytes is not a whole number of 12-bit "
+        f"blocks (n=3 in {key3})\n")
+    assert not (tmp_path / "y").exists()
 
 
 def test_decrypt_error_names_the_file_and_keeps_the_output(tmp_path, capsys,
@@ -892,7 +904,7 @@ def test_key_file_beta_on_the_boundary(tmp_path, capsys):
 def test_key_file_bad_values_name_the_file_and_field(tmp_path, capsys):
     for field, value in (("alpha", "fp62:0x0"), ("alpha", "fp62:0x4000000000000000"),
                          ("gamma", "fp62:0x0"), ("K", "0x100"), ("K", "-0x1"),
-                         ("K", "zz"), ("n", "two")):
+                         ("K", "zz"), ("n", "two"), ("beta", "f64:3fe0000000000000")):
         code, err = _encrypt_with_key_field(tmp_path, capsys, field, value)
         assert code == 2
         assert str(tmp_path / "key.txt") in err and f": {field}" in err, err
@@ -901,7 +913,9 @@ def test_key_file_bad_values_name_the_file_and_field(tmp_path, capsys):
             ("alpha", "garbage", "line 1: expected name=value"),
             ("alpha", "alpah=3", "line 1: expected name=value"),
             ("K", "K=0x5a\nK=0x00", "line 5: K: repeats line 4"),
-            ("n", "n=2\n\nalpha=fp62:0x1", "line 7: alpha: repeats line 1")):
+            ("n", "n=2\n\nalpha=fp62:0x1", "line 7: alpha: repeats line 1"),
+            ("gamma", "gamma=f64:3fe0000000000000",
+             "line 3: gamma: not on the arithmetic backend of alpha, line 1")):
         code, err = _encrypt_with_key_field(tmp_path, capsys, field, None, line)
         assert code == 2
         assert f"{tmp_path / 'key.txt'}: {error}" in err, err

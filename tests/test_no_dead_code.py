@@ -33,6 +33,9 @@ arguments are no file's text.
 cipher.start is the one rule of which registers a chain direction starts
 from: no module in src/tentbreak but cipher reads U[0] or U[1].
 
+backend.ParameterError is the one bad-input error: no other class that a
+module of src/tentbreak defines derives from ValueError.
+
 Every name that a module in src/ or tests/ imports is read in that module,
 so a deletion leaves no stale import behind.  Importing the CLI loads none
 of the standard modules in SLOW_IMPORTS: every tentbreak command pays for
@@ -40,6 +43,7 @@ its imports first.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +229,21 @@ def test_one_direction_rule():
     reads = {path.stem: _register_reads(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cipher"}
     assert not any(reads.values()), f"U[0] or U[1] read outside cipher: {reads}"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_one_bad_input_error():
+    for path in PACKAGE.glob("*.py"):
+        importlib.import_module(f"tentbreak.{path.stem}".removesuffix(".__init__"))
+    others = {f"{cls.__module__}.{cls.__qualname__}" for cls in _subclasses(ValueError)
+              if cls.__module__.startswith("tentbreak.")}
+    others.discard("tentbreak.backend.ParameterError")
+    assert not others, f"bad-input errors besides ParameterError: {sorted(others)}"
 
 
 def _is_fixture(node) -> bool:

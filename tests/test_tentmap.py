@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import spec
 from tentbreak import tentmap
-from tentbreak.backend import (DomainError, FixedPointBackend, ParameterError,
-                               get_backend, parse_value)
+from tentbreak.backend import (FixedPointBackend, ParameterError, get_backend,
+                               parse_value)
 
 FP = get_backend("fp62")
 F64 = get_backend("f64")
@@ -50,7 +50,7 @@ def test_skew_tent_peak():
 def test_skew_tent_domain():
     p = tentmap.TentParams(fp(1, 2), fp(7, 10))
     inside = r" must lie strictly inside \(0, 1\)$"
-    with pytest.raises(DomainError, match=r"^x outside \[0, 1\]$"):
+    with pytest.raises(ParameterError, match=r"^x outside \[0, 1\]$"):
         list(islice(tentmap.orbit_stream(FP.one + 1, p, FP), 2))
     with pytest.raises(ParameterError, match="^alpha" + inside):
         list(islice(tentmap.orbit_stream(
@@ -144,7 +144,7 @@ def test_derive_x0_matches_parent(name):
     # one interior gamma, 1/2, sends every x0 to 0
     assert {True, ValueError} <= outcomes
     assert False in outcomes or name == "fp1"
-    with pytest.raises(DomainError,
+    with pytest.raises(ParameterError,
                        match="^timestamp must be a positive integer, got 0$"):
         tentmap.derive_x0(0, be.half, 1, be)
     with pytest.raises(ParameterError,
@@ -153,9 +153,11 @@ def test_derive_x0_matches_parent(name):
 
 
 def test_derive_x0_rejects_bad_t():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError,
+                       match="^timestamp must be a positive integer, got 0$"):
         tentmap.derive_x0(0, fp(3, 10), 2, FP)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError,
+                       match="^timestamp must be a positive integer, got -5$"):
         tentmap.derive_x0(-5, fp(3, 10), 2, FP)
 
 
