@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import attack, keystream, tentmap
-from .backend import FixedPointBackend, ParameterError
+from .backend import FixedPointBackend, ParameterError, open_out
 
 
 class Histogram(namedtuple("Histogram", "n counts samples")):
@@ -24,16 +24,17 @@ class Histogram(namedtuple("Histogram", "n counts samples")):
 
 def sample_histogram(p: tentmap.TentParams, x0, n: int, samples: int, backend,
                      mended: bool = False) -> Histogram:
-    """Occurrence counts of `samples` consecutive noise vectors."""
+    """Occurrence counts of `samples` consecutive noise vectors, counted a
+    chunk at a time."""
     if samples < 1:
         raise ParameterError("need at least one sample")
     if n > 4:
         raise ParameterError("full histograms are limited to n <= 4")
-    vectors = keystream.build_noise_vectors(x0, p, n, samples - 1, backend,
-                                            mended=mended)
     counts = [0] * (1 << (4 * n))
-    for u in vectors:
-        counts[u] += 1
+    for vectors in keystream.build_noise_vectors(x0, p, n, samples - 1, backend,
+                                                 mended=mended, chunk=keystream.CHUNK):
+        for u in vectors:
+            counts[u] += 1
     return Histogram(n=n, counts=counts, samples=samples)
 
 
@@ -216,7 +217,7 @@ def emit_csv(path, header, rows) -> None:
     """Write a CSV file: the header's column names, then one line per row,
     each value formatted by _fmt."""
     try:
-        with open(path, "w", newline="") as fh:
+        with open_out(path) as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")

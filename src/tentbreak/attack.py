@@ -43,7 +43,7 @@ from itertools import islice
 from types import MappingProxyType
 
 from . import cipher, keystream
-from .backend import ParameterError, number, open_text, read_lines
+from .backend import ParameterError, number, open_out, open_text, read_lines
 from .keystream import BitPermutation
 
 
@@ -430,7 +430,7 @@ def _pair_consistent(x, f, pair, n: int) -> bool:
 # recovered-state file format
 
 def save_state(state: RecoveredState, path) -> None:
-    with open(path, "w") as fh:
+    with open_out(path) as fh:
         fh.write(f"YTSREC n={state.n} r={state.r}\n")
         for j in sorted(state.perms):
             dest = " ".join(str(d) for d in state.perms[j].dest)
@@ -452,36 +452,36 @@ def _bounded(value: int, lo: int, hi: int, what: str) -> int:
 
 
 def load_state(path) -> RecoveredState:
-    fh = open_text(path)        # read_lines closes it
-    n, r = cipher.read_header(fh, path, "YTSREC", "recovered-state", ("n", "r"))
-    perms, noise, reg1, provenance = {}, {}, [], {}
-    top = (1 << (4 * n)) - 1
+    with open_text(path) as fh:     # read_lines closes it too
+        n, r = cipher.read_header(fh, path, "YTSREC", "recovered-state", ("n", "r"))
+        perms, noise, reg1, provenance = {}, {}, [], {}
+        top = (1 << (4 * n)) - 1
 
-    def item(lineno, line):
-        body, _, comment = line.partition("#")
-        head, _, tail = body.partition(":")
-        key = head.strip()
-        try:
-            j = number(key[1:], 10) if key[:1] in ("f", "U") else None
-        except ValueError:
-            j = None
-        if j is None and key != "reg1":
-            raise ValueError(f"expected f<j>, U<j> or reg1, got {head!r}")
-        if key in provenance:
-            raise ValueError(f"{key} given twice")
-        if key == "reg1":
-            values = tail.split()
-            if len(values) != 2:
-                raise ValueError(f"expected two hex values, got {tail.strip()!r}")
-            reg1.extend(_bounded(number(x, 16), 0, top, "reg1 value")
-                        for x in values)
-        elif key[0] == "f":
-            j = _bounded(j, 0, r - 1, "f index")
-            perms[j] = BitPermutation([number(x, 10) for x in tail.split()], n)
-        else:
-            j = _bounded(j, 3, r + 1, "U index")
-            noise[j] = _bounded(number(tail.strip(), 16), 0, top, f"{key} value")
-        provenance[key] = comment.strip() or "assumed"
+        def item(lineno, line):
+            body, _, comment = line.partition("#")
+            head, _, tail = body.partition(":")
+            key = head.strip()
+            try:
+                j = number(key[1:], 10) if key[:1] in ("f", "U") else None
+            except ValueError:
+                j = None
+            if j is None and key != "reg1":
+                raise ValueError(f"expected f<j>, U<j> or reg1, got {head!r}")
+            if key in provenance:
+                raise ValueError(f"{key} given twice")
+            if key == "reg1":
+                values = tail.split()
+                if len(values) != 2:
+                    raise ValueError(f"expected two hex values, got {tail.strip()!r}")
+                reg1.extend(_bounded(number(x, 16), 0, top, "reg1 value")
+                            for x in values)
+            elif key[0] == "f":
+                j = _bounded(j, 0, r - 1, "f index")
+                perms[j] = BitPermutation([number(x, 10) for x in tail.split()], n)
+            else:
+                j = _bounded(j, 3, r + 1, "U index")
+                noise[j] = _bounded(number(tail.strip(), 16), 0, top, f"{key} value")
+            provenance[key] = comment.strip() or "assumed"
 
-    read_lines(path, item, fh, start=2)
+        read_lines(path, item, fh, start=2)
     return RecoveredState(n, r, perms, noise, tuple(reg1) or None, provenance)

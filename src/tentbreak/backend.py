@@ -13,14 +13,19 @@ on the backend in use.  Both compare naturally with ``<=``, which is all the
 tent-map code needs besides the backend methods below.
 
 The module also holds what every other module shares: the one bad-input
-error and the grammar of the key, ciphertext, state, table and pairs files.
+error, the grammar of the key, ciphertext, state, table and pairs files,
+and the one way a command writes its --out file (open_out).
 """
 
 from __future__ import annotations
 
+import codecs
 import io
+import os
 import re
+import stat
 import struct
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 _NUMBER = {10: re.compile("0|[1-9][0-9]*"), 16: re.compile("(0x)?[0-9a-fA-F]+")}
@@ -32,17 +37,71 @@ class ParameterError(ValueError):
 
 def open_text(path) -> io.TextIOWrapper:
     """The text of file `path`, read as open(path) reads it; bytes that are
-    not UTF-8 are an error naming the file and line.  The text is decoded
-    as it is read, so no wide copy of the whole file is kept."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    not UTF-8 are an error naming the file and line.  A first pass decodes
+    the file a buffer at a time, so the error comes before any line is
+    read, and no copy of the whole file is kept unless it cannot seek (a
+    pipe), when it is read whole first."""
+    fh = open(path, "rb")
+    if not fh.seekable():
+        with fh:
+            fh = io.BytesIO(fh.read())
     try:
-        data.decode()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParameterError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} "
-                             f"is not UTF-8 text ({exc.reason})") from None
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+        decoder, line = codecs.getincrementaldecoder("utf-8")(), 1
+        while True:
+            data = fh.read(io.DEFAULT_BUFFER_SIZE)
+            try:
+                decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:   # exc.object: a held tail, no
+                at = exc.start                  # newline in it, then data
+                line += exc.object.count(b"\n", 0, at)
+                raise ParameterError(f"{path}: line {line}: byte 0x{exc.object[at]:02x}"
+                                     f" is not UTF-8 text ({exc.reason})") from None
+            if not data:
+                break
+            line += data.count(b"\n")
+        fh.seek(0)
+        return io.TextIOWrapper(fh, encoding="utf-8", newline=None)
+    except BaseException:
+        fh.close()
+        raise
+
+
+@contextmanager
+def open_out(path, mode: str = "w"):
+    """File `path` opened to write ("w" or "wb"): a new file beside it,
+    with an existing file's permission bits, that replaces it only when the
+    with-block ends without error; on any error the new file is removed and
+    `path` is left as it was.  A symlink's file is the one replaced, so
+    --out may name the input through a link too.  A path that exists and
+    is not a regular file it may write (a FIFO, /dev/null), or whose
+    directory takes no new file, is opened and written in place."""
+    try:
+        st = os.stat(path)
+        in_place = not stat.S_ISREG(st.st_mode) or not os.access(path, os.W_OK)
+    except OSError:     # missing, or open() below raises as it always did
+        st, in_place = None, False
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    if not in_place:
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            in_place = True
+    if in_place:
+        with open(path, mode) as fh:
+            yield fh
+        return
+    try:
+        with open(fd, mode) as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def read_lines(path, parse, fh=None, start=1) -> None:

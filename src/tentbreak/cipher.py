@@ -15,15 +15,23 @@ perms = f and starts from (x_0, y_0) = (P_0, C_0) = (U_1, U_0); decryption
 maps x = C to y = P with perms = f^{-1} and starts from (C_0, P_0) =
 (U_0, U_1): the one rule of start, which reads only U, F and Finv, so a
 recovered state (attack.RecoveredState) runs the chain as a session does.
+
+A streamed session (init_session's streamed) steps its noise vectors a
+chunk at a time as stream reads them, and stream runs a message chunk by
+chunk, each chunk a session read once over its own window of U, so the
+memory a message takes does not grow with its length.  The ciphertext
+file is read and written the same way (load_ciphertext, save_ciphertext).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import cached_property, partial
+from itertools import chain as flatten, islice
 
 from . import keystream, tentmap
-from .backend import ParameterError, number, open_text, parse_value, read_lines
+from .backend import (ParameterError, number, open_out, open_text, parse_value,
+                      read_lines)
 from .keystream import DEFAULT_TABLE, QuarterPermTable
 
 
@@ -47,7 +55,7 @@ class Session:
                  table: QuarterPermTable, U: list, degenerate: bool = False):
         self.key, self.t, self.n, self.r = key, t, n, r
         self.backend, self.table = backend, table
-        self.U = U  # U_0 .. U_{r+1}
+        self.U = U  # U_0 .. U_{r+1}; streamed, an iterator of their chunks
         self.degenerate = degenerate
 
     # f_0 .. f_{r-1} and their inverses, each built when its direction first runs
@@ -93,8 +101,11 @@ def check_key_strength(key: KeyMaterial, backend) -> list[str]:
 
 
 def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
-                 table: QuarterPermTable | None = None) -> Session:
-    """Derive all per-session secrets from (key, t, n, r)."""
+                 table: QuarterPermTable | None = None,
+                 streamed: bool = False) -> Session:
+    """Derive all per-session secrets from (key, t, n, r).  A streamed
+    session's U is an iterator of U_0..U_{r+1} in keystream.CHUNK lists,
+    each stepped when read, and only stream runs it."""
     if not 1 <= n <= 16:
         raise ParameterError(f"block parameter n must be in 1..16, got {n}")
     if r < 1:
@@ -104,7 +115,8 @@ def init_session(key: KeyMaterial, t: int, n: int, r: int, backend,
     table = table if table is not None else DEFAULT_TABLE
     x0 = tentmap.derive_x0(t, key.gamma, n, backend)
     params = tentmap.TentParams(key.alpha, key.beta)
-    U = keystream.build_noise_vectors(x0, params, n, r + 1, backend)
+    U = keystream.build_noise_vectors(x0, params, n, r + 1, backend,
+                                      chunk=keystream.CHUNK if streamed else None)
     degenerate = x0 == backend.zero or x0 == backend.one
     return Session(key=key, t=t, n=n, r=r, backend=backend, table=table,
                    U=U, degenerate=degenerate)
@@ -158,11 +170,30 @@ def decrypt(session: Session, cipher: Message) -> Message:
                          session.n), cipher.t)
 
 
+def stream(s: Session, pieces, decrypting: bool):
+    """One direction's output of a message that `pieces` yields as
+    non-empty lists of blocks, one list per piece, on a streamed session s.
+    The k blocks after the first a run as a session read once over their
+    window U_a..U_{a+k+1}: from start's registers in the first piece, and
+    from those the last piece left after it.  Every vector of s is stepped,
+    U_2 too when the message is empty."""
+    noise = flatten.from_iterable(s.U)
+    U, registers = list(islice(noise, 2)), None
+    for blocks in pieces:
+        U = [*U[-2:], *islice(noise, len(blocks))]
+        perms, *first = start(_Once(s.key, s.t, s.n, len(blocks), s.backend,
+                                    s.table, U), decrypting)
+        out = chain(perms, *(registers or first), U, blocks, s.n)
+        registers = blocks[-1], out[-1]
+        yield out
+    deque(noise, 0)
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
 def save_key(key: KeyMaterial, n: int, backend, path) -> None:
-    with open(path, "w") as fh:
+    with open_out(path) as fh:
         fh.write(f"alpha={backend.serialize(key.alpha)}\n")
         fh.write(f"beta={backend.serialize(key.beta)}\n")
         fh.write(f"gamma={backend.serialize(key.gamma)}\n")
@@ -212,11 +243,17 @@ def load_key(path):
     return KeyMaterial(alpha, beta, gamma, k), n, backend
 
 
-def save_ciphertext(msg: Message, n: int, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"YTS1 t={msg.t} n={n} len={len(msg.blocks)}\n")
-        for b in msg.blocks:
-            fh.write(f"{b:0{n}x}\n")
+def save_ciphertext(t: int, n: int, length: int, pieces, path) -> None:
+    """Writes the ciphertext file of the `length` blocks that `pieces`
+    yields in lists, a list at a time."""
+    with open_out(path) as fh:
+        fh.write(f"YTS1 t={t} n={n} len={length}\n")
+        written = 0
+        for blocks in pieces:
+            fh.write("".join(f"{b:0{n}x}\n" for b in blocks))
+            written += len(blocks)
+        if written != length:
+            raise ParameterError(f"{path}: {written} blocks to write, not len={length}")
 
 
 def read_header(fh, path, magic: str, kind: str, names) -> list[int]:
@@ -243,17 +280,19 @@ def read_header(fh, path, magic: str, kind: str, names) -> list[int]:
 
 
 def load_ciphertext(path):
-    """Returns (Message, n).  The file holds exactly `len` blocks; only blank
-    lines may follow them."""
+    """Reads ciphertext file `path`: yields its header's (t, n, len), then
+    its blocks in lists of keystream.CHUNK, each parsed when it is read.
+    The file holds exactly `len` blocks; only blank lines may follow them."""
     with open_text(path) as fh:
         t, n, length = read_header(fh, path, "YTS1", "ciphertext",
                                    ("t", "n", "len"))
         if t < 1:
             raise ParameterError(f"{path}: line 1: t must be a positive "
                                  f"integer, got {t}")
-        blocks, got = [], "the file ends"
+        yield t, n, length
+        chunk, blocks, k, got = keystream.CHUNK, [], 0, "the file ends"
         for lineno, line in enumerate(map(str.strip, fh), start=2):
-            if len(blocks) < length:
+            if k < length:
                 try:
                     block = number(line, 16)
                 except ValueError:
@@ -262,12 +301,16 @@ def load_ciphertext(path):
                     got = f"got {line!r}"
                     break
                 blocks.append(block)
+                k += 1
+                if len(blocks) == chunk:
+                    yield blocks
+                    blocks = []
             elif line:
                 raise ParameterError(
                     f"{path}: line {lineno}: expected the end of the file "
                     f"after {length} blocks, got {line!r}")
-        if len(blocks) < length:
-            k = len(blocks) + 1
-            raise ParameterError(f"{path}: line {k + 1}: expected {4 * n}-bit "
-                                 f"block {k} of {length}, {got}")
-    return Message(blocks, t), n
+        if k < length:
+            raise ParameterError(f"{path}: line {k + 2}: expected {4 * n}-bit "
+                                 f"block {k + 1} of {length}, {got}")
+    if blocks:
+        yield blocks

@@ -17,7 +17,8 @@ from functools import cache, partial
 from itertools import islice
 
 from . import analysis, attack, cipher, keystream, tentmap
-from .backend import FixedPointBackend, ParameterError, get_backend, number, read_lines
+from .backend import (FixedPointBackend, ParameterError, get_backend, number,
+                      open_out, read_lines)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,11 +80,16 @@ def _load_table(args):
 # ---------------------------------------------------------------------------
 # block framing: files are bit streams, packed MSB-first into 4n-bit blocks
 
+def _whole_blocks(size: int, n: int) -> int:
+    """The count of 4n-bit blocks in `size` bytes, which must be whole."""
+    if size * 2 % n:
+        raise ParameterError(f"input of {size} bytes is not a whole number "
+                             f"of {4 * n}-bit blocks")
+    return size * 2 // n
+
+
 def blocks_from_bytes(data: bytes, n: int) -> list:
-    width = 4 * n
-    if len(data) * 8 % width:
-        raise ParameterError(
-            f"input of {len(data)} bytes is not a whole number of {width}-bit blocks")
+    _whole_blocks(len(data), n)
     digits = data.hex()  # a 4n-bit block is exactly n hex digits
     return [int(digits[i:i + n], 16) for i in range(0, len(digits), n)]
 
@@ -96,6 +102,17 @@ def blocks_to_bytes(blocks, n: int) -> bytes:
         if b >> width:
             raise ParameterError(f"block {j} wider than 4n bits")
     return bytes.fromhex("".join(f"{b:0{n}x}" for b in blocks))
+
+
+def _read_blocks(fh, size: int, n: int):
+    """The blocks of the first `size` bytes of binary file fh, in lists of
+    keystream.CHUNK, each read when it is reached; they end early if the
+    file shrinks as it is read (save_ciphertext counts them)."""
+    step = keystream.CHUNK * n // 2     # whole bytes: CHUNK is even
+    for done in range(0, size, step):
+        if not (data := fh.read(min(step, size - done))):
+            return
+        yield blocks_from_bytes(data, n)
 
 
 # ---------------------------------------------------------------------------
@@ -133,48 +150,51 @@ def _warn(*notes) -> None:
 
 
 def _message_session(args, key, n, backend, t: int, count: int):
-    """The session read once (Session.once) of one message of `count` blocks
+    """The streamed session (cipher.stream) of one message of `count` blocks
     at t, after the key's weak-key notes and whether t is degenerate."""
     session = cipher.init_session(key, t, n, max(count, 1), backend,
-                                  table=_load_table(args))
+                                  table=_load_table(args), streamed=True)
     _warn(*cipher.check_key_strength(key, backend))
     if session.degenerate:
         _warn(f"timestamp t={t} gives a degenerate initial condition "
               "(x0 is 0 or 1), so the keystream does not depend on t or gamma")
-    return session.once()
+    return session
 
 
 def cmd_encrypt(args) -> int:
     key, n, backend = cipher.load_key(args.key)
     with open(args.infile, "rb") as fh:
-        data = fh.read()
-    try:
-        blocks = blocks_from_bytes(data, n)
-    except ParameterError as exc:
-        raise ParameterError(f"{args.infile}: {exc} (n={n} in {args.key})") from None
-    session = _message_session(args, key, n, backend, args.t, len(blocks))
-    out = cipher.encrypt(session, cipher.Message(blocks, args.t))
-    cipher.save_ciphertext(out, n, args.out)
-    print(f"encrypted {len(blocks)} blocks -> {args.out} (t={args.t})")
+        if not fh.seekable():       # a pipe has no size: read it whole
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        try:
+            count = _whole_blocks(size, n)
+        except ParameterError as exc:
+            raise ParameterError(f"{args.infile}: {exc} (n={n} in {args.key})") \
+                from None
+        session = _message_session(args, key, n, backend, args.t, count)
+        cipher.save_ciphertext(args.t, n, count, cipher.stream(
+            session, _read_blocks(fh, size, n), False), args.out)
+    print(f"encrypted {count} blocks -> {args.out} (t={args.t})")
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
     key, n, backend = cipher.load_key(args.key)
-    msg, n_file = cipher.load_ciphertext(args.infile)
-    if len(msg.blocks) * 4 * n_file % 8:
-        raise ParameterError(f"{args.infile}: {len(msg.blocks)} blocks of "
+    ciphertext = cipher.load_ciphertext(args.infile)
+    t, n_file, count = next(ciphertext)
+    if count * 4 * n_file % 8:
+        raise ParameterError(f"{args.infile}: {count} blocks of "
                              f"{4 * n_file} bits are not a whole number of bytes")
     if n_file != n:
         raise ParameterError(f"{args.infile}: ciphertext n={n_file} does not "
                              f"match key n={n} of {args.key}")
-    session = _message_session(args, key, n, backend, msg.t, len(msg.blocks))
-    blocks = cipher.decrypt(session, msg).blocks
-    del session, msg            # drop U and the ciphertext before packing
-    data = blocks_to_bytes(blocks, n)   # before --out is opened and emptied
-    with open(args.out, "wb") as fh:
-        fh.write(data)
-    print(f"decrypted {len(blocks)} blocks -> {args.out}")
+    session = _message_session(args, key, n, backend, t, count)
+    with open_out(args.out, "wb") as fh:
+        for blocks in cipher.stream(session, ciphertext, True):
+            fh.write(blocks_to_bytes(blocks, n))
+    print(f"decrypted {count} blocks -> {args.out}")
     return EXIT_OK
 
 

@@ -31,54 +31,74 @@ from .tentmap import TentParams, orbit_stream, restart
 # ---------------------------------------------------------------------------
 # bit extraction (noise vectors)
 
+# noise vectors per chunk of a streamed noise loop, and blocks per chunk of a
+# streamed message (cipher.stream); even, so a chunk of blocks is whole bytes
+CHUNK = 256
+
+
 def build_noise_vectors(x0, p: TentParams, n: int, j_max: int, backend,
-                        mended: bool = False) -> list[int]:
-    """Noise vectors U_0 .. U_j_max from the orbit starting at x0.
+                        mended: bool = False, chunk: int | None = None):
+    """Noise vectors U_0 .. U_j_max from the orbit starting at x0: one list,
+    or with `chunk` an iterator of lists of `chunk` of them (the last may be
+    shorter), each stepped when it is read.
 
     Bit u_i is 1 when orbit state x_i exceeds alpha (the initial condition
     is x_0), or 1/2 when mended, and 0 otherwise, equality included;
-    u_{4jn} is the most significant bit of U_j.  Each state's bit goes
-    into one buffer as a digit 0 or 1, cut into vectors, so no orbit
-    list is kept and no step past the last state is taken.  x_0..x_2, G's
-    start-up and its checks, come from tentmap.orbit_stream, as does the
-    rest on any backend but fixed point.  A FixedPointBackend steps on from
-    x_2 in one flat loop per extractor that inlines the multiply-and-shift
-    steps of backend.reciprocals and never checks 0 or the domain: an
-    interior state never steps to 0 or out of [0, 1], and steps to one only
-    from alpha.  With the plain extractor, u_i is the branch test of x_i.
+    u_{4jn} is the most significant bit of U_j.  A chunk's bits go into one
+    reused buffer as the digits 0 and 1, cut into vectors, so no orbit list
+    is kept, x is carried from chunk to chunk, and no step past the last
+    state is taken.  x_0..x_2, G's start-up and its checks, come from
+    tentmap.orbit_stream, as does the rest on any backend but fixed point.
+    A FixedPointBackend steps on from x_2 in one flat loop per extractor
+    that inlines the multiply-and-shift steps of backend.reciprocals and
+    never checks 0 or the domain: an interior state never steps to 0 or
+    out of [0, 1], and steps to one only from alpha.  With the plain
+    extractor, u_i is the branch test of x_i.
     """
     if j_max < 0:
         raise ParameterError("j_max must be >= 0")
     if n < 1:
         raise ParameterError("n must be >= 1")
+    chunks = _noise_chunks(x0, p, n, j_max, backend, mended, chunk or j_max + 1)
+    return chunks if chunk else next(chunks)
+
+
+def _noise_chunks(x0, p, n, j_max, backend, mended, chunk):
+    """build_noise_vectors' lists of `chunk` vectors (see there)."""
     one, alpha, beta = backend.one, p.alpha, p.beta
     threshold = backend.half if mended else alpha
     width, total = 4 * n, 4 * n * (j_max + 1)
-    digits = bytearray(b"0") * total    # u_i as the digits 0 and 1, MSB first
+    digits = bytearray(b"0") * min(width * chunk, total)  # a chunk's u_i, MSB first
     orbit = orbit_stream(x0, p, backend)
     for i, x in enumerate(islice(orbit, 3)):    # total >= 4: G's own start-up
         digits[i] = 48 + (x > threshold)
-    if not isinstance(backend, FixedPointBackend):
-        digits[3:] = (48 + (x > threshold) for x in islice(orbit, total - 3))
-    elif mended:
+    fixed = isinstance(backend, FixedPointBackend)
+    if fixed:
         m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
-        for i in range(3, total):
-            if x <= alpha:
-                x = (m1 * x + h1) >> s1
-            else:
-                x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
-            if x > threshold:
-                digits[i] = 49
-    else:
-        m1, h1, s1, m2, h2, s2 = backend.reciprocals(alpha)
-        for i in range(2, total - 1):           # steps x_i, writes u_i
-            if x <= alpha:
-                x = (m1 * x + h1) >> s1
-            else:
-                x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
-                digits[i] = 49
-        digits[-1] = 48 + (x > alpha)
-    return [int(digits[k:k + width], 2) for k in range(0, total, width)]
+    for base in range(0, total, len(digits)):   # u_base .. u_{base+size-1}
+        size, lo = min(len(digits), total - base), 0 if base else 3
+        if not fixed:
+            digits[lo:size] = (48 + (x > threshold) for x in islice(orbit, size - lo))
+        elif mended:
+            for i in range(lo, size):           # steps to x_{base+i}, writes u
+                if x <= alpha:
+                    x = (m1 * x + h1) >> s1
+                else:
+                    x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
+                if x > threshold:
+                    digits[i] = 49
+        else:
+            last = base + size == total
+            for i in range(min(lo, 2), size - last):    # writes u, steps x_{base+i}
+                if x <= alpha:
+                    x = (m1 * x + h1) >> s1
+                else:
+                    x = (h2 - m2 * x) >> s2 if x < one else restart(x, beta, backend)
+                    digits[i] = 49
+            if last:
+                digits[size - 1] = 48 + (x > alpha)
+        yield [int(digits[k:k + width], 2) for k in range(0, size, width)]
+        digits[:] = b"0" * len(digits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Session setup, encryption/decryption and the key/ciphertext file formats."""
 
+import io
 import random
 import re
 import tracemalloc
@@ -27,6 +28,17 @@ def make_session(backend=FP, alpha=0.43, t=1234, n=2, r=8):
     key = KeyMaterial(backend.from_float(alpha), backend.from_float(0.7),
                       backend.from_float(0.37), 0xA5 & ((1 << (4 * n)) - 1))
     return cipher.init_session(key, t, n, r, backend)
+
+
+def write_ciphertext(msg, n, path):
+    """cipher.save_ciphertext of a whole message, given as one piece."""
+    cipher.save_ciphertext(msg.t, n, len(msg.blocks), [msg.blocks], path)
+
+
+def read_ciphertext(path):
+    """(Message, n) of ciphertext file `path`, read to its end."""
+    (t, n, _), *pieces = cipher.load_ciphertext(path)
+    return Message([b for blocks in pieces for b in blocks], t), n
 
 
 def test_golden_vector():
@@ -277,8 +289,8 @@ def test_ciphertext_file_roundtrip(tmp_path, data):
     path = tmp_path / "ct.txt"
     t, n = data.draw(st.integers(1, 10 ** 20)), data.draw(st.integers(1, 16))
     blocks = data.draw(st.lists(st.integers(0, (1 << (4 * n)) - 1), max_size=20))
-    cipher.save_ciphertext(Message(blocks, t), n, path)
-    msg, n_file = cipher.load_ciphertext(path)
+    write_ciphertext(Message(blocks, t), n, path)
+    msg, n_file = read_ciphertext(path)
     assert (msg.blocks, msg.t, n_file) == (blocks, t, n)
     header = path.read_text().splitlines()[0]
     assert header == f"YTS1 t={t} n={n} len={len(blocks)}"
@@ -302,9 +314,9 @@ def test_ciphertext_file_rejects_garbage(tmp_path):
             ("YTS1 t=5 n=2 len=1\n0a\n\n0b\n", ": line 4: expected the end")):
         path.write_text(text)
         with pytest.raises(ParameterError, match=re.escape(f"{path}{error}")):
-            cipher.load_ciphertext(path)
+            read_ciphertext(path)
     path.write_text("YTS1 t=5 n=2 len=1\n0a\n\n  \n")   # blank lines may follow
-    assert cipher.load_ciphertext(path)[0].blocks == [0x0A]
+    assert read_ciphertext(path)[0].blocks == [0x0A]
 
 
 # block lines as the writer spells them, and as it does not: an 0X or
@@ -320,8 +332,8 @@ def test_block_run_is_checked_to_its_end(tmp_path):
     # the run is checked in steps of 256 lines; respell a line in each step
     path = tmp_path / "ct.txt"
     blocks = [k % 256 for k in range(600)]
-    cipher.save_ciphertext(Message(blocks, 5), 2, path)
-    assert cipher.load_ciphertext(path)[0].blocks == blocks
+    write_ciphertext(Message(blocks, 5), 2, path)
+    assert read_ciphertext(path)[0].blocks == blocks
     lines = path.read_text().splitlines(keepends=True)
     for k in (1, 255, 256, 257, 511, 512, 600):
         for text, want in (("0x0a\n", blocks[:k - 1] + [10] + blocks[k:]),
@@ -329,10 +341,10 @@ def test_block_run_is_checked_to_its_end(tmp_path):
                                     "of 600, got 'zz'")):
             path.write_text("".join(lines[:k] + [text] + lines[k + 1:]))
             if isinstance(want, list):
-                assert cipher.load_ciphertext(path)[0].blocks == want
+                assert read_ciphertext(path)[0].blocks == want
             else:
                 with pytest.raises(ParameterError, match=re.escape(f"{path}{want}")):
-                    cipher.load_ciphertext(path)
+                    read_ciphertext(path)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
@@ -341,30 +353,30 @@ def test_ciphertext_with_other_line_ends(tmp_path, newline):
     # line numbers and the block run are those of the "\n" file
     path = tmp_path / "ct.txt"
     blocks = [k % 256 for k in range(600)]
-    cipher.save_ciphertext(Message(blocks, 5), 2, path)
+    write_ciphertext(Message(blocks, 5), 2, path)
     lines = path.read_text().splitlines(keepends=True)
 
     def write(lines):
         path.write_bytes("".join(lines).replace("\n", newline).encode())
 
     write(lines + ["\n", "  \n"])
-    assert cipher.load_ciphertext(path)[0].blocks == blocks
+    assert read_ciphertext(path)[0].blocks == blocks
     write(lines + ["\n", "zz\n"])
     with pytest.raises(ParameterError,
                        match=re.escape(f"{path}: line 603: expected the end")):
-        cipher.load_ciphertext(path)
+        read_ciphertext(path)
     for k in (1, 300, 600):     # a respelled block reads as number() reads it
         write(lines[:k] + ["0x0a\n"] + lines[k + 1:] + ["\n"])
-        assert cipher.load_ciphertext(path)[0].blocks == \
+        assert read_ciphertext(path)[0].blocks == \
             blocks[:k - 1] + [10] + blocks[k:]
         write(lines[:k] + ["zz\n"] + lines[k + 1:])
         with pytest.raises(ParameterError, match=re.escape(
                 f"{path}: line {k + 1}: expected 8-bit block {k} of 600, got 'zz'")):
-            cipher.load_ciphertext(path)
+            read_ciphertext(path)
         write(lines[:k] + ["0x0a\n"] + lines[k + 1:] + ["zz\n"])
         with pytest.raises(ParameterError,
                            match=re.escape(f"{path}: line 602: expected the end")):
-            cipher.load_ciphertext(path)
+            read_ciphertext(path)
 
 
 def test_non_utf8_input_names_the_file_and_line(tmp_path):
@@ -372,12 +384,35 @@ def test_non_utf8_input_names_the_file_and_line(tmp_path):
     path.write_bytes(b"YTS1 t=5 n=2 len=2\r\n0a\r\n\xff0b\r\n")
     with pytest.raises(ParameterError, match=re.escape(
             f"{path}: line 3: byte 0xff is not UTF-8 text (invalid start byte)")):
-        cipher.load_ciphertext(path)
+        read_ciphertext(path)
     path.write_bytes(b"alpha=fp62:0x1\nbeta=\xc3\n")
     with pytest.raises(ParameterError, match=re.escape(
             f"{path}: line 2: byte 0xc3 is not UTF-8 text "
             "(invalid continuation byte)")):
         cipher.load_key(path)
+
+
+def test_non_utf8_byte_anywhere_comes_before_any_parse_error(tmp_path):
+    # the text is checked a read buffer at a time before line 2 is parsed:
+    # a byte sequence cut by a buffer edge is read as one whole decode reads
+    # it, and a bad one past the first buffer is still the error reported
+    path = tmp_path / "ct.txt"
+    text = ("YTS1 t=5 n=2 len=5000\nzz\n" + "0a\n" * 4999).encode()
+    edge = io.DEFAULT_BUFFER_SIZE
+    for seq in (b"\xff", b"\xc3", b"\xe2\x82", b"\xe2\x28\xa1", b"\xf0\x9f\x98",
+                b"\xed\xa0\x80", "\u00e9\u20ac\U0001f600".encode()):
+        for at in [*range(edge - 4, edge + 2), len(text)]:
+            data = text[:at] + seq + text[at:]
+            path.write_bytes(data)
+            try:
+                data.decode()
+                error = ": line 2: expected 8-bit block 1 of 5000, got 'zz'"
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                error = (f": line {line}: byte "
+                         f"0x{data[exc.start]:02x} is not UTF-8 text ({exc.reason})")
+            with pytest.raises(ParameterError, match=re.escape(f"{path}{error}")):
+                read_ciphertext(path)
 
 
 def test_loading_a_ciphertext_keeps_no_wide_copy(tmp_path):
@@ -387,10 +422,10 @@ def test_loading_a_ciphertext_keeps_no_wide_copy(tmp_path):
     path = tmp_path / "ct.txt"
     rng = random.Random(3)
     blocks = [rng.randrange(1 << 64) for _ in range(16383)]
-    cipher.save_ciphertext(Message(blocks, 5), 16, path)
+    write_ciphertext(Message(blocks, 5), 16, path)
     tracemalloc.start()
     try:
-        assert cipher.load_ciphertext(path)[0].blocks == blocks
+        assert read_ciphertext(path)[0].blocks == blocks
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,10 +458,10 @@ def test_block_run_reads_as_the_grammar(tmp_path, data):
             break
     else:
         if length == len(want):
-            assert cipher.load_ciphertext(path)[0].blocks == want
+            assert read_ciphertext(path)[0].blocks == want
             return
         got = "the file ends"
     k = len(want) + 1
     error = f"{path}: line {k + 1}: expected {4 * n}-bit block {k} of {length}, {got}"
     with pytest.raises(ParameterError, match=re.escape(error)):
-        cipher.load_ciphertext(path)
+        read_ciphertext(path)

@@ -3,13 +3,15 @@
 import hashlib
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
 
-from tentbreak import attack, cipher, cli, keystream
+from tentbreak import analysis, attack, cipher, cli, keystream
 from tentbreak.backend import ParameterError, get_backend
 
 FP = get_backend("fp62")
@@ -247,6 +249,171 @@ def test_encrypt_and_decrypt_keep_no_maps_of_the_message(tmp_path):
             tracemalloc.stop()
         assert peak < 1.0e6, (argv[0], peak)
     assert back.read_bytes() == msg.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [2, 4])
+@pytest.mark.parametrize("name", ["fp62", "f64"])
+def test_streamed_commands_match_one_chain_over_the_message(tmp_path, monkeypatch,
+                                                           capsys, name, chunk):
+    # encrypt and decrypt run a message keystream.CHUNK blocks at a time.  At
+    # lengths around a chunk edge each writes what one chain call gives on a
+    # cached session of max(m, 1) blocks, and on f64, where the noise comes
+    # from tentmap.orbit_stream, steps that session's 4n(max(m, 1) + 2)
+    # states, no more and no fewer
+    monkeypatch.setattr(keystream, "CHUNK", chunk)
+    states, orbit_stream = [0], keystream.orbit_stream
+
+    def counted(*args):
+        for x in orbit_stream(*args):
+            states[0] += 1
+            yield x
+
+    rng = random.Random(f"{name}:{chunk}")
+    key_file, msg, ct, back = (tmp_path / f for f in ("key", "m.bin", "ct", "m.out"))
+    for n in (1, 3, 16):
+        assert run(["keygen", "--backend", name, "--n", n, "--seed", 5,
+                    "--out", key_file]) == 0
+        key, _, be = cipher.load_key(key_file)
+        for m in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            t = rng.randrange(1, 10 ** 9)
+            blocks = [rng.randrange(1 << (4 * n)) for _ in range(m)]
+            want = cipher.encrypt(cipher.init_session(key, t, n, max(m, 1), be),
+                                  cipher.Message(blocks, t)).blocks
+            text = f"YTS1 t={t} n={n} len={m}\n" + "".join(f"{c:0{n}x}\n" for c in want)
+            back.write_text("precious")
+            capsys.readouterr()
+            if m * n % 2:   # odd n: no plaintext file holds an odd block count
+                ct.write_text(text)
+                assert run(["decrypt", "--key", key_file, ct, "--out", back]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: {ct}: {m} blocks of {4 * n} bits are not a whole "
+                    "number of bytes\n")
+                assert back.read_text() == "precious"
+                continue
+            msg.write_bytes(cli.blocks_to_bytes(blocks, n))
+            monkeypatch.setattr(keystream, "orbit_stream", counted)
+            for argv in (["encrypt", "--key", key_file, "--t", t, msg, "--out", ct],
+                         ["decrypt", "--key", key_file, ct, "--out", back]):
+                states[0] = 0
+                assert run(argv) == 0
+                if name == "f64":
+                    assert states[0] == 4 * n * (max(m, 1) + 2), (argv[0], n, m)
+            monkeypatch.setattr(keystream, "orbit_stream", orbit_stream)
+            assert ct.read_text() == text
+            assert back.read_bytes() == msg.read_bytes()
+            assert sorted(p.name for p in tmp_path.iterdir()) == \
+                ["ct", "key", "m.bin", "m.out"]
+
+
+def test_malformed_block_after_the_first_chunk_keeps_the_output(tmp_path,
+                                                               monkeypatch, capsys):
+    # the blocks before it are decrypted and written, but only to a new file
+    # beside --out, which is removed: --out keeps what it held
+    monkeypatch.setattr(keystream, "CHUNK", 2)
+    key, msg, ct, out = (tmp_path / f for f in ("key", "m.bin", "ct", "out"))
+    assert run(["keygen", "--seed", 3, "--out", key]) == 0
+    msg.write_bytes(bytes(range(7)))
+    assert run(["encrypt", "--key", key, "--t", 55, msg, "--out", ct]) == 0
+    lines = ct.read_text().splitlines(keepends=True)
+    for k, text, error in (
+            (5, "zz\n", "expected 8-bit block 5 of 7, got 'zz'"),
+            (7, "1ff\n", "expected 8-bit block 7 of 7, got '1ff'"),
+            (8, "0a\n", "expected the end of the file after 7 blocks, got '0a'"),
+            (7, "", "expected 8-bit block 7 of 7, the file ends")):
+        ct.write_text("".join(lines[:k] + [text] + lines[k + 1:]))
+        out.write_text("precious")
+        capsys.readouterr()
+        assert run(["decrypt", "--key", key, ct, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {ct}: line {k + 1}: {error}\n")
+        assert out.read_text() == "precious"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ct", "key", "m.bin", "out"]
+
+
+def test_decrypt_to_a_device_writes_it_in_place(tmp_path):
+    key, msg, ct = tmp_path / "key", tmp_path / "m.bin", tmp_path / "ct"
+    assert run(["keygen", "--seed", 3, "--out", key]) == 0
+    msg.write_bytes(bytes(range(40)))
+    assert run(["encrypt", "--key", key, "--t", 55, msg, "--out", ct]) == 0
+    assert run(["decrypt", "--key", key, ct, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_is_replaced_only_when_the_command_succeeds(tmp_path, monkeypatch, capsys):
+    key, link, fifo = tmp_path / "key", tmp_path / "link", tmp_path / "fifo"
+    key.write_text("old")
+    os.chmod(key, 0o640)
+    assert run(["keygen", "--seed", 3, "--out", key]) == 0
+    written = key.read_text()
+    assert written.startswith("alpha=") and stat.S_IMODE(key.stat().st_mode) == 0o640
+    # a symlink is written through, and stays a symlink
+    link.symlink_to(key)
+    assert run(["keygen", "--seed", 4, "--out", link]) == 0
+    assert link.is_symlink() and key.read_text() != written
+    # a FIFO is written in place, not replaced by a file
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(["keygen", "--seed", 4, "--out", fifo]) == 0
+    reader.join(60)
+    assert got == [key.read_text()] and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # a failure halfway through a CSV leaves the old file and no other
+    csv = tmp_path / "f.csv"
+    csv.write_text("old")
+
+    def fail(v):
+        raise ParameterError("no format")
+    monkeypatch.setattr(analysis, "_fmt", fail)
+    capsys.readouterr()
+    assert run(["analyze", "fig2", "--n", 1, "--out", csv]) == 2
+    assert capsys.readouterr().err == "error: no format\n"
+    assert csv.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["f.csv", "fifo", "key", "link"]
+
+
+def test_out_may_name_the_input(tmp_path, monkeypatch):
+    # the input is read a chunk at a time while a new file takes the output,
+    # and that file replaces --out only at the end: a command may overwrite
+    # its own input, by its name or through a symlink, which stays a link
+    monkeypatch.setattr(keystream, "CHUNK", 4)
+    key, msg, link = tmp_path / "key", tmp_path / "m", tmp_path / "link"
+    assert run(["keygen", "--seed", 3, "--out", key]) == 0
+    data = bytes(range(40))
+    msg.write_bytes(data)
+    link.symlink_to(msg)
+    for path in (msg, link):
+        assert run(["encrypt", "--key", key, "--t", 55, path, "--out", path]) == 0
+        assert msg.read_text().startswith("YTS1 t=55 n=2 len=40\n")
+        assert run(["decrypt", "--key", key, path, "--out", path]) == 0
+        assert msg.read_bytes() == data and link.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key", "link", "m"]
+
+
+def test_encrypt_and_decrypt_peaks_do_not_grow_with_the_message(tmp_path,
+                                                               monkeypatch):
+    # the message is read, run and written 64 blocks at a time, so twice the
+    # blocks take no more memory; the first, short run builds the parser
+    monkeypatch.setattr(keystream, "CHUNK", 64)
+    key, msg = tmp_path / "key.txt", tmp_path / "m.bin"
+    ct, back = tmp_path / "ct.txt", tmp_path / "m.out"
+    key.write_text(KAT_N16["fp62"][0] + "K=0x0123456789abcdef\nn=16\n")
+    peaks = []
+    for m in (2, 512, 1024):
+        msg.write_bytes(random.Random(m).randbytes(8 * m))
+        for argv in (["encrypt", "--key", key, "--t", 1697412345, msg, "--out", ct],
+                     ["decrypt", "--key", key, ct, "--out", back]):
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert back.read_bytes() == msg.read_bytes()
+    half_enc, half_dec, full_enc, full_dec = peaks[2:]
+    assert full_enc <= half_enc + 32 * 1024, peaks
+    assert full_dec <= half_dec + 32 * 1024, peaks
 
 
 def test_keygen_warns_of_a_weak_drawn_alpha(tmp_path, capsys):

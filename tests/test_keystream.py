@@ -227,17 +227,24 @@ def test_noise_vectors_match_reference(name):
         for mended in (False, True):
             for n, j_max in sizes:
                 total = 4 * n * (j_max + 1)
+                # one list, and chunks whose edges fall before, on and after
+                # x_2, where the fixed-point loops take over
+                runs = [lambda: keystream.build_noise_vectors(x0, p, n, j_max, be,
+                                                              mended=mended)]
+                runs += [lambda chunk=chunk: [u for c in keystream.build_noise_vectors(
+                    x0, p, n, j_max, be, mended=mended, chunk=chunk) for u in c]
+                    for chunk in (1, 2, 7)]
                 if len(states) < total:
                     with pytest.raises(ValueError) as want:
                         list(islice(tentmap.orbit_stream(x0, p, be), total))
-                    with pytest.raises(ValueError) as got:
-                        keystream.build_noise_vectors(x0, p, n, j_max, be,
-                                                      mended=mended)
-                    assert (type(got.value), str(got.value)) == \
-                        (type(want.value), str(want.value))
+                    for run in runs:
+                        with pytest.raises(ValueError) as got:
+                            run()
+                        assert (type(got.value), str(got.value)) == \
+                            (type(want.value), str(want.value))
                     continue
-                assert keystream.build_noise_vectors(
-                    x0, p, n, j_max, be, mended=mended) == spec.extract(
+                for run in runs:
+                    assert run() == spec.extract(
                         states[:total], be.half if mended else alpha, n)
 
 
@@ -261,6 +268,13 @@ def test_noise_vectors_may_end_on_a_boundary_state(name, mended):
     assert keystream.build_noise_vectors(x0, p, 1, 0, be, mended=mended) == [0x1]
     with pytest.raises(ParameterError, match=r"beta must lie strictly inside \(0, 1\)"):
         keystream.build_noise_vectors(x0, p, 1, 1, be, mended=mended)
+    # nor when the vectors come in chunks: the last chunk ends on that state
+    for chunk in (1, 2):
+        assert list(keystream.build_noise_vectors(x0, p, 1, 0, be, mended=mended,
+                                                  chunk=chunk)) == [[0x1]]
+        with pytest.raises(ParameterError, match=r"beta must lie strictly inside"):
+            list(keystream.build_noise_vectors(x0, p, 1, 1, be, mended=mended,
+                                               chunk=chunk))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ INT_CALLERS = {
     "cli.blocks_from_bytes": "the hex digits of bytes.hex()",
     "cli._seed": "TENTBREAK_SEED, as argparse reads --seed",
     "cli._int_in": "a flag's text, as argparse reads type=int",
-    "keystream.build_noise_vectors": "the bit digits of a vector",
+    "keystream._noise_chunks": "the bit digits of a vector",
 }
 
 
